@@ -439,6 +439,23 @@ def mult_steps(m: int) -> int:
     return 7 + 6 * (m.bit_length() - 1)
 
 
+# Transitions of one iteration outside its two embedded multiplications:
+# stage 1 takes 10, stage 3 takes 7 and stage 5 at most 18; stages 2 and 4
+# spend 6 and 9 around their multiplier.  Measured on 1-3 players, 2-5
+# slots and r_disc from 2 to 10^5.  At r_disc = 100 the bound is the 136
+# steps per loop that the acceptance gate allows.
+_LOOP_FIXED_STEPS = 10 + 6 + 7 + 9 + 18
+
+
+def loop_steps_bound(r_disc: int) -> int:
+    """Most transitions one iteration of a built game system takes.
+
+    The multiplicand of every embedded multiplier is a population count,
+    at most r_disc, so each multiplication halts within mult_steps(r_disc).
+    """
+    return 2 * mult_steps(r_disc) + _LOOP_FIXED_STEPS
+
+
 # ============================================================
 # Equilibrium-seeking system
 # ============================================================

@@ -23,6 +23,15 @@ Step semantics, fixed here and relied on by every test in the suite:
     rule application per step.
   * Objects produced during a step become visible only at the next step.
 
+Selection is index driven.  Compilation records, per region, the rules
+that consume each symbol there.  A step counts, over the symbols present
+at its start, how many of each rule's consumed keys are present, and
+examines only the rules with all of them present and a matching target
+charge, in the total order.  Any other rule lacks a need for the whole
+step, so it could neither apply nor be starved.  The examined rules still
+go through every check, and `CRule.max_count` against the residual
+resources is the final judge: a threshold need can be present but short.
+
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
 inspected like any other region.
@@ -343,10 +352,20 @@ class CompiledSystem:
         for cr in self.rules:
             cr.higher = tuple(self.rules[j] for j in sorted(above(cr.rank)))
 
-        # Candidate buckets keyed by (target region, pre charge).
+        # Candidate buckets keyed by (target region, pre charge).  Stepping
+        # does not read them; they describe which rules a charge state arms.
         self.buckets: Dict[Tuple[int, int], List[CRule]] = {}
         for cr in self.ordered:
             self.buckets.setdefault((cr.target, cr.pre), []).append(cr)
+
+        # Selection index: per region, symbol -> the rules consuming it
+        # there.  A rule's needs name distinct (region, symbol) keys, so it
+        # is a candidate exactly when len(needs) of its keys are present.
+        watchers: List[Dict[Sym, List[CRule]]] = [{} for _ in self.parents]
+        for cr in self.rules:
+            for r, s, _ in cr.needs:
+                watchers[r].setdefault(s, []).append(cr)
+        self.watchers = [(r, w) for r, w in enumerate(watchers) if w]
 
     def comparable(self, a: CRule, b: CRule) -> bool:
         return a in b.higher or b in a.higher
@@ -448,18 +467,22 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     """
     csys = cfg.csys
     charges = cfg.charges
-    avail = [dict(c) for c in cfg.contents]
-    pre = None
+    # Start-of-step dicts are never written: a region is copied into
+    # `avail` the first time this step consumes from or produces into it.
+    pre = cfg.contents
+    avail = list(pre)
+    owned = [False] * csys.n_regions
     consumers: Dict[Tuple[int, Sym], List[CRule]] = {}
-    if strict:
-        pre = [dict(c) for c in avail]
 
-    # Candidates: rules whose (target, pre charge) bucket is live now.
-    cand: List[CRule] = []
-    for idx in range(csys.n_regions):
-        got = csys.buckets.get((idx, charges[idx]))
-        if got:
-            cand.extend(got)
+    # Candidates: rules with every consumed key present and a matching
+    # target charge.  Any other rule has k = 0 for the whole step.
+    hits: Dict[CRule, int] = {}
+    for r, watch in csys.watchers:
+        for s in pre[r]:
+            for cr in watch.get(s, ()):
+                hits[cr] = hits.get(cr, 0) + 1
+    cand = [cr for cr, h in hits.items()
+            if h == len(cr.needs) and charges[cr.target] == cr.pre]
     cand.sort(key=lambda r: r.order)
 
     locked = [False] * csys.n_regions
@@ -473,7 +496,7 @@ def maximal_step(cfg: Configuration, strict: bool = False,
         if cr.cap1 and any(locked[r] for r in cr.locks):
             continue
         k = cr.max_count(avail)
-        if strict and pre is not None:
+        if strict:
             k_solo = 1 if cr.fireable(pre, charges, [False] * csys.n_regions) else 0
             if k_solo and k == 0:
                 # Starved by earlier consumption; flag incomparable culprits.
@@ -497,6 +520,9 @@ def maximal_step(cfg: Configuration, strict: bool = False,
         if cr.cap1:
             k = 1
         for r, s, n in cr.needs:
+            if not owned[r]:
+                avail[r] = dict(avail[r])
+                owned[r] = True
             left = avail[r][s] - n * k
             if left:
                 avail[r][s] = left
@@ -518,6 +544,9 @@ def maximal_step(cfg: Configuration, strict: bool = False,
         return record
 
     for (r, s), n in deltas.items():
+        if not owned[r]:
+            avail[r] = dict(avail[r])
+            owned[r] = True
         avail[r][s] = avail[r].get(s, 0) + n
     cfg.contents = avail
     cfg.charges = charge_next

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import (GameSpec, LoopTiming, PayoffCoefficients,
                       build_gne_system, build_mult_system, initial_distribution,
-                      loop_starts, mult_steps, payoff_coefficients, quantize,
-                      stage_boundaries)
+                      loop_starts, loop_steps_bound, mult_steps,
+                      payoff_coefficients, quantize, stage_boundaries)
 from .engine import (ENV_LABEL, CompiledSystem, PSystem, Trace, compile_system,
                      read_region, run)
 from .oracle import (KI, StateZ, Trajectory, initial_state, simulate,
@@ -236,12 +236,15 @@ def _k_of(rule_id: str, prefix: str) -> Optional[int]:
 
 
 def run_gne(spec: GameSpec, loops: Optional[int] = None,
-            budget_factor: int = 200, strict: bool = False) -> GneResult:
+            budget_factor: Optional[int] = None,
+            strict: bool = False) -> GneResult:
     """Build, run, and extract the per-loop counts of the membrane system.
 
     The trajectory is read off the stamped per-loop export objects in the
     skin; err tokens are attributed to loops by the step window in which
-    their forming rules fired.
+    their forming rules fired.  The step budget allows budget_factor steps
+    per loop, by default `loop_steps_bound(r_disc)`, for one loop more than
+    the run performs.
     """
     if loops is not None and loops != spec.loops:
         spec = GameSpec(spec.players, spec.slots,
@@ -253,6 +256,8 @@ def run_gne(spec: GameSpec, loops: Optional[int] = None,
     co = payoff_coefficients(spec)
     warnings: List[str] = []
     sysd = build_gne_system(spec)
+    if budget_factor is None:
+        budget_factor = loop_steps_bound(spec.r_disc)
     trace = run(sysd, max_steps=budget_factor * (spec.loops + 1),
                 strict=strict)
     if not trace.halted:

@@ -1,24 +1,26 @@
 """Numerical reference for the equilibrium dynamics.
 
-Two routes live here.  The real-valued route (numpy) evaluates the game
-directly: slot prices, per-strategy payoffs, excess payoffs, and the
-switch-rate field whose rest points are the equilibria.  The count route
-mirrors the membrane system integer for integer: floored coefficient
-templates, round-half-up accumulation at the granularity threshold, and
-the exact overflow/renormalization policy of the update stage.  Tests
-compare the engine against the count route exactly and against the real
-route within discretization error.
+Two routes live here.  The real-valued route evaluates the game directly:
+slot prices, per-strategy payoffs, excess payoffs, and the switch-rate
+field whose rest points are the equilibria.  It imports numpy on first
+use, so loading the package and running the count route never does.
+The count route mirrors the membrane system integer for integer: floored
+coefficient templates, round-half-up accumulation at the granularity
+threshold, and the exact overflow/renormalization policy of the update
+stage.  Tests compare the engine against the count route exactly and
+against the real route within discretization error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .builder import (GameSpec, PayoffCoefficients, coefficient_matrices,
                       initial_distribution, payoff_coefficients)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KI = Tuple[int, int]
 
@@ -29,6 +31,7 @@ KI = Tuple[int, int]
 
 
 def _index_arrays(spec: GameSpec):
+    import numpy as np
     pairs = spec.pairs()
     n = len(pairs)
     C = np.zeros((spec.slots, n))
@@ -47,6 +50,7 @@ def _index_arrays(spec: GameSpec):
 
 def pricing(spec: GameSpec, x) -> np.ndarray:
     """Slot prices for a demand vector x (length n, actual demand units)."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     _, C, _, _ = _index_arrays(spec)
     if x.shape != (C.shape[1],):
@@ -56,6 +60,7 @@ def pricing(spec: GameSpec, x) -> np.ndarray:
 
 def individual_cost(spec: GameSpec, k: int, xk) -> float:
     """Private cost of player k at demand allocation xk."""
+    import numpy as np
     xk = np.asarray(xk, dtype=float)
     alpha = np.asarray(spec.alpha[k - 1])
     beta = np.asarray(spec.beta[k - 1])
@@ -66,6 +71,7 @@ def individual_cost(spec: GameSpec, k: int, xk) -> float:
 
 def payoff(spec: GameSpec, z) -> np.ndarray:
     """Per-strategy payoff at population shares z (nonpositive for costs)."""
+    import numpy as np
     z = np.asarray(z, dtype=float)
     mats = coefficient_matrices(spec)
     S, M = mats["S"], mats["M"]
@@ -77,6 +83,7 @@ def payoff(spec: GameSpec, z) -> np.ndarray:
 
 def excess_payoff(p, z, spec: GameSpec) -> np.ndarray:
     """Payoff minus the population's share-weighted mean payoff."""
+    import numpy as np
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=float)
     _, _, _, blocks = _index_arrays(spec)
@@ -88,6 +95,7 @@ def excess_payoff(p, z, spec: GameSpec) -> np.ndarray:
 
 def bnn_rate(phat, z, spec: GameSpec) -> np.ndarray:
     """Switch-rate field: positive excess inflow minus proportional outflow."""
+    import numpy as np
     phat = np.asarray(phat, dtype=float)
     z = np.asarray(z, dtype=float)
     _, _, _, blocks = _index_arrays(spec)
@@ -134,6 +142,7 @@ class StateZ:
         return sum(self.counts[(k, i)] for i in spec.strategies[k - 1])
 
     def fractions(self, spec: GameSpec) -> np.ndarray:
+        import numpy as np
         return np.array([self.counts[(k, i)] / spec.r_disc
                          for k, i in spec.pairs()])
 
@@ -339,6 +348,7 @@ def gne_residual(state: StateZ, spec: GameSpec) -> float:
     still only when each per-loop count move rounds to zero, so a frozen
     trajectory lands below the discretization quantum 1/R.
     """
+    import numpy as np
     z = state.fractions(spec)
     p = payoff(spec, z)
     phat = excess_payoff(p, z, spec)

@@ -19,19 +19,15 @@ class Sym:
     hashing are identity-based.
     """
 
-    __slots__ = ("base", "params", "_hash", "_text")
+    __slots__ = ("base", "params", "_text")
 
     def __init__(self, base: str, params: Tuple) -> None:
         self.base = base
         self.params = params
-        self._hash = hash((base, params))
         if params:
             self._text = base + "{" + ",".join(str(p) for p in params) + "}"
         else:
             self._text = base
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return self._text

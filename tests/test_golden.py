@@ -1,0 +1,93 @@
+"""Byte-level pins of the engine's observable output.
+
+The digests below were taken from the scan-every-bucket engine that
+preceded indexed rule selection.  Any change to how `maximal_step` picks
+its candidates must reproduce them exactly: the `export_trace_text` of the
+acceptance instances, the full 101 x 101 multiplier sweep on one shared
+compiled system, and the strict-mode ambiguity lists.
+
+To re-derive a digest after a deliberate semantic change, call the
+`_*_digest` helpers below and paste the new values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import List
+
+from pgne.builder import build_mult_system, mult_steps
+from pgne.engine import compile_system, export_trace_text, run
+from pgne.harness import run_gne, sample_experiment
+from pgne.symbols import sym
+
+# Acceptance instances: the agreement set, the loop-profile seeds and the
+# convergence run, each with its preset's loop count.
+_INSTANCES = [("small", 2), ("small", 9), ("small", 15), ("small", 16),
+              ("small", 17), ("default", 27), ("default", 31),
+              ("default", 32), ("default", 1)]
+
+_TRACE_SHA = {
+    "small/2": "51117bb503bd864a53d37ea6a8b3a3fed0bae97a42a09d0c47825f4e02e231f6",
+    "small/9": "7534c77f9b0a45d1f2be5e10eb915d1dfbf0ed9e866b565f0bbf4ce394cb7d21",
+    "small/15": "cbb21fd1b4272041e34fd6726dd30f5dc16da8b233260f3d181cd7d706783a06",
+    "small/16": "2fb44c1a95877270d1b3c76728f32246baf77e6e1d2c4424b584d3b182bed38f",
+    "small/17": "10ace3d894881ef79e8626108a2c081071526989ae8cb37197daf680f923c040",
+    "default/27": "11b9c50f49c836dba0af2fd6ed1855acbe8e0e24249cd244c8d76d6152dd2a14",
+    "default/31": "778d38d10954453efbc11597f4afb640303e345786b3c748241e014a17689a24",
+    "default/32": "1db77d428f141701728c9beafd3527ccd7ff2983430512d7be1663555eefaeb2",
+    "default/1": "025cc9d9d8164445d486835889a21156a93447cc134df548f02c7ef3a165b784",
+}
+
+_SWEEP_SHA = "d74f282a190b3193cee4dc5af824b3598b5f6b46e062ba393a223ae6e6ed8384"
+
+# (preset, seed): (number of ambiguities, sha256 of their text rows).  The
+# small preset never produces one; its empty list is pinned all the same.
+_AMBIGUITY_SHA = {
+    ("default", 27): (8, "c8c0e2f46c090b11225638027ad4d10487cfcb6ce063ed29b395b37ed774bfd9"),
+    ("default", 31): (6, "ce2492347bea90465c9836d420e486b89518630be45f75d0e2b0bdf96398cbf3"),
+    ("small", 2): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _trace_digest(preset: str, seed: int) -> str:
+    res = run_gne(sample_experiment(seed, preset))
+    return _sha(export_trace_text(res.trace))
+
+
+def _sweep_digest() -> str:
+    csys = compile_system(build_mult_system(0, 0))
+    mc, cyc, mp = sym("mcand"), sym("cyc1"), sym("mplier")
+    h = hashlib.sha256()
+    for m in range(101):
+        budget = mult_steps(m) + 10
+        for n in range(101):
+            tr = run(csys, max_steps=budget,
+                     initial={"0": {mp: n}, "1": {mc: m, cyc: 1}})
+            h.update(f"{m}x{n}\n{export_trace_text(tr)}".encode())
+    return h.hexdigest()
+
+
+def _ambiguity_digest(preset: str, seed: int):
+    res = run_gne(sample_experiment(seed, preset), strict=True)
+    rows: List[str] = [
+        f"{a.step} {a.region} {a.symbol.text} {a.winner} {a.loser}"
+        for a in res.trace.ambiguities]
+    return len(rows), _sha("\n".join(rows))
+
+
+def test_acceptance_traces_byte_identical():
+    got = {f"{p}/{s}": _trace_digest(p, s) for p, s in _INSTANCES}
+    assert got == _TRACE_SHA
+
+
+def test_mult_sweep_traces_byte_identical():
+    assert _sweep_digest() == _SWEEP_SHA
+
+
+def test_strict_ambiguities_unchanged():
+    got = {key: _ambiguity_digest(*key) for key in _AMBIGUITY_SHA}
+    assert got == _AMBIGUITY_SHA

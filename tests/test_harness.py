@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
 import pgne.oracle as oracle_mod
-from pgne.builder import GameSpec, load_game
+from pgne.builder import GameSpec, load_game, loop_steps_bound
 from pgne.cli import main
 from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
                           run_gne, run_mult, sample_experiment)
@@ -121,6 +124,30 @@ def test_run_gne_clean():
 def test_run_gne_budget_warning():
     res = run_gne(tiny_spec(), budget_factor=10)
     assert any("budget" in w for w in res.warnings)
+
+
+def test_run_gne_budget_follows_r_disc():
+    # Loops grow by 12 steps per bit of r_disc: at 10^5 a loop takes 244
+    # steps, past a flat 200-step-per-loop budget.
+    spec = dataclasses.replace(sample_experiment(2, "small"), r_disc=100000)
+    res = run_gne(spec)
+    assert res.trace.halted and res.warnings == []
+    assert max(lt.total for lt in res.timings) <= loop_steps_bound(100000)
+    assert compare_engines(spec, result=res).agree
+
+
+def test_loop_steps_bound_matches_default_profile():
+    assert loop_steps_bound(100) == 136
+    assert loop_steps_bound(100000) - loop_steps_bound(50000) == 12
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, pgne; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(oracle_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_run_gne_loops_override_leaves_input_alone():

@@ -1,0 +1,139 @@
+"""Indexed candidate selection against a naive full-scan reference step.
+
+`maximal_step` examines only rules whose consumed (region, symbol) keys
+are all present at the start of the step.  The reference below walks
+every rule of the total order instead, with the same per-rule checks, and
+the property test requires identical records, ambiguities and final
+states on small random systems.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgne.engine import (CHARGES, NEUTRAL, Ambiguity, ChildPattern,
+                         Configuration, MembraneNode, PSystem, RuleSpec,
+                         StepRecord, compile_system, run)
+from pgne.symbols import Multiset, Sym, sym
+
+_SYMS = [sym(t) for t in "abc"]
+_LABELS = ["m1", "m2", "m3"]
+
+
+def reference_step(cfg: Configuration, strict: bool,
+                   ambiguities: List[Ambiguity]) -> StepRecord:
+    """One maximal step that scans every rule in the total order."""
+    csys = cfg.csys
+    charges = cfg.charges
+    start = [dict(c) for c in cfg.contents]
+    avail = [dict(c) for c in cfg.contents]
+    locked = [False] * csys.n_regions
+    charge_next = list(charges)
+    consumers: Dict[Tuple[int, Sym], list] = {}
+    deltas: Dict[Tuple[int, Sym], int] = {}
+    record: StepRecord = []
+    for cr in csys.ordered:
+        if charges[cr.target] != cr.pre:
+            continue
+        if cr.child >= 0 and charges[cr.child] != cr.child_pre:
+            continue
+        if any(locked[r] for r in cr.locks):
+            continue
+        k = min(avail[r].get(s, 0) // n for r, s, n in cr.needs)
+        if strict and k == 0 and cr.fireable(
+                start, charges, [False] * csys.n_regions):
+            for r, s, n in cr.needs:
+                if avail[r].get(s, 0) >= n:
+                    continue
+                for culprit in consumers.get((r, s), ()):
+                    if culprit is not cr and not csys.comparable(culprit, cr):
+                        ambiguities.append(Ambiguity(
+                            cfg.step, csys.region_labels[r], s,
+                            culprit.id, cr.id))
+        if k == 0:
+            continue
+        if any(h.fireable(avail, charges, locked) for h in cr.higher):
+            continue
+        if cr.locks:
+            k = 1
+        for r, s, n in cr.needs:
+            avail[r][s] -= n * k
+            if not avail[r][s]:
+                del avail[r][s]
+            consumers.setdefault((r, s), []).append(cr)
+        for r, s, n in cr.gives:
+            deltas[(r, s)] = deltas.get((r, s), 0) + n * k
+        for r in cr.locks:
+            locked[r] = True
+            charge_next[r] = cr.post if r == cr.target else cr.child_post
+        record.append((cr, k))
+    if record:
+        for (r, s), n in deltas.items():
+            avail[r][s] = avail[r].get(s, 0) + n
+        cfg.contents = avail
+        cfg.charges = charge_next
+        cfg.step += 1
+    return record
+
+
+def _bags(max_size: int, most: int = 3, min_size: int = 0):
+    return st.dictionaries(st.sampled_from(_SYMS), st.integers(1, most),
+                           min_size=min_size, max_size=max_size)
+
+
+_CONTENT, _ONE, _TWO = _bags(3, 6, 1), _bags(1), _bags(2)
+# Mostly neutral, so that charge guards pass often enough to matter.
+_CHARGE = st.sampled_from(CHARGES + (NEUTRAL, NEUTRAL))
+
+
+@st.composite
+def systems(draw) -> PSystem:
+    depth = draw(st.integers(1, 3))
+    node = None
+    for label in reversed(_LABELS[:depth]):
+        node = MembraneNode(label, [node] if node else [],
+                            Multiset(draw(_CONTENT)), draw(_CHARGE))
+    rules: List[RuleSpec] = []
+    for n in range(draw(st.integers(1, 10))):
+        at = draw(st.integers(0, depth - 1))
+        child = None
+        if at + 1 < depth and draw(st.booleans()):
+            child = ChildPattern(_LABELS[at + 1], draw(_CHARGE),
+                                 draw(_CHARGE), draw(_TWO), draw(_TWO))
+        spec = RuleSpec(f"r{n}", _LABELS[at], draw(_CHARGE), draw(_CHARGE),
+                        draw(_ONE), draw(_ONE), draw(_TWO), draw(_TWO), child)
+        if spec.consumes_nothing():
+            spec.consume_in[draw(st.sampled_from(_SYMS))] = 1
+        rules.append(spec)
+    # Pairs that agree with one random ranking are acyclic by construction.
+    rank = draw(st.permutations(range(len(rules))))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(rules) - 1),
+                                    st.integers(0, len(rules) - 1)),
+                          max_size=6))
+    priority = sorted({(rules[a].id, rules[b].id) for a, b in pairs
+                       if rank[a] < rank[b]})
+    return PSystem(node, rules, priority)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(systems(), st.booleans())
+def test_indexed_selection_matches_full_scan(sysd: PSystem, strict: bool):
+    csys = compile_system(sysd)
+    tr = run(csys, max_steps=6, strict=strict)
+
+    cfg = csys.initial_configuration()
+    records: List[StepRecord] = []
+    ambiguities: List[Ambiguity] = []
+    for _ in range(6):
+        rec = reference_step(cfg, strict, ambiguities)
+        if not rec:
+            break
+        records.append(rec)
+
+    assert tr.records == records
+    assert tr.ambiguities == ambiguities
+    assert tr.final.contents == cfg.contents
+    assert tr.final.charges == cfg.charges
