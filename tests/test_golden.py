@@ -6,6 +6,11 @@ its candidates must reproduce them exactly: the `export_trace_text` of the
 acceptance instances, the full 101 x 101 multiplier sweep on one shared
 compiled system, and the strict-mode ambiguity lists.
 
+The stage-window and cross-seed attribution digests were taken from the
+string-matching trace readers that preceded `builder.rule_tag`; any change
+to how a trace is split into loops and stages, or to how rule applications
+are summed per stage, must reproduce them exactly.
+
 To re-derive a digest after a deliberate semantic change, call the
 `_*_digest` helpers below and paste the new values.
 """
@@ -15,9 +20,11 @@ from __future__ import annotations
 import hashlib
 from typing import List
 
-from pgne.builder import build_mult_system, mult_steps
+from pgne.builder import (build_gne_system, build_mult_system, mult_steps,
+                          stage_boundaries)
 from pgne.engine import compile_system, export_trace_text, run
-from pgne.harness import run_gne, sample_experiment
+from pgne.harness import compare_engines, run_gne, sample_experiment
+from pgne.oracle import simulate
 from pgne.symbols import sym
 
 # Acceptance instances: the agreement set, the loop-profile seeds and the
@@ -46,6 +53,28 @@ _AMBIGUITY_SHA = {
     ("default", 27): (8, "c8c0e2f46c090b11225638027ad4d10487cfcb6ce063ed29b395b37ed774bfd9"),
     ("default", 31): (6, "ce2492347bea90465c9836d420e486b89518630be45f75d0e2b0bdf96398cbf3"),
     ("small", 2): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+# Per-loop stage windows read back from traces by `stage_boundaries`: the
+# acceptance instances, whose windows all coincide because loop anatomy
+# depends only on r_disc, plus default/27 cut short inside loop 10's
+# stage 1 and stage 4, which leave stages missing.
+_CUTS = (1120, 1190)
+_TIMING_SHA = {
+    **{f"{p}/{s}": "27c62410038f4d26bb2de3dcb487b9053429aff40adcc4e78d459f6a17b17b40"
+       for p, s in _INSTANCES},
+    "default/27@1120": "eec94dcfaf434e1983492f1ffbae122cb6640e1f5337f30cc5db0a2952bbfa71",
+    "default/27@1190": "74a00e4fa2da5921b2468bd8978f73c90fbbb0b4a02b28248f5b99b3776a59cd",
+}
+
+# Cross-seed comparisons: the engine run of one seed against the reference
+# of another, so every stage of every loop diverges somewhere and the
+# attribution of each stage is pinned.  (engine seed, reference seed):
+# (number of divergences, sha256 of their text rows).
+_CROSS_SHA = {
+    ("default", 27, 31): (434, "5132fb17b1bc141c225c2dbb15c9d489339582c8fba12cbad0c3f2210874038e"),
+    ("small", 2, 9): (214, "17b7e61cad3d8b43ea06a04b0e00dc94129218e646d98b2521e684b78dd35569"),
 }
 
 
@@ -91,3 +120,39 @@ def test_mult_sweep_traces_byte_identical():
 def test_strict_ambiguities_unchanged():
     got = {key: _ambiguity_digest(*key) for key in _AMBIGUITY_SHA}
     assert got == _AMBIGUITY_SHA
+
+
+def _timing_digest(trace) -> str:
+    rows: List[str] = []
+    for lt in stage_boundaries(trace):
+        spans = " ".join(f"{sp.stage}:{sp.start}-{sp.end}" for sp in lt.spans)
+        rows.append(f"{lt.loop} {lt.start} {lt.end} [{spans}] "
+                    f"{lt.missing} {lt.payoff_step}")
+    return _sha("\n".join(rows))
+
+
+def _cross_digest(preset: str, engine_seed: int, ref_seed: int):
+    spec = sample_experiment(engine_seed, preset)
+    rep = compare_engines(spec, result=run_gne(spec),
+                          traj=simulate(sample_experiment(ref_seed, preset)))
+    rows = [f"{d.loop} {d.stage} {d.key} {d.engine} {d.oracle}"
+            for d in rep.divergences]
+    return len(rows), _sha("\n".join(rows))
+
+
+def _timing_digests():
+    got = {f"{p}/{s}": _timing_digest(run_gne(sample_experiment(s, p)).trace)
+           for p, s in _INSTANCES}
+    sysd = build_gne_system(sample_experiment(27, "default"))
+    for cut in _CUTS:
+        got[f"default/27@{cut}"] = _timing_digest(run(sysd, max_steps=cut))
+    return got
+
+
+def test_stage_boundaries_unchanged():
+    assert _timing_digests() == _TIMING_SHA
+
+
+def test_cross_seed_attribution_unchanged():
+    got = {key: _cross_digest(*key) for key in _CROSS_SHA}
+    assert got == _CROSS_SHA
