@@ -18,8 +18,8 @@ from .engine import (CHARGES, ENV_LABEL, MINUS, NEUTRAL, PLUS, Ambiguity,
 from .builder import (GameError, GameSpec, LoopTiming, PayoffCoefficients,
                       StageSpan, build_gne_system, build_mult_system,
                       coefficient_matrices, initial_distribution, load_game,
-                      loop_starts, mult_steps, payoff_coefficients, quantize,
-                      save_game, stage_boundaries, validate_game)
+                      mult_steps, payoff_coefficients, quantize, save_game,
+                      stage_boundaries, validate_game)
 from .oracle import (LoopRecord, RateCounts, StateZ, Trajectory, bnn_rate,
                      count_round, discrete_update, excess_counts,
                      excess_payoff, gne_residual, individual_cost,
@@ -27,10 +27,9 @@ from .oracle import (LoopRecord, RateCounts, StateZ, Trajectory, bnn_rate,
                      pricing, rate_counts, simulate, trajectory_csv)
 from .pspec import (PSpecError, load_system, parse_system, save_system,
                     serialize_system, systems_equal)
-from .harness import (PRESETS, CompareReport, Divergence, ExperimentConfig,
-                      GneResult, MultReport, Preset, SplitMix64,
-                      compare_engines, mult_sweep, run_gne, run_mult,
-                      sample_experiment)
+from .harness import (PRESETS, CompareReport, Divergence, GneResult,
+                      MultReport, Preset, SplitMix64, compare_engines,
+                      mult_sweep, run_gne, run_mult, sample_experiment)
 
 __all__ = [
     "Multiset", "Sym", "parse_sym", "sym",
@@ -42,7 +41,7 @@ __all__ = [
     "replay_matches", "run",
     "GameError", "GameSpec", "LoopTiming", "PayoffCoefficients", "StageSpan",
     "build_gne_system", "build_mult_system", "coefficient_matrices",
-    "initial_distribution", "load_game", "loop_starts", "mult_steps",
+    "initial_distribution", "load_game", "mult_steps",
     "payoff_coefficients", "quantize", "save_game", "stage_boundaries",
     "validate_game",
     "LoopRecord", "RateCounts", "StateZ", "Trajectory", "bnn_rate",
@@ -52,8 +51,7 @@ __all__ = [
     "trajectory_csv",
     "PSpecError", "load_system", "parse_system", "save_system",
     "serialize_system", "systems_equal",
-    "PRESETS", "CompareReport", "Divergence", "ExperimentConfig",
-    "GneResult", "MultReport", "Preset", "SplitMix64", "compare_engines",
+    "PRESETS", "CompareReport", "Divergence", "GneResult", "MultReport", "Preset", "SplitMix64", "compare_engines",
     "mult_sweep", "run_gne", "run_mult", "sample_experiment",
 ]
 

@@ -16,10 +16,12 @@ operations cannot be perturbed by float rounding.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
+from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, CRule, MembraneNode,
                      PSystem, RuleSpec, Trace)
 from .symbols import Multiset, Sym, sym
 
@@ -97,9 +99,10 @@ def save_game(spec: GameSpec, path: str) -> None:
 
 
 def load_game(path: str) -> GameSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a game file; any malformed content raises GameError."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         return GameSpec(
             players=int(doc["players"]),
             slots=int(doc["slots"]),
@@ -114,6 +117,8 @@ def load_game(path: str) -> GameSpec:
         )
     except KeyError as miss:
         raise GameError(f"game file missing field {miss.args[0]!r}")
+    except (ValueError, TypeError) as exc:
+        raise GameError(f"malformed game file {path}: {exc}")
 
 
 def validate_game(spec: GameSpec) -> List[str]:
@@ -506,6 +511,16 @@ def _lbl_acum(k: int) -> str:
 
 def _rid(stage: int, num: int, k: Optional[int] = None, i: Optional[int] = None,
          n: Optional[int] = None) -> str:
+    """Canonical rule id ``S<stage>R<num>[_k<k>][_i<i>][_n<n>]``.
+
+    stage is the loop stage (1-5), num the rule family within it, k the
+    player, i the strategy slot and n the loop stamp; num, k and i take
+    at least two digits, n at least three, and absent fields are left out
+    (``S5R39_k01_i03_n002``).  `rule_tag` is the exact inverse and the only
+    code that reads these fields back.  The embedded multipliers'
+    ``S2X_``/``S4X_`` ids, the waste collectors ``S1R16_r<region>_c<charge>``
+    and the stand-alone multiplier's ``RS<num>`` are outside this grammar.
+    """
     out = f"S{stage}R{num:02d}"
     if k is not None:
         out += f"_k{k:02d}"
@@ -516,7 +531,29 @@ def _rid(stage: int, num: int, k: Optional[int] = None, i: Optional[int] = None,
     return out
 
 
-def build_gne_system(spec: GameSpec, relaxed: bool = False) -> PSystem:
+class RuleTag(NamedTuple):
+    """The fields of a canonical rule id; see `_rid`."""
+
+    stage: int
+    num: int
+    k: Optional[int]
+    i: Optional[int]
+    n: Optional[int]
+
+
+_RID_FIELDS = re.compile(r"S(\d+)R(\d+)(?:_k(\d+))?(?:_i(\d+))?(?:_n(\d+))?")
+
+
+def rule_tag(rule_id: str) -> Optional[RuleTag]:
+    """The fields `_rid` wrote into rule_id, or None if `_rid` did not write it."""
+    m = _RID_FIELDS.fullmatch(rule_id)
+    if m is None:
+        return None
+    tag = RuleTag(*(None if g is None else int(g) for g in m.groups()))
+    return tag if _rid(*tag) == rule_id else None
+
+
+def build_gne_system(spec: GameSpec) -> PSystem:
     """Emit the full iterative equilibrium seeker for one game.
 
     The system runs spec.loops update iterations.  Each iteration stamps
@@ -525,7 +562,7 @@ def build_gne_system(spec: GameSpec, relaxed: bool = False) -> PSystem:
     trajectory can be read off the final environment.
     """
     diags = validate_game(spec)
-    if diags and not relaxed:
+    if diags:
         raise GameError("; ".join(diags))
 
     co = payoff_coefficients(spec)
@@ -1115,7 +1152,11 @@ class StageSpan:
 
 @dataclass
 class LoopTiming:
-    """Per-iteration timing: stage windows plus stages that never ran."""
+    """Per-iteration timing: stage windows plus stages that never ran.
+
+    apps sums the loop's rule applications by the (stage, num, k, i) of
+    their tags; loop stamps are summed away.
+    """
 
     loop: int
     start: int
@@ -1123,63 +1164,69 @@ class LoopTiming:
     spans: List[StageSpan]
     missing: List[int]
     payoff_step: int = 0
+    apps: Dict[Tuple[int, int, Optional[int], Optional[int]], int] = \
+        field(default_factory=dict)
 
     @property
     def total(self) -> int:
         return self.end - self.start + 1
 
 
-def loop_starts(trace: Trace) -> List[int]:
-    """1-based transition numbers at which an iteration begins."""
-    out = []
-    for t, rec in enumerate(trace.records, start=1):
-        for cr, _ in rec:
-            if cr.id == "S1R02":
-                out.append(t)
-                break
-    return out
+def _close_loop(lt: LoopTiming, end: int, first: Dict[Tuple[int, int], int],
+                last: Dict[Tuple[int, int], int]) -> None:
+    """Cut a loop's window into stages from its families' first/last steps."""
+    # Stage 1 ends at the first multiplication kickoff (1, 15), stage 2 at
+    # the last population flip back to neutral (2, 15), stage 3 at the
+    # last excess-payoff export (3, 13) and stage 4 at the last rate
+    # handoff (4, 23); stage 5 runs to the end of the loop.
+    marks = (first.get((1, 15), 0), last.get((2, 15), 0),
+             last.get((3, 13), 0), last.get((4, 23), 0))
+    lt.end = end
+    lt.payoff_step = first.get((1, 12), 0)
+    cur = lt.start
+    for stage, mark in enumerate(marks, start=1):
+        if mark:
+            lt.spans.append(StageSpan(lt.loop, stage, cur, mark))
+            cur = mark + 1
+        else:
+            lt.missing.append(stage)
+    lt.spans.append(StageSpan(lt.loop, 5, cur, end))
 
 
-def stage_boundaries(trace: Trace, spec: Optional[GameSpec] = None
-                     ) -> List[LoopTiming]:
-    """Partition a run into per-iteration stage windows.
+def stage_boundaries(trace: Trace) -> List[LoopTiming]:
+    """Partition a run into per-iteration stage windows in one pass.
 
-    Stage ends are read off marker rules: stage 1 ends when the
-    multiplication kickoff fires, stage 2 when a population flips back
-    to neutral, stage 3 at the excess-payoff export, stage 4 at the
-    rate handoff, and stage 5 runs to the end of the iteration.  A stage
-    whose marker never fires within its loop is reported in `missing`.
+    A loop opens at each step where its kickoff rule (1, 2) fires and runs
+    to the step before the next one.  Stage ends are read off marker
+    families (see `_close_loop`); a stage whose marker never fires within
+    its loop is reported in `missing`.  Each loop also sums its rule
+    applications per tag in `apps`, so callers never read rule ids.
     """
-    del spec  # shape is read off the rule ids, not the game description
-    starts = loop_starts(trace)
+    # Per distinct rule: its (stage, num) family and its apps key, or None.
+    keyed: Dict[CRule, Optional[Tuple[Tuple[int, int], tuple]]] = {}
     out: List[LoopTiming] = []
-    total = len(trace.records)
-    for idx, t0 in enumerate(starts):
-        t1 = starts[idx + 1] - 1 if idx + 1 < len(starts) else total
-        marks = {1: 0, 2: 0, 3: 0, 4: 0}
-        payoff_step = 0
-        for t in range(t0, t1 + 1):
-            for cr, _ in trace.records[t - 1]:
-                rid = cr.id
-                if rid.startswith("S1R15") and not marks[1]:
-                    marks[1] = t
-                elif rid.startswith("S2R15"):
-                    marks[2] = max(marks[2], t)
-                elif rid.startswith("S3R13"):
-                    marks[3] = max(marks[3], t)
-                elif rid.startswith("S4R23"):
-                    marks[4] = max(marks[4], t)
-                elif rid.startswith("S1R12") and not payoff_step:
-                    payoff_step = t
-        spans: List[StageSpan] = []
-        missing: List[int] = []
-        cur = t0
-        for stage in (1, 2, 3, 4):
-            if marks[stage]:
-                spans.append(StageSpan(idx + 1, stage, cur, marks[stage]))
-                cur = marks[stage] + 1
-            else:
-                missing.append(stage)
-        spans.append(StageSpan(idx + 1, 5, cur, t1))
-        out.append(LoopTiming(idx + 1, t0, t1, spans, missing, payoff_step))
+    first: Dict[Tuple[int, int], int] = {}
+    last: Dict[Tuple[int, int], int] = {}
+    for t, rec in enumerate(trace.records, start=1):
+        step = []
+        for cr, cnt in rec:
+            if cr not in keyed:
+                tag = rule_tag(cr.id)
+                keyed[cr] = None if tag is None else (tag[:2], tag[:4])
+            if keyed[cr] is not None:
+                step.append((*keyed[cr], cnt))
+        if any(fam == (1, 2) for fam, _, _ in step):
+            if out:
+                _close_loop(out[-1], t - 1, first, last)
+            out.append(LoopTiming(len(out) + 1, t, t, [], []))
+            first, last = {}, {}
+        if not out:
+            continue
+        apps = out[-1].apps
+        for fam, key, cnt in step:
+            first.setdefault(fam, t)
+            last[fam] = t
+            apps[key] = apps.get(key, 0) + cnt
+    if out:
+        _close_loop(out[-1], len(trace.records), first, last)
     return out

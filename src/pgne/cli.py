@@ -8,7 +8,8 @@ Subcommands:
   compare     run both routes and report the first divergence, if any
   experiment  sample a seeded game, run the chosen route(s), write outputs
 
-Exit status is 0 on success, 1 on any checked failure, 2 on bad usage.
+Exit status is 0 on success, 1 on any checked failure or bad input (one
+`error:` line on stderr), 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import sys
 import time
 from typing import List, Optional
 
-from .builder import (build_gne_system, build_mult_system, load_game,
-                      save_game, validate_game)
-from .engine import compile_system, export_trace_text, read_region, run
+from .builder import (GameError, build_gne_system, build_mult_system,
+                      load_game, save_game, validate_game)
+from .engine import (StructureError, compile_system, export_trace_text,
+                     read_region, run)
 from .harness import (PRESETS, compare_engines, run_gne, run_mult,
                       sample_experiment)
 from .oracle import gne_residual, simulate, trajectory_csv
-from .pspec import load_system, serialize_system
+from .pspec import PSpecError, load_system, serialize_system
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -38,13 +40,11 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _load_spec(path: str, loops: Optional[int]):
     spec = load_game(path)
-    problems = validate_game(spec)
-    if problems:
-        for p in problems:
-            print(f"invalid game: {p}", file=sys.stderr)
-        return None
     if loops is not None:
         spec.loops = loops
+    problems = validate_game(spec)
+    if problems:
+        raise GameError("invalid game: " + "; ".join(problems))
     return spec
 
 
@@ -52,10 +52,7 @@ def cmd_build(args) -> int:
     if args.mult:
         sysd = build_mult_system(args.mult[0], args.mult[1])
     else:
-        spec = _load_spec(args.spec, args.loops)
-        if spec is None:
-            return 1
-        sysd = build_gne_system(spec)
+        sysd = build_gne_system(_load_spec(args.spec, args.loops))
     _write(args.out, serialize_system(sysd))
     return 0
 
@@ -96,8 +93,6 @@ def cmd_mult(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _load_spec(args.spec, args.loops)
-    if spec is None:
-        return 1
     traj = simulate(spec)
     _write(args.out, trajectory_csv(traj))
     print(f"residual at final state: {gne_residual(traj.final(), spec):.6f}",
@@ -107,8 +102,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _load_spec(args.spec, args.loops)
-    if spec is None:
-        return 1
     rep = compare_engines(spec)
     print(rep.text(), end="")
     return 0 if rep.agree and not rep.engine_warnings else 1
@@ -206,7 +199,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         top.error("build needs exactly one of --spec or --mult")
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (OSError, GameError, PSpecError, StructureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import (GameSpec, LoopTiming, PayoffCoefficients,
                       build_gne_system, build_mult_system, initial_distribution,
-                      loop_starts, loop_steps_bound, mult_steps,
-                      payoff_coefficients, quantize, stage_boundaries)
+                      loop_steps_bound, mult_steps, payoff_coefficients,
+                      quantize, stage_boundaries)
 from .engine import (ENV_LABEL, CompiledSystem, PSystem, Trace, compile_system,
                      read_region, run)
 from .oracle import (KI, StateZ, Trajectory, initial_state, simulate,
@@ -96,19 +96,6 @@ def sample_experiment(seed: int, preset: str | Preset = "default",
                     d_diag=d_diag, j_bar=j_bar, alpha=alpha, beta=beta,
                     mass=mass, r_disc=p.r_disc,
                     loops=p.loops if loops is None else loops)
-
-
-@dataclass
-class ExperimentConfig:
-    """One orchestrated job: where the game comes from and what to run."""
-
-    seed: int = 0
-    preset: str = "default"
-    spec_path: Optional[str] = None
-    loops: Optional[int] = None
-    engine: str = "both"
-    out_dir: Optional[str] = None
-    strict: bool = False
 
 
 # ============================================================
@@ -198,41 +185,21 @@ class GneResult:
         return trajectory_csv(Trajectory(self.spec, self.co, self.states, []))
 
 
-def _stage_apps(trace: Trace, lo: int, hi: int, prefix_for: Dict[str, object]
-                ) -> Dict[str, Dict[object, int]]:
-    """Sum applications of id prefixes inside a step window."""
-    out: Dict[str, Dict[object, int]] = {name: {} for name in prefix_for}
-    for t in range(lo, hi + 1):
-        for cr, cnt in trace.records[t - 1]:
-            for name, keyed in prefix_for.items():
-                key = keyed(cr.id)  # type: ignore[operator]
-                if key is not None:
-                    out[name][key] = out[name].get(key, 0) + cnt
-    return out
+def _applied(lt: LoopTiming, families: Sequence[Tuple[int, int]], k: int,
+             i: Optional[int] = None) -> int:
+    """Applications in one loop of the given (stage, num) families at (k, i)."""
+    return sum(lt.apps.get((stage, num, k, i), 0) for stage, num in families)
 
 
-def _ki_of(rule_id: str, prefix: str) -> Optional[KI]:
-    # Ids look like S3R12_k01_i03; parse the player and slot fields.
-    if not rule_id.startswith(prefix):
-        return None
-    k = i = None
-    for part in rule_id[len(prefix):].split("_"):
-        if part.startswith("k"):
-            k = int(part[1:])
-        elif part.startswith("i"):
-            i = int(part[1:])
-    if k is None or i is None:
-        return None
-    return (k, i)
-
-
-def _k_of(rule_id: str, prefix: str) -> Optional[int]:
-    if not rule_id.startswith(prefix):
-        return None
-    for part in rule_id[len(prefix):].split("_"):
-        if part.startswith("k"):
-            return int(part[1:])
-    return None
+# Rule families whose applications count out each stage's values: payoff
+# conversions, mean and excess exports, rounded products, split rates, err.
+_PAY = ((1, 10),)
+_MEAN = ((2, 10), (2, 11))
+_EXCESS = ((3, 12),)
+_ZQR = ((4, 15), (4, 16))
+_DZP = ((4, 19),)
+_DZN = ((4, 20),)
+_ERR = ((5, 23), (5, 24))
 
 
 def run_gne(spec: GameSpec, loops: Optional[int] = None,
@@ -262,7 +229,7 @@ def run_gne(spec: GameSpec, loops: Optional[int] = None,
                 strict=strict)
     if not trace.halted:
         warnings.append(f"budget exhausted after {trace.steps} steps")
-    timings = stage_boundaries(trace, spec)
+    timings = stage_boundaries(trace)
     for lt in timings:
         if lt.missing:
             warnings.append(f"loop {lt.loop}: stages {lt.missing} never ran")
@@ -276,19 +243,6 @@ def run_gne(spec: GameSpec, loops: Optional[int] = None,
             warnings.append(f"export index mismatch for {s.text}")
         by_loop.setdefault(nn, {})[(k, i)] = cnt
 
-    # Err formation per loop window.
-    starts = loop_starts(trace)
-    err_new: Dict[int, Dict[int, int]] = {}
-    for idx, t0 in enumerate(starts):
-        t1 = starts[idx + 1] - 1 if idx + 1 < len(starts) else len(trace.records)
-        acc: Dict[int, int] = {}
-        for t in range(t0, t1 + 1):
-            for cr, cnt in trace.records[t - 1]:
-                k = _k_of(cr.id, "S5R23") or _k_of(cr.id, "S5R24")
-                if k is not None:
-                    acc[k] = acc.get(k, 0) + cnt
-        err_new[idx + 1] = acc
-
     states = [initial_state(spec)]
     err_run = {k: 0 for k in range(1, spec.players + 1)}
     for nn in range(1, max(by_loop) + 1 if by_loop else 1):
@@ -298,8 +252,9 @@ def run_gne(spec: GameSpec, loops: Optional[int] = None,
         # A pair with zero tokens exports nothing; absence means zero.
         counts: Dict[KI, int] = {ki: 0 for ki in co.pairs}
         counts.update(by_loop[nn])
-        for k, v in err_new.get(nn, {}).items():
-            err_run[k] += v
+        if nn <= len(timings):
+            for k in err_run:
+                err_run[k] += _applied(timings[nn - 1], _ERR, k)
         states.append(StateZ(counts, dict(err_run)))
     if len(states) - 1 != spec.loops:
         warnings.append(
@@ -368,44 +323,32 @@ def compare_engines(spec: GameSpec, loops: Optional[int] = None,
     if traj is None:
         traj = simulate(result.spec, loops=L)
     co = result.co
-    trace = result.trace
-    starts = loop_starts(trace)
     divs: List[Divergence] = []
 
     def claim(loop: int, stage: str, key: str, got: int, want: int) -> None:
         if got != want:
             divs.append(Divergence(loop, stage, key, got, want))
 
-    checked = min(len(starts), len(traj.loops), L)
-    for idx in range(checked):
-        t0 = starts[idx]
-        t1 = starts[idx + 1] - 1 if idx + 1 < len(starts) else len(trace.records)
+    checked = min(len(result.timings), len(traj.loops), L)
+    for idx, lt in enumerate(result.timings[:checked]):
         rec = traj.loops[idx]
-        sums = _stage_apps(trace, t0, t1, {
-            "pay": lambda rid: _ki_of(rid, "S1R10"),
-            "mean": lambda rid: _k_of(rid, "S2R10") or _k_of(rid, "S2R11"),
-            "excess": lambda rid: _ki_of(rid, "S3R12"),
-            "zqr": lambda rid: _ki_of(rid, "S4R15") or _ki_of(rid, "S4R16"),
-            "dzp": lambda rid: _ki_of(rid, "S4R19"),
-            "dzn": lambda rid: _ki_of(rid, "S4R20"),
-        })
         loop_no = idx + 1
         for k, i in co.pairs:
             l = co.l_of[(k, i)]
             claim(loop_no, "stage1:payoff", f"p[{l}]",
-                  sums["pay"].get((k, i), 0), rec.p_tilde[l - 1])
+                  _applied(lt, _PAY, k, i), rec.p_tilde[l - 1])
         for k in range(1, spec.players + 1):
             claim(loop_no, "stage2:mean", f"P[{k}]",
-                  sums["mean"].get(k, 0), rec.p_hat[k])
+                  _applied(lt, _MEAN, k), rec.p_hat[k])
         for k, i in co.pairs:
             claim(loop_no, "stage3:excess", f"q[{k},{i}]",
-                  sums["excess"].get((k, i), 0), rec.rate.q[(k, i)])
+                  _applied(lt, _EXCESS, k, i), rec.rate.q[(k, i)])
             claim(loop_no, "stage4:product", f"zqr[{k},{i}]",
-                  sums["zqr"].get((k, i), 0), rec.rate.zqr[(k, i)])
+                  _applied(lt, _ZQR, k, i), rec.rate.zqr[(k, i)])
             claim(loop_no, "stage4:rate+", f"dzp[{k},{i}]",
-                  sums["dzp"].get((k, i), 0), rec.rate.dzp[(k, i)])
+                  _applied(lt, _DZP, k, i), rec.rate.dzp[(k, i)])
             claim(loop_no, "stage4:rate-", f"dzn[{k},{i}]",
-                  sums["dzn"].get((k, i), 0), rec.rate.dzn[(k, i)])
+                  _applied(lt, _DZN, k, i), rec.rate.dzn[(k, i)])
         if idx + 1 < len(result.states) and idx + 1 < len(traj.states):
             es, os_ = result.states[idx + 1], traj.states[idx + 1]
             for k, i in co.pairs:

@@ -136,28 +136,6 @@ class Multiset:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def contains(self, other: "Multiset | Mapping[Sym, int]") -> bool:
-        items = other.counts.items() if isinstance(other, Multiset) else other.items()
-        return all(self.counts.get(s, 0) >= n for s, n in items)
-
-    def max_fit(self, other: "Multiset | Mapping[Sym, int]") -> int:
-        """Largest k such that k copies of `other` fit inside self.
-
-        An empty `other` fits arbitrarily often; callers must handle that.
-        """
-        items = other.counts.items() if isinstance(other, Multiset) else other.items()
-        k = None
-        for s, n in items:
-            have = self.counts.get(s, 0)
-            fit = have // n
-            if k is None or fit < k:
-                k = fit
-                if k == 0:
-                    return 0
-        if k is None:
-            raise ValueError("max_fit of empty pattern is unbounded")
-        return k
-
     def copy(self) -> "Multiset":
         m = Multiset()
         m.counts = dict(self.counts)

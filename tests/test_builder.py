@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from pgne.builder import (MICRO, GameSpec, build_gne_system,
-                          coefficient_matrices, initial_distribution,
-                          load_game, payoff_coefficients, quantize, save_game,
-                          validate_game)
+from pgne.builder import (MICRO, GameSpec, RuleTag, _rid, build_gne_system,
+                          build_mult_system, coefficient_matrices,
+                          initial_distribution, load_game, payoff_coefficients,
+                          quantize, rule_tag, save_game, validate_game)
 from pgne.harness import sample_experiment
 
 
@@ -178,3 +178,34 @@ def test_mass_must_be_positive_to_build():
     s = good_spec()
     s.mass[0] = -1.0
     assert any("> 0" in m for m in validate_game(s))
+
+
+# ============================================================
+# Rule tags
+# ============================================================
+
+
+@pytest.mark.parametrize("preset, multipliers, collectors",
+                         [("default", 704, 240), ("small", 352, 126)])
+def test_rule_tag_inverts_rid(preset, multipliers, collectors):
+    ids = [r.id for r in build_gne_system(sample_experiment(1, preset)).rules]
+    tagged = {rid: rule_tag(rid) for rid in ids}
+    for rid, tag in tagged.items():
+        if tag is not None:
+            assert _rid(*tag) == rid
+    untagged = [rid for rid, tag in tagged.items() if tag is None]
+    assert sum(rid.startswith(("S2X_", "S4X_")) for rid in untagged) \
+        == multipliers
+    assert sum(rid.startswith("S1R16_r") for rid in untagged) == collectors
+    assert len(untagged) == multipliers + collectors
+
+
+def test_rule_tag_fields_and_rejects():
+    assert rule_tag("S5R39_k01_i03_n002") == RuleTag(5, 39, 1, 3, 2)
+    assert rule_tag("S1R02") == RuleTag(1, 2, None, None, None)
+    assert rule_tag("S2R10_k03") == RuleTag(2, 10, 3, None, None)
+    # Widths and field order other than `_rid`'s are not its ids.
+    for rid in ("S1R2", "S1R002", "S3R12_i01_k01", "S5R39_k01_i03_n02",
+                "S1R16_r001_c0", "S2X_k01_i01_R01", "S1R02_"):
+        assert rule_tag(rid) is None
+    assert all(rule_tag(r.id) is None for r in build_mult_system(3, 5).rules)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import pgne.oracle as oracle_mod
-from pgne.builder import GameSpec, load_game, loop_steps_bound
+from pgne.builder import GameSpec, load_game, loop_steps_bound, save_game
 from pgne.cli import main
 from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
                           run_gne, run_mult, sample_experiment)
@@ -279,3 +279,28 @@ def test_cli_oracle_csv(tmp_path, capsys):
 def test_cli_missing_file_is_reported(capsys):
     assert main(["oracle", "--spec", "/nonexistent/game.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# Bad input to each subcommand: a malformed file or an out-of-range value.
+_BAD_INPUT = {
+    "build": ["build", "--spec", "{game}", "--loops", "0"],
+    "run": ["run", "--spec", "{pspec}"],
+    "mult": ["mult", "--", "-1", "3"],
+    "oracle": ["oracle", "--spec", "{bad}"],
+    "oracle-loops": ["oracle", "--spec", "{game}", "--loops", "0"],
+    "compare": ["compare", "--spec", "{game}", "--loops", "0"],
+    "experiment": ["experiment", "--seed", "1", "--preset", "small",
+                   "--loops", "0", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT))
+def test_cli_bad_input_is_one_error_line(case, tmp_path, capsys):
+    paths = {name: str(tmp_path / name) for name in ("game", "pspec", "bad", "out")}
+    save_game(sample_experiment(6, "small", loops=2), paths["game"])
+    (tmp_path / "pspec").write_text("not a system\n")
+    (tmp_path / "bad").write_text('{"players": "x"}\n')
+    argv = [arg.format(**paths) for arg in _BAD_INPUT[case]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -56,17 +56,6 @@ def test_negative_counts_rejected():
         m.remove(sym("a"), 2)
 
 
-def test_contains_and_max_fit():
-    m = Multiset({sym("a"): 6, sym("b"): 3})
-    assert m.contains({sym("a"): 2, sym("b"): 3})
-    assert not m.contains({sym("a"): 7})
-    assert m.max_fit({sym("a"): 2}) == 3
-    assert m.max_fit({sym("a"): 2, sym("b"): 2}) == 1
-    assert m.max_fit({sym("c"): 1}) == 0
-    with pytest.raises(ValueError):
-        m.max_fit({})
-
-
 def test_update_with_scale():
     m = Multiset({sym("a"): 1})
     m.update({sym("a"): 2, sym("b"): 1}, scale=3)
@@ -84,14 +73,3 @@ def test_update_then_downdate_is_identity(d1, d2):
     m.update(extra, scale=1)
     m.update(extra, scale=-1)
     assert m.counts == base
-
-
-@given(st.dictionaries(st.sampled_from("abc"), st.integers(1, 9), min_size=1),
-       st.integers(1, 5))
-def test_max_fit_is_tight(d, k):
-    pattern = {sym(b): n for b, n in d.items()}
-    m = Multiset()
-    m.update(pattern, scale=k)
-    assert m.max_fit(pattern) == k
-    m.remove(next(iter(pattern)))
-    assert m.max_fit(pattern) == k - 1
