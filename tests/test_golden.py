@@ -6,6 +6,10 @@ its candidates must reproduce them exactly: the `export_trace_text` of the
 acceptance instances, the full 101 x 101 multiplier sweep on one shared
 compiled system, and the strict-mode ambiguity lists.
 
+The non-preset digests were taken from the builder that emitted waste
+collectors in every region and loop-stamped families up to stamp L+1; any
+change to which rules the builder emits must reproduce them exactly.
+
 The stage-window and cross-seed attribution digests were taken from the
 string-matching trace readers that preceded `builder.rule_tag`; any change
 to how a trace is split into loops and stages, or to how rule applications
@@ -23,7 +27,7 @@ from typing import List
 from pgne.builder import (build_gne_system, build_mult_system, mult_steps,
                           stage_boundaries)
 from pgne.engine import compile_system, export_trace_text, run
-from pgne.harness import compare_engines, run_gne, sample_experiment
+from pgne.harness import Preset, compare_engines, run_gne, sample_experiment
 from pgne.oracle import simulate
 from pgne.symbols import sym
 
@@ -43,6 +47,36 @@ _TRACE_SHA = {
     "default/31": "778d38d10954453efbc11597f4afb640303e345786b3c748241e014a17689a24",
     "default/32": "1db77d428f141701728c9beafd3527ccd7ff2983430512d7be1663555eefaeb2",
     "default/1": "025cc9d9d8164445d486835889a21156a93447cc134df548f02c7ef3a165b784",
+}
+
+# Shapes outside the presets, each with its sampling seed: 1 and 4
+# players, 2-5 slots, r_disc 2, 3, 7, 100 and 257, 1-4 loops (loops = 1
+# leaves the stamp-carrying S5R44 family empty), zero d/alpha/beta and
+# tiny or heavy masses.
+_SHAPES = {
+    "p1-s2-r2-l1": (Preset(1, 2, [[1, 2]], r_disc=2, loops=1), 3),
+    "p4-s5-r3-l2": (Preset(4, 5, [[1, 2], [2, 3, 5], [1, 4], [3, 4, 5]],
+                           r_disc=3, loops=2), 5),
+    "p2-s4-r257-l3": (Preset(2, 4, [[1, 2, 3, 4], [2, 4]], r_disc=257,
+                             loops=3), 7),
+    "p3-s3-r7-l1-zero": (Preset(3, 3, [[1, 2], [2, 3], [1, 3]],
+                                d_range=(0.0, 0.0), beta_range=(0.0, 0.0),
+                                r_disc=7, loops=1), 11),
+    "p1-s5-r100-l4-tiny": (Preset(1, 5, [[1, 2, 3, 4, 5]],
+                                  mass_range=(0.0001, 0.0001), loops=4), 13),
+    "p2-s2-r257-l1-heavy": (Preset(2, 2, [[1, 2], [1, 2]],
+                                   alpha_range=(0.0, 0.0),
+                                   mass_range=(100.0, 500.0), r_disc=257,
+                                   loops=1), 17),
+}
+
+_SHAPE_SHA = {
+    "p1-s2-r2-l1": "589e8ae2a6255aa40aae424b33a369db1ba19daab0e94275c54473a3563f64d5",
+    "p4-s5-r3-l2": "70f14f97ec7029bb75ad49793e98cacc50969690a85279c1de7aab03262f8fff",
+    "p2-s4-r257-l3": "e6c4f07f9b856ea1e65fb7e1c84283be5d3a62d79fcf2830c2e160ff04c66afd",
+    "p3-s3-r7-l1-zero": "286f91273b43407698ec901dd36f75adf05e6e700171480dda1bc8b71ae52257",
+    "p1-s5-r100-l4-tiny": "8fd338faa30f9021a6cdea6e7589873c8de299a0700e13be30fcc4d9f0687b5d",
+    "p2-s2-r257-l1-heavy": "1c131e2e03fcd8b2b2c270d586ad59db0ed687714cf023951da76d97b3699e95",
 }
 
 _SWEEP_SHA = "d74f282a190b3193cee4dc5af824b3598b5f6b46e062ba393a223ae6e6ed8384"
@@ -82,7 +116,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _trace_digest(preset: str, seed: int) -> str:
+def _trace_digest(preset, seed: int) -> str:
     res = run_gne(sample_experiment(seed, preset))
     return _sha(export_trace_text(res.trace))
 
@@ -111,6 +145,11 @@ def _ambiguity_digest(preset: str, seed: int):
 def test_acceptance_traces_byte_identical():
     got = {f"{p}/{s}": _trace_digest(p, s) for p, s in _INSTANCES}
     assert got == _TRACE_SHA
+
+
+def test_non_preset_traces_byte_identical():
+    got = {name: _trace_digest(p, s) for name, (p, s) in _SHAPES.items()}
+    assert got == _SHAPE_SHA
 
 
 def test_mult_sweep_traces_byte_identical():
