@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, CRule, MembraneNode,
                      PSystem, RuleSpec, Trace)
@@ -63,9 +62,6 @@ class GameSpec:
     mass: List[float]
     r_disc: int = 100
     loops: int = 10
-
-    def n_total(self) -> int:
-        return sum(len(s) for s in self.strategies)
 
     def pairs(self) -> List[Tuple[int, int]]:
         """Global strategy index order: players ascending, slots ascending."""
@@ -668,20 +664,6 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       consume_in={sym("go", k): 1},
                       child=ChildPattern(str(k), NEUTRAL, MINUS, {},
                                          {sym("mstart"): len(strat(k))})))
-    # Waste collection everywhere, at every charge.
-    all_labels: List[str] = []
-
-    def collect(node: MembraneNode) -> None:
-        all_labels.append(node.label)
-        for ch in node.children:
-            collect(ch)
-
-    collect(tree)
-    for ridx, label in enumerate(all_labels, start=1):
-        for suffix, charge in (("c0", NEUTRAL), ("cm", MINUS), ("cp", PLUS)):
-            emit(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge, charge,
-                          consume_in={sym("waste"): 1}))
-
     # -------- stage 2: average payoff of each population --------
     for k, i, l in each_ki():
         emit(RuleSpec(_rid(2, 1, k, i), str(k), MINUS, MINUS,
@@ -1037,8 +1019,11 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         emit(RuleSpec(_rid(5, 38, k, i), _lbl_res(i, k), PLUS, PLUS,
                       consume_out={sym("znew", i): 1},
                       produce_in={sym("zout", i): 1}))
+    # Loop L's S5R61 consumes iternext{L}, so iter{L}, stamp{L+1} and
+    # result{..,L+1} never exist: S5R39 stamps 0..L-1, S5R44 carries
+    # 1..L-1, and the stamp readers take 1..L.
     for k, i, l in each_ki():
-        for nn in range(0, L + 2):
+        for nn in range(0, L):
             emit(RuleSpec(_rid(5, 39, k, i, nn), _lbl_res(i, k), PLUS, PLUS,
                           consume_in={sym("iter", nn): 1},
                           produce_in={sym("stamp", nn + 1): R,
@@ -1048,13 +1033,13 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       consume_in={sym("up8"): 1}, produce_in={sym("up9"): 1},
                       produce_out={sym("waste"): 1}))
     for k, i, l in each_ki():
-        for nn in range(1, L + 2):
+        for nn in range(1, L + 1):
             emit(RuleSpec(_rid(5, 41, k, i, nn), _lbl_res(i, k), MINUS, MINUS,
                           consume_in={sym("zout", i): 1, sym("stamp", nn): 1},
                           produce_out={sym("result", k, i, l, nn): 1}))
             priority.append((_rid(5, 41, k, i, nn), _rid(5, 42, k, i, nn)))
     for k, i, l in each_ki():
-        for nn in range(1, L + 2):
+        for nn in range(1, L + 1):
             emit(RuleSpec(_rid(5, 42, k, i, nn), _lbl_res(i, k), MINUS, MINUS,
                           consume_in={sym("stamp", nn): 1}))
     for k, i, l in each_ki():
@@ -1062,12 +1047,12 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       consume_in={sym("up9"): 1}, produce_out={sym("up10"): 1}))
         priority.append((_rid(5, 61, k, i), _rid(5, 43, k, i)))
     for k, i, l in each_ki():
-        for nn in range(1, L + 2):
+        for nn in range(1, L):
             emit(RuleSpec(_rid(5, 44, k, i, nn), _lbl_res(i, k), NEUTRAL, NEUTRAL,
                           consume_in={sym("iternext", nn): 1},
                           produce_in={sym("iter", nn): 1}))
     for k, i, l in each_ki():
-        for nn in range(1, L + 2):
+        for nn in range(1, L + 1):
             emit(RuleSpec(_rid(5, 45, k, i, nn), _lbl_strat(i, k), NEUTRAL,
                           NEUTRAL,
                           consume_in={sym("result", k, i, l, nn): 1},
@@ -1078,7 +1063,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       consume_in={sym("up10"): 1},
                       produce_out={sym("done", i): 1}))
     for k, i, l in each_ki():
-        for nn in range(1, L + 2):
+        for nn in range(1, L + 1):
             emit(RuleSpec(_rid(5, 47, k, i, nn), str(k), NEUTRAL, NEUTRAL,
                           consume_in={sym("result", k, i, l, nn): 1},
                           produce_out={sym("result", k, i, l, nn): 1}))
@@ -1129,6 +1114,35 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     for k, i, l in each_ki():
         emit(RuleSpec(_rid(5, 61, k, i), _lbl_res(i, k), MINUS, MINUS,
                       consume_in={sym("iternext", L): 1, sym("up9"): 1}))
+
+    # Waste collection at every charge, in each region some rule puts
+    # waste into: produce_out lands in the target's parent, produce_in in
+    # the target, a child pattern's produce in that child.  ridx counts
+    # every region of the tree walk, so skipping one renames no collector.
+    waste = sym("waste")
+    walk: List[str] = []
+    parent: Dict[str, str] = {}
+
+    def visit(node: MembraneNode) -> None:
+        walk.append(node.label)
+        for ch in node.children:
+            parent[ch.label] = node.label
+            visit(ch)
+
+    visit(tree)
+    fed = set()
+    for r in rules:
+        if waste in r.produce_out:
+            fed.add(parent.get(r.target))
+        if waste in r.produce_in:
+            fed.add(r.target)
+        if r.child is not None and waste in r.child.produce:
+            fed.add(r.child.label)
+    for ridx, label in enumerate(walk, start=1):
+        if label in fed:
+            for suffix, charge in (("c0", NEUTRAL), ("cm", MINUS), ("cp", PLUS)):
+                emit(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
+                              charge, consume_in={waste: 1}))
 
     # Declaration order is id order, so a canonical serialize/parse round
     # trip preserves every tie-break the step semantics depends on.

@@ -38,14 +38,18 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _load_spec(path: str, loops: Optional[int]):
-    spec = load_game(path)
-    if loops is not None:
-        spec.loops = loops
+def _checked(spec):
     problems = validate_game(spec)
     if problems:
         raise GameError("invalid game: " + "; ".join(problems))
     return spec
+
+
+def _load_spec(path: str, loops: Optional[int]):
+    spec = load_game(path)
+    if loops is not None:
+        spec.loops = loops
+    return _checked(spec)
 
 
 def cmd_build(args) -> int:
@@ -108,7 +112,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = sample_experiment(args.seed, args.preset, loops=args.loops)
+    spec = _checked(sample_experiment(args.seed, args.preset,
+                                      loops=args.loops))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_game(spec, os.path.join(out_dir, "game.json"))

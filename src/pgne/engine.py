@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import Multiset, Sym
 
@@ -51,21 +51,6 @@ MINUS = -1
 
 CHARGES = (NEUTRAL, PLUS, MINUS)
 ENV_LABEL = "@env"
-
-_CHARGE_TEXT = {NEUTRAL: "0", PLUS: "+", MINUS: "-"}
-_TEXT_CHARGE = {"0": NEUTRAL, "+": PLUS, "-": MINUS}
-
-
-def charge_text(c: int) -> str:
-    return _CHARGE_TEXT[c]
-
-
-def charge_from_text(t: str) -> int:
-    try:
-        return _TEXT_CHARGE[t]
-    except KeyError:
-        raise ValueError(f"not a charge: {t!r}")
-
 
 class StructureError(Exception):
     """Raised when a system description violates a structural invariant."""
@@ -116,11 +101,6 @@ class RuleSpec:
     consume_in: Dict[Sym, int] = field(default_factory=dict)
     produce_in: Dict[Sym, int] = field(default_factory=dict)
     child: Optional[ChildPattern] = None
-
-    def charge_changing(self) -> bool:
-        if self.post != self.pre:
-            return True
-        return self.child is not None and self.child.post != self.child.pre
 
     def consumes_nothing(self) -> bool:
         if self.consume_out or self.consume_in:

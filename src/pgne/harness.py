@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import (GameSpec, LoopTiming, PayoffCoefficients,
-                      build_gne_system, build_mult_system, initial_distribution,
-                      loop_steps_bound, mult_steps, payoff_coefficients,
-                      quantize, stage_boundaries)
-from .engine import (ENV_LABEL, CompiledSystem, PSystem, Trace, compile_system,
-                     read_region, run)
+                      build_gne_system, build_mult_system, loop_steps_bound,
+                      mult_steps, payoff_coefficients, quantize,
+                      stage_boundaries)
+from .engine import ENV_LABEL, Trace, compile_system, read_region, run
 from .oracle import (KI, StateZ, Trajectory, initial_state, simulate,
                      trajectory_csv)
-from .symbols import Multiset, sym
+from .symbols import sym
 
 # ============================================================
 # Deterministic sampling

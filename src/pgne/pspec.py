@@ -510,8 +510,3 @@ def systems_equal(a: PSystem, b: PSystem) -> bool:
 def load_system(path: str) -> PSystem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
-
-
-def save_system(sysd: PSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_system(sysd))

@@ -50,27 +50,6 @@ def sym(base: str, *params) -> Sym:
     return s
 
 
-def parse_sym(text: str) -> Sym:
-    """Parse ``base`` or ``base{p1,p2,...}`` back into a Sym.
-
-    Numeric-looking parameters become ints so that parse(render(s)) is s.
-    """
-    text = text.strip()
-    if text.endswith("}"):
-        brace = text.index("{")
-        base = text[:brace]
-        inner = text[brace + 1 : -1]
-        params = []
-        for piece in inner.split(","):
-            piece = piece.strip()
-            if piece.lstrip("-").isdigit():
-                params.append(int(piece))
-            else:
-                params.append(piece)
-        return sym(base, *params)
-    return sym(text)
-
-
 class Multiset:
     """A finite multiset of Syms with non-negative integer counts.
 

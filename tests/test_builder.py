@@ -11,7 +11,9 @@ from pgne.builder import (MICRO, GameSpec, RuleTag, _rid, build_gne_system,
                           build_mult_system, coefficient_matrices,
                           initial_distribution, load_game, payoff_coefficients,
                           quantize, rule_tag, save_game, validate_game)
+from pgne.engine import MINUS, NEUTRAL, PLUS
 from pgne.harness import sample_experiment
+from pgne.symbols import sym
 
 
 def good_spec() -> GameSpec:
@@ -186,7 +188,7 @@ def test_mass_must_be_positive_to_build():
 
 
 @pytest.mark.parametrize("preset, multipliers, collectors",
-                         [("default", 704, 240), ("small", 352, 126)])
+                         [("default", 704, 108), ("small", 352, 57)])
 def test_rule_tag_inverts_rid(preset, multipliers, collectors):
     ids = [r.id for r in build_gne_system(sample_experiment(1, preset)).rules]
     tagged = {rid: rule_tag(rid) for rid in ids}
@@ -198,6 +200,51 @@ def test_rule_tag_inverts_rid(preset, multipliers, collectors):
         == multipliers
     assert sum(rid.startswith("S1R16_r") for rid in untagged) == collectors
     assert len(untagged) == multipliers + collectors
+
+
+# Loop stamps n each stamped family takes in a system of L loops.
+_STAMPS = {39: lambda L: range(0, L), 44: lambda L: range(1, L),
+           **{num: lambda L: range(1, L + 1) for num in (41, 42, 45, 47)}}
+
+
+@pytest.mark.parametrize("spec", [
+    sample_experiment(1, "default"), sample_experiment(1, "small"),
+    sample_experiment(4, "small", loops=1), good_spec()])
+def test_builder_emits_only_reachable_collectors_and_stamps(spec):
+    sysd = build_gne_system(spec)
+    labels = sysd.labels()
+    parent = {}
+    stack = [sysd.tree]
+    while stack:
+        node = stack.pop()
+        for ch in node.children:
+            parent[ch.label] = node.label
+            stack.append(ch)
+    waste = sym("waste")
+    fed, collectors = set(), {}
+    for r in sysd.rules:
+        if r.id.startswith("S1R16_"):
+            collectors.setdefault(r.target, []).append((r.id, r.pre))
+            continue
+        if waste in r.produce_out:
+            fed.add(parent[r.target])
+        if waste in r.produce_in:
+            fed.add(r.target)
+        if r.child is not None and waste in r.child.produce:
+            fed.add(r.child.label)
+    assert set(collectors) == fed
+    for label, got in collectors.items():
+        ridx = labels.index(label) + 1
+        assert sorted(got) == [(f"S1R16_r{ridx:03d}_c0", NEUTRAL),
+                               (f"S1R16_r{ridx:03d}_cm", MINUS),
+                               (f"S1R16_r{ridx:03d}_cp", PLUS)]
+    stamps = {}
+    for r in sysd.rules:
+        tag = rule_tag(r.id)
+        if tag is not None and tag.n is not None:
+            stamps.setdefault(tag.num, set()).add(tag.n)
+    want = {num: set(rng(spec.loops)) for num, rng in _STAMPS.items()}
+    assert stamps == {num: ns for num, ns in want.items() if ns}
 
 
 def test_rule_tag_fields_and_rejects():

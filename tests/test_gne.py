@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pgne.builder import (GameSpec, build_gne_system, payoff_coefficients,
-                          stage_boundaries)
+from pgne.builder import (MICRO, GameSpec, build_gne_system,
+                          payoff_coefficients, stage_boundaries)
 from pgne.engine import compile_system, read_region, run
 from pgne.harness import compare_engines, run_gne, sample_experiment
 from pgne.oracle import simulate, trajectory_csv
@@ -114,6 +116,53 @@ def test_two_player_contested_slot_agrees():
                     mass=[3.0, 4.0], r_disc=100, loops=8)
     rep = compare_engines(spec)
     assert rep.agree, rep.text()
+
+
+# ============================================================
+# Random shapes
+# ============================================================
+
+
+def _quantized(lo: int, hi: int):
+    """Values in [lo, hi] * 1e-4, the builder's input grid."""
+    return st.integers(lo, hi).map(lambda q: q / MICRO)
+
+
+@st.composite
+def game_shapes(draw) -> GameSpec:
+    """Random shapes beyond the presets, with zero and extreme coefficients."""
+    players = draw(st.integers(1, 4))
+    slots = draw(st.integers(2, 5))
+    strategies = [sorted(draw(st.sets(st.integers(1, slots), min_size=2)))
+                  for _ in range(players)]
+
+    def vec(n: int, hi: int):
+        # Either all zero or drawn from [0, hi] * 1e-4.
+        value = draw(st.sampled_from([st.just(0.0), _quantized(0, hi)]))
+        return [draw(value) for _ in range(n)]
+
+    mass = draw(st.sampled_from([_quantized(1, 100), _quantized(1, 4 * MICRO),
+                                 _quantized(100 * MICRO, 1000 * MICRO)]))
+    return GameSpec(
+        players=players, slots=slots, strategies=strategies,
+        d_diag=vec(slots, MICRO), j_bar=[draw(_quantized(0, 4 * MICRO))
+                                         for _ in range(slots)],
+        alpha=[vec(len(s), 10 * MICRO) for s in strategies],
+        beta=[vec(len(s), MICRO) for s in strategies],
+        mass=[draw(mass) for _ in range(players)],
+        r_disc=draw(st.sampled_from([2, 3, 7, 257])),
+        loops=draw(st.integers(1, 4)))
+
+
+# Derandomized generation repeats some shapes; 80 examples give about 50
+# distinct ones, spread over every player count, slot count, r_disc and
+# loop count.
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(game_shapes())
+def test_random_shapes_agree_exactly(spec: GameSpec):
+    rep = compare_engines(spec)
+    assert rep.agree and not rep.engine_warnings, rep.text()
+    assert rep.loops_checked == spec.loops
 
 
 # ============================================================

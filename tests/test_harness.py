@@ -291,6 +291,10 @@ _BAD_INPUT = {
     "compare": ["compare", "--spec", "{game}", "--loops", "0"],
     "experiment": ["experiment", "--seed", "1", "--preset", "small",
                    "--loops", "0", "--out", "{out}"],
+    "experiment-membrane": ["experiment", "--seed", "1", "--loops", "0",
+                            "--engine", "membrane", "--out", "{out}"],
+    "experiment-oracle": ["experiment", "--seed", "1", "--loops", "0",
+                          "--engine", "oracle", "--out", "{out}"],
 }
 
 
@@ -304,3 +308,4 @@ def test_cli_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not os.path.exists(paths["out"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pgne.symbols import Multiset, parse_sym, sym
+from pgne.symbols import Multiset, sym
 
 
 def test_interning_is_identity():
@@ -20,13 +20,6 @@ def test_text_forms():
     assert sym("unit").text == "unit"
     assert sym("share", 1, 3, 2).text == "share{1,3,2}"
     assert sym("w", "k", 4).text == "w{k,4}"
-
-
-def test_parse_sym_round_trip():
-    for s in (sym("unit"), sym("share", 1, 3, 2), sym("w", "k", 4)):
-        assert parse_sym(s.text) is s
-    assert parse_sym("neg{-3}") is sym("neg", -3)
-    assert parse_sym("  padded  ") is sym("padded")
 
 
 def test_multiset_basics():
