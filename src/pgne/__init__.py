@@ -5,8 +5,9 @@ maximally parallel engine with priorities, a plain-text system format,
 builders for the multiplier and equilibrium-seeking systems, an
 integer/real reference oracle, and an experiment harness.
 
-The package exports what the benchmark, the tests and callers of the
-top-level API use; every other name is imported from its module.
+The package namespace holds the names the benchmark and the tests import
+from it and the errors the command line reports; every other name is
+imported from its module.
 """
 
 from __future__ import annotations
