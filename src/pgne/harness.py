@@ -201,31 +201,20 @@ _DZN = ((4, 20),)
 _ERR = ((5, 23), (5, 24))
 
 
-def run_gne(spec: GameSpec, loops: Optional[int] = None,
-            budget_factor: Optional[int] = None,
-            strict: bool = False) -> GneResult:
+def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     """Build, run, and extract the per-loop counts of the membrane system.
 
     The trajectory is read off the stamped per-loop export objects in the
     skin; err tokens are attributed to loops by the step window in which
-    their forming rules fired.  The step budget allows budget_factor steps
-    per loop, by default `loop_steps_bound(r_disc)`, for one loop more than
-    the run performs.
+    their forming rules fired.  The step budget is
+    `loop_steps_bound(r_disc) * (loops + 1)`: one loop more than the run
+    performs.
     """
-    if loops is not None and loops != spec.loops:
-        spec = GameSpec(spec.players, spec.slots,
-                        [list(s) for s in spec.strategies],
-                        list(spec.d_diag), list(spec.j_bar),
-                        [list(r) for r in spec.alpha],
-                        [list(r) for r in spec.beta], list(spec.mass),
-                        spec.r_disc, loops)
     co = payoff_coefficients(spec)
     warnings: List[str] = []
     sysd = build_gne_system(spec)
-    if budget_factor is None:
-        budget_factor = loop_steps_bound(spec.r_disc)
-    trace = run(sysd, max_steps=budget_factor * (spec.loops + 1),
-                strict=strict)
+    budget = loop_steps_bound(spec.r_disc) * (spec.loops + 1)
+    trace = run(sysd, max_steps=budget, strict=strict)
     if not trace.halted:
         warnings.append(f"budget exhausted after {trace.steps} steps")
     timings = stage_boundaries(trace)
@@ -306,8 +295,7 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_engines(spec: GameSpec, loops: Optional[int] = None,
-                    traj: Optional[Trajectory] = None,
+def compare_engines(spec: GameSpec, traj: Optional[Trajectory] = None,
                     result: Optional[GneResult] = None) -> CompareReport:
     """Count-for-count comparison with per-stage attribution.
 
@@ -316,11 +304,10 @@ def compare_engines(spec: GameSpec, loops: Optional[int] = None,
     mean exports (stage 2), excess exports (stage 3), rounded products
     and split rates (stage 4), then final counts and err (stage 5).
     """
-    L = spec.loops if loops is None else loops
     if result is None:
-        result = run_gne(spec, loops=L)
+        result = run_gne(spec)
     if traj is None:
-        traj = simulate(result.spec, loops=L)
+        traj = simulate(result.spec)
     co = result.co
     divs: List[Divergence] = []
 
@@ -328,7 +315,7 @@ def compare_engines(spec: GameSpec, loops: Optional[int] = None,
         if got != want:
             divs.append(Divergence(loop, stage, key, got, want))
 
-    checked = min(len(result.timings), len(traj.loops), L)
+    checked = min(len(result.timings), len(traj.loops), spec.loops)
     for idx, lt in enumerate(result.timings[:checked]):
         rec = traj.loops[idx]
         loop_no = idx + 1

@@ -14,7 +14,7 @@ against the real route within discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from .builder import (GameSpec, PayoffCoefficients, coefficient_matrices,
                       initial_distribution, payoff_coefficients)
@@ -30,29 +30,19 @@ KI = Tuple[int, int]
 # ============================================================
 
 
-def _index_arrays(spec: GameSpec):
-    import numpy as np
-    pairs = spec.pairs()
-    n = len(pairs)
-    C = np.zeros((spec.slots, n))
-    mass_for = np.zeros(n)
-    blocks: List[Tuple[int, int]] = []
+def _player_blocks(spec: GameSpec) -> Iterator[Tuple[int, int]]:
+    """Each player's [start, end) range in the global strategy order."""
     off = 0
-    for k in range(1, spec.players + 1):
-        nk = len(spec.strategies[k - 1])
-        blocks.append((off, off + nk))
-        off += nk
-    for l, (k, i) in enumerate(pairs):
-        C[i - 1, l] = 1.0
-        mass_for[l] = spec.mass[k - 1]
-    return pairs, C, mass_for, blocks
+    for strategies in spec.strategies:
+        yield off, off + len(strategies)
+        off += len(strategies)
 
 
 def pricing(spec: GameSpec, x) -> np.ndarray:
     """Slot prices for a demand vector x (length n, actual demand units)."""
     import numpy as np
     x = np.asarray(x, dtype=float)
-    _, C, _, _ = _index_arrays(spec)
+    C = coefficient_matrices(spec)["C"]
     if x.shape != (C.shape[1],):
         raise ValueError(f"x must have length {C.shape[1]}")
     return np.diag(spec.d_diag) @ (C @ x) + np.asarray(spec.j_bar)
@@ -74,8 +64,7 @@ def payoff(spec: GameSpec, z) -> np.ndarray:
     import numpy as np
     z = np.asarray(z, dtype=float)
     mats = coefficient_matrices(spec)
-    S, M = mats["S"], mats["M"]
-    _, C, _, _ = _index_arrays(spec)
+    S, M, C = mats["S"], mats["M"], mats["C"]
     alpha, beta = mats["alpha"], mats["beta"]
     mz = M @ z
     return -(S @ mz) - C.T @ np.asarray(spec.j_bar) - alpha * mz - beta
@@ -86,9 +75,8 @@ def excess_payoff(p, z, spec: GameSpec) -> np.ndarray:
     import numpy as np
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=float)
-    _, _, _, blocks = _index_arrays(spec)
     out = np.empty_like(p)
-    for a, b in blocks:
+    for a, b in _player_blocks(spec):
         out[a:b] = p[a:b] - float(z[a:b] @ p[a:b])
     return out
 
@@ -98,10 +86,9 @@ def bnn_rate(phat, z, spec: GameSpec) -> np.ndarray:
     import numpy as np
     phat = np.asarray(phat, dtype=float)
     z = np.asarray(z, dtype=float)
-    _, _, _, blocks = _index_arrays(spec)
     pos = np.maximum(phat, 0.0)
     out = np.empty_like(phat)
-    for a, b in blocks:
+    for a, b in _player_blocks(spec):
         out[a:b] = pos[a:b] - z[a:b] * float(np.sum(pos[a:b]))
     return out
 
@@ -322,14 +309,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def simulate(spec: GameSpec, loops: Optional[int] = None) -> Trajectory:
+def simulate(spec: GameSpec) -> Trajectory:
     """Run the count pipeline for the configured number of iterations."""
     co = payoff_coefficients(spec)
-    L = spec.loops if loops is None else loops
     state = initial_state(spec)
     states = [state]
     recs: List[LoopRecord] = []
-    for n in range(1, L + 1):
+    for n in range(1, spec.loops + 1):
         p_tilde, p_hat, rate = rate_counts(spec, co, state.counts)
         nxt = discrete_update(state, rate.zdot, spec)
         err_new = {k: nxt.err[k] - state.err.get(k, 0)

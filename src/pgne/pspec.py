@@ -21,20 +21,24 @@ notation `base{p1,p2}^count`; `none` denotes the empty multiset.
 Serialization is canonical: declaration order for rules, tree order for
 membranes, sorted symbol text inside every multiset, sorted priority
 pairs, two-space indent per tree depth.  parse(serialize(s)) is
-structurally equal to s.
+structurally equal to s: the serializer refuses a symbol the lexer would
+read back differently (base `none`, or a parameter that is not an int or a
+non-numeric identifier).  Parse errors give the line and column of the
+offending token where there is one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
                      PSystem, RuleSpec)
 from .symbols import Multiset, Sym, sym
 
-_IDENT = re.compile(r"[A-Za-z0-9_@.]+")
+_ID = r"[A-Za-z0-9_@.]+"
+_IDENT = re.compile(_ID)
 _CHARGE_TEXT = {NEUTRAL: "^0", PLUS: "^+", MINUS: "^-"}
 _CHARGE_VAL = {"0": NEUTRAL, "+": PLUS, "-": MINUS}
 _SECTIONS = ("alphabet", "membranes", "rules", "priority")
@@ -55,112 +59,85 @@ class PSpecError(Exception):
 # ============================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    kind: str  # word label charge symbol punct section eof
+    kind: str  # word label charge symbol punct eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text
     # symbol extras
     symbol: Optional[Sym] = None
     count: int = 1
     charge: int = NEUTRAL
 
 
-def _lex(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
+def _error(text: str, msg: str, pos: int) -> PSpecError:
+    """PSpecError at 1-based line and column of offset pos in text."""
+    line = text.count("\n", 0, pos) + 1
+    return PSpecError(msg, line, pos - text.rfind("\n", 0, pos))
 
-    def err(msg: str) -> PSpecError:
-        return PSpecError(msg, line, col)
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        tline, tcol = line, col
-        if c in "[](){}>:":
-            yield Token("punct", c, tline, tcol)
-            i += 1
-            col += 1
-            continue
-        if c == "-":
-            if text[i:i + 2] != "->":
-                raise err("stray '-'; expected '->'")
-            yield Token("punct", "->", tline, tcol)
-            i += 2
-            col += 2
-            continue
-        if c == "'":
-            m = _IDENT.match(text, i + 1)
-            if not m:
-                raise err("empty label after quote")
-            yield Token("label", m.group(), tline, tcol)
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c == "^":
-            if i + 1 < n and text[i + 1] in _CHARGE_VAL:
-                yield Token("charge", text[i:i + 2], tline, tcol,
-                            charge=_CHARGE_VAL[text[i + 1]])
-                i += 2
-                col += 2
-                continue
-            raise err("bad charge; expected ^0, ^+ or ^-")
-        m = _IDENT.match(text, i)
-        if not m:
-            raise err(f"unexpected character {c!r}")
-        atom = m.group()
-        j = m.end()
-        params: List[object] = []
-        has_params = False
-        if j < n and text[j] == "{":
-            has_params = True
-            k = text.find("}", j)
-            if k < 0:
-                raise err("unterminated parameter list")
-            inner = text[j + 1:k]
-            if inner.strip():
-                for piece in inner.split(","):
-                    piece = piece.strip()
-                    if not piece:
-                        raise err("empty parameter")
-                    if piece.lstrip("-").isdigit():
-                        params.append(int(piece))
-                    elif _IDENT.fullmatch(piece):
-                        params.append(piece)
-                    else:
-                        raise err(f"bad parameter {piece!r}")
-            j = k + 1
-        count = 1
-        has_count = False
-        if j < n and text[j] == "^" and j + 1 < n and text[j + 1].isdigit():
-            has_count = True
-            k = j + 1
-            while k < n and text[k].isdigit():
-                k += 1
-            count = int(text[j + 1:k])
-            j = k
-        if has_params or has_count:
-            yield Token("symbol", text[i:j], tline, tcol,
-                        symbol=sym(atom, *params), count=count)
+# Whitespace and comments, then one token.  Parameter lists run to the
+# next '}', newlines included; an empty 'close' means there is none.
+# Only the end of the text matches no token.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?: (?P<punct>->|[\[\](){}>:])
+      | (?P<label>'%(id)s)
+      | (?P<charge>\^[0+-])
+      | (?P<symbol>(?P<atom>%(id)s)
+            (?:\{(?P<params>[^}]*)(?P<close>\}?))?
+            (?:\^(?P<count>[0-9]+))?)
+      | (?P<bad>.)
+    )?""" % {"id": _ID}, re.VERBOSE | re.DOTALL)
+_NUMBER = re.compile(r"-?[0-9]+")
+_BAD_CHAR = {"-": "stray '-'; expected '->'",
+             "'": "empty label after quote",
+             "^": "bad charge; expected ^0, ^+ or ^-"}
+
+
+def _params(text: str, inner: str, start: int) -> List[object]:
+    """Integer and identifier parameters of the list text inner."""
+    params: List[object] = []
+    for piece in inner.split(",") if inner.strip() else ():
+        piece = piece.strip()
+        if not piece:
+            raise _error(text, "empty parameter", start)
+        if _NUMBER.fullmatch(piece):
+            params.append(int(piece))
+        elif _IDENT.fullmatch(piece):
+            params.append(piece)
         else:
-            # Bare word: keyword or plain symbol, parser decides.
-            yield Token("word", atom, tline, tcol, symbol=sym(atom))
-        col += j - i
-        i = j
-    yield Token("eof", "", line, col)
+            raise _error(text, f"bad parameter {piece!r}", start)
+    return params
+
+
+def _lex(text: str) -> Iterator[Token]:
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            yield Token("eof", "", len(text))
+            return
+        tok, start = m.group(kind), m.start(kind)
+        if kind == "punct":
+            yield Token(kind, tok, start)
+        elif kind == "symbol":
+            inner, count = m.group("params", "count")
+            if inner is None and count is None:
+                # Bare word: keyword or plain symbol, parser decides.
+                yield Token("word", tok, start, symbol=sym(tok))
+                continue
+            if inner is not None and not m.group("close"):
+                raise _error(text, "unterminated parameter list", start)
+            params = _params(text, inner, start) if inner else []
+            yield Token(kind, tok, start, symbol=sym(m.group("atom"), *params),
+                        count=int(count) if count else 1)
+        elif kind == "label":
+            yield Token(kind, tok[1:], start)
+        elif kind == "charge":
+            yield Token(kind, tok, start, charge=_CHARGE_VAL[tok[1]])
+        else:
+            raise _error(text, _BAD_CHAR.get(tok, f"unexpected character "
+                                                  f"{tok!r}"), start)
 
 
 # ============================================================
@@ -170,6 +147,7 @@ def _lex(text: str) -> Iterator[Token]:
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = list(_lex(text))
         self.pos = 0
 
@@ -183,8 +161,7 @@ class _Parser:
         return t
 
     def fail(self, msg: str, t: Optional[Token] = None) -> PSpecError:
-        t = t or self.peek()
-        return PSpecError(msg, t.line, t.col)
+        return _error(self.text, msg, (t or self.peek()).pos)
 
     def expect_punct(self, text: str) -> Token:
         t = self.next()
@@ -352,7 +329,7 @@ class _Parser:
         if tree is None:
             raise self.fail("missing membranes section")
         sysd = PSystem(tree, rules, priority, name)
-        _check_refs(sysd, rule_ids, alphabet)
+        _check_refs(sysd, rule_ids, alphabet, self.fail)
         return sysd
 
 
@@ -365,7 +342,8 @@ def _rule_syms(r: RuleSpec) -> Iterator[Sym]:
 
 
 def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token],
-                alphabet: Optional[List[str]]) -> None:
+                alphabet: Optional[List[str]],
+                fail: Callable[[str, Token], PSpecError]) -> None:
     labels = {}
 
     def walk(node: MembraneNode) -> None:
@@ -377,13 +355,13 @@ def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token],
     for r in sysd.rules:
         t = rule_ids[r.id]
         if r.target not in labels:
-            raise PSpecError(f"rule '{r.id} targets unknown membrane "
-                             f"'{r.target}", t.line, t.col)
+            raise fail(f"rule '{r.id} targets unknown membrane "
+                       f"'{r.target}", t)
         if r.child:
             kids = [c.label for c in labels[r.target].children]
             if r.child.label not in kids:
-                raise PSpecError(f"rule '{r.id}: '{r.child.label} is not a "
-                                 f"child of '{r.target}", t.line, t.col)
+                raise fail(f"rule '{r.id}: '{r.child.label} is not a "
+                           f"child of '{r.target}", t)
     for a, b in sysd.priority:
         for rid in (a, b):
             if rid not in rule_ids:
@@ -417,13 +395,18 @@ def _check_ident(kind: str, text: str) -> str:
     return text
 
 
+def _param_ok(p: object) -> bool:
+    # An int, or an identifier the lexer will not read back as an int.
+    return type(p) is int or (type(p) is str and bool(_IDENT.fullmatch(p))
+                              and not _NUMBER.fullmatch(p))
+
+
 def _mset_text(ms: Dict[Sym, int]) -> str:
     if not ms:
         return "none"
     parts = []
     for s in sorted(ms, key=lambda s: s.text):
         cnt = ms[s]
-        _check_ident("symbol base", s.base)
         parts.append(s.text if cnt == 1 else f"{s.text}^{cnt}")
     return " ".join(parts)
 
@@ -467,17 +450,23 @@ def serialize_system(sysd: PSystem) -> str:
     if sysd.name:
         lines.append(f"system '{_check_ident('system name', sysd.name)}")
         lines.append("")
-    bases = set()
+    # Each distinct symbol once, in first-seen order, so a refusal names
+    # the same symbol on every run.
+    syms: Dict[Sym, object] = {}
     nodes = [sysd.tree]
     while nodes:
         node = nodes.pop()
-        bases.update(s.base for s in node.contents.counts)
+        syms.update(node.contents.counts)
         nodes.extend(node.children)
     for r in sysd.rules:
-        bases.update(s.base for s in _rule_syms(r))
-    if bases:
+        syms.update(dict.fromkeys(_rule_syms(r)))
+    for s in syms:
+        if (s.base == "none" or not _IDENT.fullmatch(s.base)
+                or not all(map(_param_ok, s.params))):
+            raise PSpecError(f"symbol {s.text!r} is not serializable")
+    if syms:
         lines.append("alphabet:")
-        row = sorted(bases)
+        row = sorted({s.base for s in syms})
         for i in range(0, len(row), 8):
             lines.append("  " + " ".join(row[i:i + 8]))
         lines.append("")

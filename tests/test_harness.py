@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import pgne.harness as harness
 import pgne.oracle as oracle_mod
 from pgne.builder import GameSpec, load_game, loop_steps_bound, save_game
 from pgne.cli import main
@@ -121,8 +122,9 @@ def test_run_gne_clean():
     assert len(res.timings) == 2
 
 
-def test_run_gne_budget_warning():
-    res = run_gne(tiny_spec(), budget_factor=10)
+def test_run_gne_budget_warning(monkeypatch):
+    monkeypatch.setattr(harness, "loop_steps_bound", lambda r_disc: 10)
+    res = run_gne(tiny_spec())
     assert any("budget" in w for w in res.warnings)
 
 
@@ -148,13 +150,6 @@ def test_import_does_not_load_numpy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
-
-
-def test_run_gne_loops_override_leaves_input_alone():
-    spec = sample_experiment(0, "small")
-    res = run_gne(spec, loops=1)
-    assert res.loops_completed == 1
-    assert spec.loops == 10
 
 
 # ============================================================

@@ -244,7 +244,7 @@ def test_simulate_shapes_and_conservation():
     for state in traj.states:
         for k in (1, 2):
             assert state.population(spec, k) == 100
-    none = simulate(spec, loops=0)
+    none = simulate(two_player_spec(loops=0))
     assert len(none.states) == 1
 
 
@@ -263,8 +263,7 @@ def test_residual_positive_off_equilibrium():
 
 
 def test_trajectory_csv_shape():
-    spec = two_player_spec()
-    traj = simulate(spec, loops=2)
+    traj = simulate(two_player_spec(loops=2))
     text = trajectory_csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "loop,k,i,l,count,err_k"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgne.builder import build_gne_system, build_mult_system
 from pgne.engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
@@ -147,6 +149,24 @@ def test_params_may_contain_spaces():
     assert s.tree.contents.get(sym("a", 1, 2)) == 1
 
 
+def test_positions_count_newlines_inside_parameter_lists():
+    text = "membranes:\n  [ 'm ^0 { a{1,\n2} } ^* ]"
+    check_error(text, "bad charge", line=3)
+    with pytest.raises(PSpecError) as info:
+        parse_system(text)
+    assert info.value.col == 6
+    check_error("membranes:\n  [ 'm ^0 { a{1,\n2} } ]\njunk",
+                "expected a section header", line=4)
+
+
+@pytest.mark.parametrize("atom,needle", [
+    ("a^\u00b2", "bad charge"), ("a{\u00b2}", "bad parameter"),
+    ("a^\u0663", "bad charge"), ("a{\u0663}", "bad parameter")])
+def test_non_ascii_digits_are_pspec_errors(atom, needle):
+    # Counts and integer parameters are ASCII digits only.
+    check_error(f"membranes:\n  [ 'm ^0 {{ {atom} }} ]", needle, line=2)
+
+
 def test_missing_membranes_section():
     check_error("rules:\n", "missing membranes")
     check_error("# nothing\n", "missing membranes")
@@ -200,3 +220,95 @@ def test_systems_equal_detects_differences():
     v = parse_system(SMALL)
     v.rules.reverse()
     assert not systems_equal(s, v)
+
+
+# ============================================================
+# Unserializable symbols and fuzzing
+# ============================================================
+
+
+@pytest.mark.parametrize("s", [
+    sym("none"), sym("a", "12"), sym("a", "-3"), sym("a", "x y"),
+    sym("a", "b}c"), sym("ratio", 1.5), sym("flag", True), sym("x y")],
+    ids=repr)
+def test_unserializable_symbols_refused(s):
+    # Each would read back as another system, or not at all.
+    sysd = PSystem(MembraneNode("m", contents=Multiset({s: 1})), [])
+    with pytest.raises(PSpecError, match="not serializable"):
+        serialize_system(sysd)
+
+
+# Bases include section and clause keywords and a digit string, all of
+# which the format must carry as plain symbols.
+_BASES = ["a", "b2", "x.y", "q@1", "_", "12", "rule", "in", "membranes"]
+_PARAM = st.one_of(st.integers(-20, 20),
+                   st.sampled_from(["k", "i1", "1a", "none", "at"]))
+_SYM = st.builds(lambda b, ps: sym(b, *ps), st.sampled_from(_BASES),
+                 st.lists(_PARAM, max_size=2))
+_MSET = st.dictionaries(_SYM, st.integers(1, 12), max_size=3)
+_CHARGE = st.sampled_from([NEUTRAL, PLUS, MINUS])
+
+
+@st.composite
+def random_systems(draw):
+    nodes = []
+
+    def node(depth):
+        label = draw(st.sampled_from(["m", "0", "x.", "@", "_"])) + str(
+            len(nodes))
+        me = MembraneNode(label, contents=Multiset(draw(_MSET)),
+                          charge=draw(_CHARGE))
+        nodes.append(me)
+        if depth < 3:
+            me.children = [node(depth + 1)
+                           for _ in range(draw(st.integers(0, 2)))]
+        return me
+
+    tree = node(1)
+    rules = []
+    for n in range(draw(st.integers(0, 4))):
+        target = draw(st.sampled_from(nodes))
+        r = RuleSpec(f"r{n}", target.label, draw(_CHARGE), draw(_CHARGE))
+        if draw(st.booleans()):
+            r.consume_in, r.produce_in = draw(_MSET), draw(_MSET)
+        if draw(st.booleans()):
+            r.consume_out, r.produce_out = draw(_MSET), draw(_MSET)
+        if target.children and draw(st.booleans()):
+            child = draw(st.sampled_from(target.children))
+            r.child = ChildPattern(child.label, draw(_CHARGE), draw(_CHARGE),
+                                   draw(_MSET), draw(_MSET))
+        rules.append(r)
+    # Pairs point down the declaration order, so the relation is acyclic.
+    pairs = [(a.id, b.id) for i, a in enumerate(rules) for b in rules[i + 1:]]
+    priority = draw(st.lists(st.sampled_from(pairs), unique=True)
+                    if pairs else st.just([]))
+    return PSystem(tree, rules, priority,
+                   draw(st.sampled_from(["", "demo", "g.1"])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_systems())
+def test_fuzz_round_trip(sysd):
+    text = serialize_system(sysd)
+    back = parse_system(text)
+    assert systems_equal(back, sysd)
+    assert serialize_system(back) == text
+
+
+_EDIT_CHARS = list("\u00b2\u00e9\n{}'^-,# a1+>:()[]") + [
+    "->", "{1,\n2}", "^\u00b2", "{\u00b2}", "{--1}"]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(random_systems(), st.lists(
+    st.tuples(st.floats(0, 1), st.integers(0, 3),
+              st.sampled_from(_EDIT_CHARS)), min_size=1, max_size=3))
+def test_fuzz_edits_raise_only_pspec_error(sysd, edits):
+    text = serialize_system(sysd)
+    for where, cut, ins in edits:
+        i = int(where * len(text))
+        text = text[:i] + ins + text[i + cut:]
+    try:
+        parse_system(text)
+    except PSpecError as e:
+        assert 0 <= e.line <= text.count("\n") + 1
