@@ -1115,40 +1115,33 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         emit(RuleSpec(_rid(5, 61, k, i), _lbl_res(i, k), MINUS, MINUS,
                       consume_in={sym("iternext", L): 1, sym("up9"): 1}))
 
-    # Waste collection at every charge, in each region some rule puts
-    # waste into: produce_out lands in the target's parent, produce_in in
-    # the target, a child pattern's produce in that child.  ridx counts
-    # every region of the tree walk, so skipping one renames no collector.
-    waste = sym("waste")
-    walk: List[str] = []
-    parent: Dict[str, str] = {}
-
-    def visit(node: MembraneNode) -> None:
-        walk.append(node.label)
-        for ch in node.children:
-            parent[ch.label] = node.label
-            visit(ch)
-
-    visit(tree)
-    fed = set()
-    for r in rules:
-        if waste in r.produce_out:
-            fed.add(parent.get(r.target))
-        if waste in r.produce_in:
-            fed.add(r.target)
-        if r.child is not None and waste in r.child.produce:
-            fed.add(r.child.label)
-    for ridx, label in enumerate(walk, start=1):
-        if label in fed:
-            for suffix, charge in (("c0", NEUTRAL), ("cm", MINUS), ("cp", PLUS)):
-                emit(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
-                              charge, consume_in={waste: 1}))
+    # Waste collectors only in the (region, charge) cells waste lands in.
+    # ridx numbers every region of the tree walk, so a region without
+    # collectors renames none.
+    sinks = {"0": (NEUTRAL,)}  # nothing ever changes the skin's charge
+    for k in players:
+        # Stage 2 runs at -; stages 3-5 send waste while it is neutral.
+        sinks[str(k)] = (NEUTRAL, MINUS)
+        for i in strat(k):
+            # Multiplier R33 lands while R34 flips the region to -, and
+            # R38 lands while R39 flips it back to 0.
+            sinks[_lbl_mult(i, k)] = sinks[_lbl_mult2(i, k)] = (NEUTRAL, MINUS)
+            # S5R40 fires after S5R36 has neutralised S_.
+            sinks[_lbl_strat(i, k)] = (NEUTRAL,)
+            # Its only feeder, S3R02, sets it to + and locks it.
+            sinks[_lbl_upd(i, k)] = (PLUS,)
+    sysd = PSystem(tree, rules, priority, name="gne")
+    for ridx, label in enumerate(sysd.labels(), start=1):
+        for charge in sinks.get(label, ()):
+            suffix = {NEUTRAL: "c0", MINUS: "cm", PLUS: "cp"}[charge]
+            emit(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
+                          charge, consume_in={_WASTE: 1}))
 
     # Declaration order is id order, so a canonical serialize/parse round
     # trip preserves every tie-break the step semantics depends on.
     rules.sort(key=lambda r: r.id)
     priority.sort()
-    return PSystem(tree, rules, priority, name="gne")
+    return sysd
 
 
 # ============================================================

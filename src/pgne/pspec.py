@@ -150,6 +150,8 @@ class _Parser:
         self.text = text
         self.tokens = list(_lex(text))
         self.pos = 0
+        # First token of each symbol base, in text order.
+        self.bases: Dict[str, Token] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -207,6 +209,7 @@ class _Parser:
             self.next()
             if t.count < 1:
                 raise self.fail("zero count is not allowed", t)
+            self.bases.setdefault(t.symbol.base, t)
             out[t.symbol] = out.get(t.symbol, 0) + t.count
         if not out:
             raise self.fail("expected a multiset or 'none'")
@@ -298,6 +301,7 @@ class _Parser:
         rules: List[RuleSpec] = []
         rule_ids: Dict[str, Token] = {}
         priority: List[Tuple[str, str]] = []
+        named: List[Token] = []  # priority's label tokens
         while self.peek().kind != "eof":
             if not self.at_section():
                 raise self.fail("expected a section header")
@@ -322,14 +326,16 @@ class _Parser:
                     rules.append(r)
             else:
                 while self.peek().kind == "label":
-                    a = self.expect_label("rule")
+                    a = self.next()
                     self.expect_punct(">")
-                    b = self.expect_label("rule")
-                    priority.append((a, b))
+                    b = self.peek()
+                    self.expect_label("rule")
+                    priority.append((a.text, b.text))
+                    named += (a, b)
         if tree is None:
             raise self.fail("missing membranes section")
         sysd = PSystem(tree, rules, priority, name)
-        _check_refs(sysd, rule_ids, alphabet, self.fail)
+        _check_refs(sysd, rule_ids, named, alphabet, self.bases, self.fail)
         return sysd
 
 
@@ -341,8 +347,8 @@ def _rule_syms(r: RuleSpec) -> Iterator[Sym]:
         yield from r.child.produce
 
 
-def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token],
-                alphabet: Optional[List[str]],
+def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token], named: List[Token],
+                alphabet: Optional[List[str]], bases: Dict[str, Token],
                 fail: Callable[[str, Token], PSpecError]) -> None:
     labels = {}
 
@@ -362,21 +368,15 @@ def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token],
             if r.child.label not in kids:
                 raise fail(f"rule '{r.id}: '{r.child.label} is not a "
                            f"child of '{r.target}", t)
-    for a, b in sysd.priority:
-        for rid in (a, b):
-            if rid not in rule_ids:
-                raise PSpecError(f"priority names unknown rule '{rid}")
+    for t in named:
+        if t.text not in rule_ids:
+            raise fail(f"priority names unknown rule '{t.text}", t)
     if alphabet is not None:
         allowed = set(alphabet)
-        used = set()
-        for node in labels.values():
-            used.update(s.base for s in node.contents.counts)
-        for r in sysd.rules:
-            used.update(s.base for s in _rule_syms(r))
-        missing = sorted(used - allowed)
+        missing = [base for base in bases if base not in allowed]
         if missing:
-            raise PSpecError(f"symbols missing from alphabet: "
-                             f"{', '.join(missing)}")
+            raise fail(f"symbols missing from alphabet: "
+                       f"{', '.join(sorted(missing))}", bases[missing[0]])
 
 
 def parse_system(text: str) -> PSystem:

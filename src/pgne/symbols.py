@@ -41,10 +41,16 @@ _INTERN: Dict[Tuple[str, Tuple], Sym] = {}
 
 
 def sym(base: str, *params) -> Sym:
-    """Return the unique Sym for this base and parameter tuple."""
+    """Return the unique Sym for this base and parameter tuple.
+
+    A new symbol's parameters must be ints or strs: a bool or a float would
+    intern equal to an int, and the text would depend on which came first.
+    """
     key = (base, params)
     s = _INTERN.get(key)
     if s is None:
+        if any(isinstance(p, (bool, float)) for p in params):
+            raise TypeError(f"{base}{params}: parameters must be ints or strs")
         s = Sym(base, params)
         _INTERN[key] = s
     return s

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgne.builder import (MICRO, GameSpec, build_gne_system,
+from pgne.builder import (MICRO, GameSpec, build_gne_system, load_game,
                           payoff_coefficients, stage_boundaries)
 from pgne.engine import compile_system, read_region, run
 from pgne.harness import compare_engines, run_gne, sample_experiment
@@ -116,6 +118,37 @@ def test_two_player_contested_slot_agrees():
                     mass=[3.0, 4.0], r_disc=100, loops=8)
     rep = compare_engines(spec)
     assert rep.agree, rep.text()
+
+
+# ============================================================
+# Stage 5's rare paths
+# ============================================================
+
+_DATA = Path(__file__).resolve().parent / "data"
+
+# Game file: the stage-5 families it must fire, and whether err ends > 0.
+# fill takes the slack fill S5R21; the err games take the surplus and
+# deficit fallbacks S5R23 and S5R24, and S5R50 moves their err out.  A
+# deficit needs a player's count + zdot total below 0, so that game has
+# many strategies and a small R.
+RARE_GAMES = {"fill": ({(5, 21)}, False),
+              "surplus_err": ({(5, 23), (5, 50)}, True),
+              "deficit_err": ({(5, 24), (5, 50)}, True)}
+
+
+def rare_game(name: str) -> GameSpec:
+    return load_game(str(_DATA / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", RARE_GAMES)
+def test_rare_paths_agree_exactly(name):
+    families, err = RARE_GAMES[name]
+    res = run_gne(rare_game(name))
+    rep = compare_engines(res.spec, result=res)
+    assert rep.agree and not rep.engine_warnings, rep.text()
+    fired = {key[:2] for lt in res.timings for key in lt.apps}
+    assert families <= fired
+    assert (res.states[-1].err[1] > 0) == err
 
 
 # ============================================================

@@ -127,6 +127,20 @@ def test_priority_names_unknown_rule():
     check_error(text, "unknown rule")
 
 
+def test_unknown_priority_rule_position():
+    text = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
+            "  rule 'r at 'm ^0 -> ^0 in( a -> b )\npriority:\n"
+            "  'r > 'r\n  'zz > 'r\n")
+    check_error(text, "unknown rule 'zz (line 7, col 3)", line=7)
+
+
+def test_missing_alphabet_symbol_position():
+    # The first token whose base is missing, not the first missing base.
+    text = ("alphabet:\n  a b\nmembranes:\n  [ 'm ^0 { a b{1} } ]\n"
+            "rules:\n  rule 'r at 'm ^0 -> ^0 in( a -> z y{2} )\n")
+    check_error(text, "missing from alphabet: y, z (line 6, col 35)", line=6)
+
+
 def test_zero_count_rejected():
     check_error("membranes:\n  [ 'm ^0 { a^0 } ]", "zero count")
 
@@ -229,7 +243,7 @@ def test_systems_equal_detects_differences():
 
 @pytest.mark.parametrize("s", [
     sym("none"), sym("a", "12"), sym("a", "-3"), sym("a", "x y"),
-    sym("a", "b}c"), sym("ratio", 1.5), sym("flag", True), sym("x y")],
+    sym("a", "b}c"), sym("x y")],
     ids=repr)
 def test_unserializable_symbols_refused(s):
     # Each would read back as another system, or not at all.

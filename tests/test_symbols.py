@@ -16,6 +16,15 @@ def test_interning_is_identity():
     assert sym("a") is not sym("a", 0)
 
 
+@pytest.mark.parametrize("base, param", [("ratio", 1.5), ("flag", True)])
+def test_sym_refuses_bool_and_float(base, param):
+    # Each equals an int, so interning would alias it with one; a refusal
+    # leaves nothing behind for the int to alias.
+    with pytest.raises(TypeError, match="ints or strs"):
+        sym(base, param)
+    assert sym(base, int(param)).text == f"{base}{{{int(param)}}}"
+
+
 def test_text_forms():
     assert sym("unit").text == "unit"
     assert sym("share", 1, 3, 2).text == "share{1,3,2}"
