@@ -10,6 +10,12 @@ The non-preset digests were taken from the builder that emitted waste
 collectors in every region and loop-stamped families up to stamp L+1; any
 change to which rules the builder emits must reproduce them exactly.
 
+The built-system digests pin every rule body, priority pair and
+membrane of the serialized system, including rules no trace reaches;
+they were taken from the builder before it was restructured into one
+pass per stage, and any change to how the builder emits a system must
+reproduce them exactly.
+
 The stage-window and cross-seed attribution digests were taken from the
 string-matching trace readers that preceded `builder.rule_tag`; any change
 to how a trace is split into loops and stages, or to how rule applications
@@ -29,7 +35,9 @@ from pgne.builder import (build_gne_system, build_mult_system, mult_steps,
 from pgne.engine import compile_system, export_trace_text, run
 from pgne.harness import Preset, compare_engines, run_gne, sample_experiment
 from pgne.oracle import simulate
+from pgne.pspec import serialize_system
 from pgne.symbols import sym
+from test_gne import RARE_GAMES, rare_game
 
 # Acceptance instances: the agreement set, the loop-profile seeds and the
 # convergence run, each with its preset's loop count.
@@ -80,6 +88,30 @@ _SHAPE_SHA = {
 }
 
 _SWEEP_SHA = "d74f282a190b3193cee4dc5af824b3598b5f6b46e062ba393a223ae6e6ed8384"
+
+# sha256 of `serialize_system` for the acceptance instances, the shapes
+# above, the rare-path games and the stand-alone multiplier.
+_SYSTEM_SHA = {
+    "small/2": "adb774052d8696981a02d3b9229e3c24b60a6be270d7a8fca4b08dc0963c6603",
+    "small/9": "73f83a9a192374595aa9bcb84893df1f50afffefe92bb929b885839aa125cb88",
+    "small/15": "63979d69935cb9c6ebcc5246827a745cedf88d4bd2a9c602cda60e2ebb77b996",
+    "small/16": "88f4e5e1025f23cd8f5560d7a2725600a9d64b1dbec240a3b8f217b9e00388a8",
+    "small/17": "bbe8c7fad41ac72e6a3f2908f1ded5db7baf29dff8f230c18952b3370ae3e607",
+    "default/27": "523a5e4ca168938cec6f4e49c0ee99b8e1b2bdf3890388e874b17972be2d0015",
+    "default/31": "0e124f6270fddae9883279543b20fd164da470277f12b2ba8427563d34cd3f33",
+    "default/32": "7702d0276d8d79240b76c77ac05be75b639cd51935c39c65433526aa623eb94a",
+    "default/1": "c1f2a84af95233f556c699fd24a29bd43f191dced160b35fbca82fddb7fbfabc",
+    "p1-s2-r2-l1": "cac8ebefcd194cde14d40b8412cdd5f59050f3db5762ec5229e090a5bca4b30c",
+    "p4-s5-r3-l2": "5f4c120562b5324502dceb7b490119e8b23b4c57b3cff7a23c24c075c20c1995",
+    "p2-s4-r257-l3": "de0b88da1e44f717b58f89ee161e036b08483f99966cf24b21f29dc0bad9be2d",
+    "p3-s3-r7-l1-zero": "6adaf427b2d1ee1d0b5c25415d597c44672a9e3bf72f5ec8cb455548ae176ed8",
+    "p1-s5-r100-l4-tiny": "dabb2482a9185d4cd090206268bce561b71860dc51019912ded4cb26c605590f",
+    "p2-s2-r257-l1-heavy": "34862284fb2dac66549278d10af7e76498e9cedf9fc1f705bf10c60dedfec06d",
+    "fill": "c0f1f2dbc9d888534bfd04724f3e2a3f8c2b6e7db21cb1a6f81b57234c015059",
+    "surplus_err": "6c785f9152f07a60fd641a91467b5e86b30ceb1579d692dd583cab487e69e657",
+    "deficit_err": "bd85340d8b17e58f1fe4a3e89f013a5e5eaef14c608a3419d04f0015d6300bd5",
+    "mult_3x5": "d815852cfba25386f87ff6916298f663d42dc8175d7794e1747bf97ac38fe23a",
+}
 
 # (preset, seed): (number of ambiguities, sha256 of their text rows).  The
 # small preset never produces one; its empty list is pinned all the same.
@@ -154,6 +186,21 @@ def test_non_preset_traces_byte_identical():
 
 def test_mult_sweep_traces_byte_identical():
     assert _sweep_digest() == _SWEEP_SHA
+
+
+def _system_digests():
+    specs = {f"{p}/{s}": sample_experiment(s, p) for p, s in _INSTANCES}
+    specs.update((name, sample_experiment(s, p))
+                 for name, (p, s) in _SHAPES.items())
+    specs.update((name, rare_game(name)) for name in RARE_GAMES)
+    got = {name: _sha(serialize_system(build_gne_system(spec)))
+           for name, spec in specs.items()}
+    got["mult_3x5"] = _sha(serialize_system(build_mult_system(3, 5)))
+    return got
+
+
+def test_built_systems_byte_identical():
+    assert _system_digests() == _SYSTEM_SHA
 
 
 def test_strict_ambiguities_unchanged():
