@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, CRule, MembraneNode,
@@ -77,20 +77,8 @@ def quantize(x: float) -> float:
 
 
 def save_game(spec: GameSpec, path: str) -> None:
-    doc = {
-        "players": spec.players,
-        "slots": spec.slots,
-        "strategies": spec.strategies,
-        "d_diag": spec.d_diag,
-        "j_bar": spec.j_bar,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "mass": spec.mass,
-        "r_disc": spec.r_disc,
-        "loops": spec.loops,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -203,7 +191,6 @@ class PayoffCoefficients:
     kappa: List[int]
     cross: List[List[int]]
     self_: List[int]
-    r_disc: int
 
     def linear_row(self, l: int) -> List[int]:
         """Units of pl{j} produced per unit of strategy l (1-based l).
@@ -242,7 +229,7 @@ def payoff_coefficients(spec: GameSpec) -> PayoffCoefficients:
         for j, (k2, i2) in enumerate(pairs, start=1):
             if j != l and i2 == i:
                 cross[j - 1][l - 1] = (d * mq[k]) // scale2
-    return PayoffCoefficients(n, pairs, l_of, kappa, cross, self_, spec.r_disc)
+    return PayoffCoefficients(n, pairs, l_of, kappa, cross, self_)
 
 
 def coefficient_matrices(spec: GameSpec):
@@ -271,8 +258,7 @@ def coefficient_matrices(spec: GameSpec):
                           for k, i in pairs])
     jbar = np.array(spec.j_bar)
     kappa_float = spec.r_disc * (C.T @ jbar + beta_flat)
-    A = S @ M
-    return {"C": C, "D": D, "M": M, "S": S, "A": A,
+    return {"C": C, "D": D, "M": M, "S": S,
             "alpha": alpha_flat, "beta": beta_flat,
             "kappa_float": kappa_float}
 
@@ -596,524 +582,427 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         tree_children.append(MembraneNode(str(k), children=kids))
     tree = MembraneNode("0", children=tree_children)
 
+    # Rules and priority pairs are sorted by id at the end, so each stage
+    # emits its families in whatever order reads best.
     rules: List[RuleSpec] = []
     priority: List[Tuple[str, str]] = []
-
-    def emit(r: RuleSpec) -> None:
-        rules.append(r)
+    add = rules.append
 
     def each_ki():
         for k in players:
             for i in strat(k):
                 yield k, i, co.l_of[(k, i)]
 
-    # -------- stage 1: price the current profile --------
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(1, 1, k, i), _lbl_strat(i, k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("share", k, i, l): 1},
-                      produce_in={sym("agent"): 1},
-                      produce_out={sym("share", k, i, l): 1}))
-    emit(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
-                  consume_in={sym("tick"): 1},
-                  produce_in={sym("pl", l): c
-                              for l, c in enumerate(co.kappa, start=1) if c}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(1, 3, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("share", k, i, l): 1},
-                      produce_in={sym("job1", k, i, l): 1},
-                      produce_out={sym("share", k, i, l): 1, sym("reg", k): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(1, 4, k, i), "P", NEUTRAL, NEUTRAL,
-                      consume_out={sym("share", k, i, l): 1},
-                      produce_in={sym("share", k, i, l): 1}))
-    emit(RuleSpec(_rid(1, 5), "0", NEUTRAL, NEUTRAL,
-                  consume_in={sym("reg", k): R for k in players},
-                  produce_in={sym("gate"): 1}))
-    emit(RuleSpec(_rid(1, 6), "0", NEUTRAL, NEUTRAL,
-                  consume_in={sym("gate"): 1},
-                  child=ChildPattern("P", NEUTRAL, PLUS, {}, {sym("ph2"): 1})))
-    for k, i, l in each_ki():
-        row = co.linear_row(l)
-        emit(RuleSpec(_rid(1, 7, k, i), "P", PLUS, PLUS,
-                      consume_in={sym("share", k, i, l): 1},
-                      produce_in={sym("pl", j): c
-                                  for j, c in enumerate(row, start=1) if c}))
-    emit(RuleSpec(_rid(1, 8), "P", PLUS, PLUS,
-                  consume_in={sym("ph2"): 1}, produce_in={sym("ph3"): 1}))
-    emit(RuleSpec(_rid(1, 9), "P", PLUS, MINUS,
-                  consume_in={sym("ph3"): 1}, produce_in={sym("ph4"): 1},
-                  produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(1, 10, k, i), "P", MINUS, MINUS,
-                      consume_in={sym("pl", l): 1},
-                      produce_out={sym("pay", k, i, l): 1}))
-    emit(RuleSpec(_rid(1, 11), "P", MINUS, MINUS,
-                  consume_in={sym("ph4"): 1}, produce_in={sym("ph5"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(1, 12, k, i), "0", NEUTRAL, NEUTRAL,
-                      consume_in={sym("pay", k, i, l): 1},
-                      child=ChildPattern(str(k), NEUTRAL, NEUTRAL, {},
-                                         {sym("pay", k, i, l): 1})))
-    emit(RuleSpec(_rid(1, 13), "P", MINUS, MINUS,
-                  consume_in={sym("ph5"): 1}, produce_in={sym("ph6"): 1}))
-    emit(RuleSpec(_rid(1, 14), "P", MINUS, NEUTRAL,
-                  consume_in={sym("ph6"): 1},
-                  produce_out={sym("go", k): 1 for k in players}))
-    for k in players:
-        emit(RuleSpec(_rid(1, 15, k), "0", NEUTRAL, NEUTRAL,
-                      consume_in={sym("go", k): 1},
-                      child=ChildPattern(str(k), NEUTRAL, MINUS, {},
-                                         {sym("mstart"): len(strat(k))})))
-    # -------- stage 2: average payoff of each population --------
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 1, k, i), str(k), MINUS, MINUS,
-                      consume_in={sym("job1", k, i, l): 1},
-                      produce_in={sym("job2", k, i, l): 1},
-                      child=ChildPattern(_lbl_mult(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("apre"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 2, k, i), str(k), MINUS, MINUS,
-                      consume_in={sym("pay", k, i, l): 1},
-                      produce_in={sym("neg", i): 1},
-                      child=ChildPattern(_lbl_mult(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("bpre"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 3, k, i), str(k), MINUS, MINUS,
-                      consume_in={sym("mstart"): 1},
-                      child=ChildPattern(_lbl_mult(i, k), NEUTRAL, PLUS,
-                                         {}, {sym("mstart"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 4, k, i), _lbl_mult(i, k), PLUS, PLUS,
-                      consume_in={sym("apre"): 1},
-                      child=ChildPattern(_lbl_m1(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {_MC: 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 5, k, i), _lbl_mult(i, k), PLUS, PLUS,
-                      consume_in={sym("bpre"): 1}, produce_in={_MP: 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 6, k, i), _lbl_mult(i, k), PLUS, NEUTRAL,
-                      consume_in={sym("mstart"): 1},
-                      produce_out={sym("waste"): 1},
-                      child=ChildPattern(_lbl_m1(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {_CYC[0]: 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(2, 7, k, i), str(k), MINUS, MINUS,
-                      consume_in={sym("neg", i): 1},
-                      child=ChildPattern(_lbl_upd(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("neg", i): 1})))
-    for k in players:
-        emit(RuleSpec(_rid(2, 8, k), str(k), MINUS, MINUS,
-                      consume_in={sym("fin"): len(strat(k))},
-                      child=ChildPattern(_lbl_acum(k), NEUTRAL, PLUS,
-                                         {}, {sym("acc0"): 1})))
-    for k in players:
-        emit(RuleSpec(_rid(2, 9, k), str(k), MINUS, MINUS,
-                      consume_in={sym("unit"): 1},
-                      child=ChildPattern(_lbl_acum(k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("pos"): 1})))
-    for k in players:
-        emit(RuleSpec(_rid(2, 10, k), _lbl_acum(k), PLUS, PLUS,
-                      consume_in={sym("pos"): R},
-                      produce_out={sym("pos"): 1}))
-        emit(RuleSpec(_rid(2, 11, k), _lbl_acum(k), PLUS, PLUS,
-                      consume_in={sym("pos"): thr},
-                      produce_out={sym("pos"): 1}))
-        emit(RuleSpec(_rid(2, 12, k), _lbl_acum(k), PLUS, PLUS,
-                      consume_in={sym("pos"): 1}))
-        emit(RuleSpec(_rid(2, 13, k), _lbl_acum(k), PLUS, PLUS,
-                      consume_in={sym("acc0"): 1}, produce_in={sym("acc1"): 1}))
-        emit(RuleSpec(_rid(2, 14, k), _lbl_acum(k), PLUS, NEUTRAL,
-                      consume_in={sym("acc1"): 1}, produce_out={sym("acc2"): 1}))
-        emit(RuleSpec(_rid(2, 15, k), str(k), MINUS, NEUTRAL,
-                      consume_in={sym("acc2"): 1}, produce_in={sym("cmp0"): 1},
-                      produce_out={sym("waste"): 1}))
-        priority.append((_rid(2, 10, k), _rid(2, 11, k)))
-        priority.append((_rid(2, 11, k), _rid(2, 12, k)))
-    # Embedded multiplier blocks: population count times average payoff.
-    for k, i, l in each_ki():
+    def count_round(ids: List[str], label: str, charge: int, x: Sym,
+                    **product: Dict[Sym, int]) -> None:
+        # The rule form of `oracle.count_round`: x^R, then x^thr, each make
+        # one product, and a leftover x is dropped, in that priority order.
+        up, half, drop = ids
+        add(RuleSpec(up, label, charge, charge, consume_in={x: R}, **product))
+        add(RuleSpec(half, label, charge, charge, consume_in={x: thr},
+                     **product))
+        add(RuleSpec(drop, label, charge, charge, consume_in={x: 1}))
+        priority.extend([(up, half), (half, drop)])
+
+    def embedded_mult(stage: int, num: int, k: int, i: int, outer: str,
+                      m1: str, m2: str, unit_out: Sym, fin_out: Sym) -> None:
+        # While outer is positive, rules num..num+2 load one multiplicand
+        # unit per apre and one multiplier unit per bpre, and mstart starts
+        # the work cycle; the 44 multiplier rules get S<stage>X_ ids.
+        add(RuleSpec(_rid(stage, num, k, i), outer, PLUS, PLUS,
+                     consume_in={sym("apre"): 1},
+                     child=ChildPattern(m1, NEUTRAL, NEUTRAL, {}, {_MC: 1})))
+        add(RuleSpec(_rid(stage, num + 1, k, i), outer, PLUS, PLUS,
+                     consume_in={sym("bpre"): 1}, produce_in={_MP: 1}))
+        add(RuleSpec(_rid(stage, num + 2, k, i), outer, PLUS, NEUTRAL,
+                     consume_in={sym("mstart"): 1},
+                     produce_out={_WASTE: 1},
+                     child=ChildPattern(m1, NEUTRAL, NEUTRAL, {},
+                                        {_CYC[0]: 1})))
         blk, bprio = _mult_rules(
-            _lbl_mult(i, k), _lbl_m1(i, k), _lbl_m2(i, k), sym("unit"),
-            sym("fin"), lambda nn, k=k, i=i: f"S2X_k{k:02d}_i{i:02d}_R{nn:02d}")
+            outer, m1, m2, unit_out, fin_out,
+            lambda nn: f"S{stage}X_k{k:02d}_i{i:02d}_R{nn:02d}")
         rules.extend(blk)
         priority.extend(bprio)
+
+    # -------- stage 1: price the current profile --------
+    add(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("tick"): 1},
+                 produce_in={sym("pl", l): c
+                             for l, c in enumerate(co.kappa, start=1) if c}))
+    add(RuleSpec(_rid(1, 5), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("reg", k): R for k in players},
+                 produce_in={sym("gate"): 1}))
+    add(RuleSpec(_rid(1, 6), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("gate"): 1},
+                 child=ChildPattern("P", NEUTRAL, PLUS, {}, {sym("ph2"): 1})))
+    add(RuleSpec(_rid(1, 8), "P", PLUS, PLUS,
+                 consume_in={sym("ph2"): 1}, produce_in={sym("ph3"): 1}))
+    add(RuleSpec(_rid(1, 9), "P", PLUS, MINUS,
+                 consume_in={sym("ph3"): 1}, produce_in={sym("ph4"): 1},
+                 produce_out={sym("waste"): 1}))
+    add(RuleSpec(_rid(1, 11), "P", MINUS, MINUS,
+                 consume_in={sym("ph4"): 1}, produce_in={sym("ph5"): 1}))
+    add(RuleSpec(_rid(1, 13), "P", MINUS, MINUS,
+                 consume_in={sym("ph5"): 1}, produce_in={sym("ph6"): 1}))
+    add(RuleSpec(_rid(1, 14), "P", MINUS, NEUTRAL,
+                 consume_in={sym("ph6"): 1},
+                 produce_out={sym("go", k): 1 for k in players}))
+    for k in players:
+        add(RuleSpec(_rid(1, 15, k), "0", NEUTRAL, NEUTRAL,
+                     consume_in={sym("go", k): 1},
+                     child=ChildPattern(str(k), NEUTRAL, MINUS, {},
+                                        {sym("mstart"): len(strat(k))})))
+    for k, i, l in each_ki():
+        share = sym("share", k, i, l)
+        add(RuleSpec(_rid(1, 1, k, i), _lbl_strat(i, k), NEUTRAL, NEUTRAL,
+                     consume_in={share: 1}, produce_in={sym("agent"): 1},
+                     produce_out={share: 1}))
+        add(RuleSpec(_rid(1, 3, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={share: 1},
+                     produce_in={sym("job1", k, i, l): 1},
+                     produce_out={share: 1, sym("reg", k): 1}))
+        add(RuleSpec(_rid(1, 4, k, i), "P", NEUTRAL, NEUTRAL,
+                     consume_out={share: 1}, produce_in={share: 1}))
+        add(RuleSpec(_rid(1, 7, k, i), "P", PLUS, PLUS,
+                     consume_in={share: 1},
+                     produce_in={sym("pl", j): c for j, c in
+                                 enumerate(co.linear_row(l), start=1) if c}))
+        add(RuleSpec(_rid(1, 10, k, i), "P", MINUS, MINUS,
+                     consume_in={sym("pl", l): 1},
+                     produce_out={sym("pay", k, i, l): 1}))
+        add(RuleSpec(_rid(1, 12, k, i), "0", NEUTRAL, NEUTRAL,
+                     consume_in={sym("pay", k, i, l): 1},
+                     child=ChildPattern(str(k), NEUTRAL, NEUTRAL, {},
+                                        {sym("pay", k, i, l): 1})))
+
+    # -------- stage 2: average payoff of each population --------
+    for k in players:
+        acum = _lbl_acum(k)
+        add(RuleSpec(_rid(2, 8, k), str(k), MINUS, MINUS,
+                     consume_in={sym("fin"): len(strat(k))},
+                     child=ChildPattern(acum, NEUTRAL, PLUS,
+                                        {}, {sym("acc0"): 1})))
+        add(RuleSpec(_rid(2, 9, k), str(k), MINUS, MINUS,
+                     consume_in={sym("unit"): 1},
+                     child=ChildPattern(acum, NEUTRAL, NEUTRAL,
+                                        {}, {sym("pos"): 1})))
+        count_round([_rid(2, n, k) for n in (10, 11, 12)], acum, PLUS,
+                    sym("pos"), produce_out={sym("pos"): 1})
+        add(RuleSpec(_rid(2, 13, k), acum, PLUS, PLUS,
+                     consume_in={sym("acc0"): 1}, produce_in={sym("acc1"): 1}))
+        add(RuleSpec(_rid(2, 14, k), acum, PLUS, NEUTRAL,
+                     consume_in={sym("acc1"): 1}, produce_out={sym("acc2"): 1}))
+        add(RuleSpec(_rid(2, 15, k), str(k), MINUS, NEUTRAL,
+                     consume_in={sym("acc2"): 1}, produce_in={sym("cmp0"): 1},
+                     produce_out={sym("waste"): 1}))
+    # Embedded multiplier blocks: population count times average payoff.
+    for k, i, l in each_ki():
+        mult = _lbl_mult(i, k)
+        add(RuleSpec(_rid(2, 1, k, i), str(k), MINUS, MINUS,
+                     consume_in={sym("job1", k, i, l): 1},
+                     produce_in={sym("job2", k, i, l): 1},
+                     child=ChildPattern(mult, NEUTRAL, NEUTRAL,
+                                        {}, {sym("apre"): 1})))
+        add(RuleSpec(_rid(2, 2, k, i), str(k), MINUS, MINUS,
+                     consume_in={sym("pay", k, i, l): 1},
+                     produce_in={sym("neg", i): 1},
+                     child=ChildPattern(mult, NEUTRAL, NEUTRAL,
+                                        {}, {sym("bpre"): 1})))
+        add(RuleSpec(_rid(2, 3, k, i), str(k), MINUS, MINUS,
+                     consume_in={sym("mstart"): 1},
+                     child=ChildPattern(mult, NEUTRAL, PLUS,
+                                        {}, {sym("mstart"): 1})))
+        embedded_mult(2, 4, k, i, mult, _lbl_m1(i, k), _lbl_m2(i, k),
+                      sym("unit"), sym("fin"))
+        add(RuleSpec(_rid(2, 7, k, i), str(k), MINUS, MINUS,
+                     consume_in={sym("neg", i): 1},
+                     child=ChildPattern(_lbl_upd(i, k), NEUTRAL, NEUTRAL,
+                                        {}, {sym("neg", i): 1})))
 
     # -------- stage 3: per-strategy excess payoff --------
     for k in players:
-        emit(RuleSpec(_rid(3, 1, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp0"): 1},
-                      produce_in={sym("cmp", 1, i): 1 for i in strat(k)}))
+        add(RuleSpec(_rid(3, 1, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp0"): 1},
+                     produce_in={sym("cmp", 1, i): 1 for i in strat(k)}))
+        add(RuleSpec(_rid(3, 3, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("pos"): 1},
+                     produce_in={sym("posb", i): 1 for i in strat(k)}))
     for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 2, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp", 1, i): 1},
-                      produce_in={sym("cmp", 2, i): 1},
-                      child=ChildPattern(_lbl_upd(i, k), NEUTRAL, PLUS,
-                                         {}, {sym("waste"): 1})))
-    for k in players:
-        emit(RuleSpec(_rid(3, 3, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("pos"): 1},
-                      produce_in={sym("posb", i): 1 for i in strat(k)}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 4, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("posb", i): 1},
-                      child=ChildPattern(_lbl_upd(i, k), PLUS, PLUS,
-                                         {}, {sym("posb", i): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 5, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp", 2, i): 1},
-                      produce_in={sym("cmp", 3, i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 6, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp", 3, i): 1},
-                      child=ChildPattern(_lbl_upd(i, k), PLUS, MINUS,
-                                         {}, {sym("cmp", 4, i): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 7, k, i), _lbl_upd(i, k), MINUS, MINUS,
-                      consume_in={sym("neg", i): 1, sym("posb", i): 1}))
+        upd = _lbl_upd(i, k)
+        add(RuleSpec(_rid(3, 2, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp", 1, i): 1},
+                     produce_in={sym("cmp", 2, i): 1},
+                     child=ChildPattern(upd, NEUTRAL, PLUS,
+                                        {}, {sym("waste"): 1})))
+        add(RuleSpec(_rid(3, 4, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("posb", i): 1},
+                     child=ChildPattern(upd, PLUS, PLUS,
+                                        {}, {sym("posb", i): 1})))
+        add(RuleSpec(_rid(3, 5, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp", 2, i): 1},
+                     produce_in={sym("cmp", 3, i): 1}))
+        add(RuleSpec(_rid(3, 6, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp", 3, i): 1},
+                     child=ChildPattern(upd, PLUS, MINUS,
+                                        {}, {sym("cmp", 4, i): 1})))
+        add(RuleSpec(_rid(3, 7, k, i), upd, MINUS, MINUS,
+                     consume_in={sym("neg", i): 1, sym("posb", i): 1}))
         priority.append((_rid(3, 7, k, i), _rid(3, 8, k, i)))
         priority.append((_rid(3, 7, k, i), _rid(3, 9, k, i)))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 8, k, i), _lbl_upd(i, k), MINUS, MINUS,
-                      consume_in={sym("neg", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 9, k, i), _lbl_upd(i, k), MINUS, MINUS,
-                      consume_in={sym("posb", i): 1},
-                      produce_in={sym("qplus", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 10, k, i), _lbl_upd(i, k), MINUS, MINUS,
-                      consume_in={sym("cmp", 4, i): 1},
-                      produce_in={sym("cmp", 5, i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 11, k, i), _lbl_upd(i, k), MINUS, NEUTRAL,
-                      consume_in={sym("cmp", 5, i): 1},
-                      produce_in={sym("cmp", 6, i): 1},
-                      produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 12, k, i), _lbl_upd(i, k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("qplus", i): 1},
-                      produce_out={sym("qsum"): 1, sym("qplus", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(3, 13, k, i), _lbl_upd(i, k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp", 6, i): 1},
-                      produce_out={sym("cmp", 7, i): 1}))
+        add(RuleSpec(_rid(3, 8, k, i), upd, MINUS, MINUS,
+                     consume_in={sym("neg", i): 1}))
+        add(RuleSpec(_rid(3, 9, k, i), upd, MINUS, MINUS,
+                     consume_in={sym("posb", i): 1},
+                     produce_in={sym("qplus", i): 1}))
+        add(RuleSpec(_rid(3, 10, k, i), upd, MINUS, MINUS,
+                     consume_in={sym("cmp", 4, i): 1},
+                     produce_in={sym("cmp", 5, i): 1}))
+        add(RuleSpec(_rid(3, 11, k, i), upd, MINUS, NEUTRAL,
+                     consume_in={sym("cmp", 5, i): 1},
+                     produce_in={sym("cmp", 6, i): 1},
+                     produce_out={sym("waste"): 1}))
+        add(RuleSpec(_rid(3, 12, k, i), upd, NEUTRAL, NEUTRAL,
+                     consume_in={sym("qplus", i): 1},
+                     produce_out={sym("qsum"): 1, sym("qplus", i): 1}))
+        add(RuleSpec(_rid(3, 13, k, i), upd, NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp", 6, i): 1},
+                     produce_out={sym("cmp", 7, i): 1}))
 
     # -------- stage 4: rate counts via a second multiplication --------
     for k in players:
-        emit(RuleSpec(_rid(4, 1, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cmp", 7, i): 1 for i in strat(k)},
-                      produce_in={sym("mz", i, 0): 1 for i in strat(k)}))
+        add(RuleSpec(_rid(4, 1, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cmp", 7, i): 1 for i in strat(k)},
+                     produce_in={sym("mz", i, 0): 1 for i in strat(k)}))
+        add(RuleSpec(_rid(4, 3, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("qsum"): 1},
+                     produce_in={sym("qin", i): 1 for i in strat(k)}))
+        add(RuleSpec(_rid(4, 10, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("fin1"): len(strat(k))},
+                     produce_in={sym("rz0"): len(strat(k))}))
     for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 2, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("mz", i, 0): 1},
-                      produce_in={sym("mz", i, 1): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(4, 3, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("qsum"): 1},
-                      produce_in={sym("qin", i): 1 for i in strat(k)}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 4, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("job2", k, i, l): 1},
-                      child=ChildPattern(_lbl_mult2(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("apre"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 5, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("qin", i): 1},
-                      child=ChildPattern(_lbl_mult2(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {sym("bpre"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 6, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("mz", i, 1): 1},
-                      child=ChildPattern(_lbl_mult2(i, k), NEUTRAL, PLUS,
-                                         {}, {sym("mstart"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 7, k, i), _lbl_mult2(i, k), PLUS, PLUS,
-                      consume_in={sym("apre"): 1},
-                      child=ChildPattern(_lbl_m1p(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {_MC: 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 8, k, i), _lbl_mult2(i, k), PLUS, PLUS,
-                      consume_in={sym("bpre"): 1}, produce_in={_MP: 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 9, k, i), _lbl_mult2(i, k), PLUS, NEUTRAL,
-                      consume_in={sym("mstart"): 1},
-                      produce_out={sym("waste"): 1},
-                      child=ChildPattern(_lbl_m1p(i, k), NEUTRAL, NEUTRAL,
-                                         {}, {_CYC[0]: 1})))
-    for k in players:
-        emit(RuleSpec(_rid(4, 10, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("fin1"): len(strat(k))},
-                      produce_in={sym("rz0"): len(strat(k))}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 11, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("rz0"): 1},
-                      child=ChildPattern(_lbl_strat(i, k), NEUTRAL, PLUS,
-                                         {}, {sym("rz1"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 12, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("qplus", i): 1},
-                      child=ChildPattern(_lbl_strat(i, k), PLUS, PLUS,
-                                         {}, {sym("ex0"): 1})))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(4, 13, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("zq", i): 1},
-                      child=ChildPattern(_lbl_strat(i, k), PLUS, PLUS,
-                                         {}, {sym("zq", i): 1})))
-    for k, i, l in each_ki():
-        s = _lbl_strat(i, k)
-        emit(RuleSpec(_rid(4, 14, k, i), s, PLUS, PLUS,
-                      consume_in={sym("ex0"): 1}, produce_in={sym("ex1"): 1}))
-        emit(RuleSpec(_rid(4, 15, k, i), s, PLUS, PLUS,
-                      consume_in={sym("zq", i): R}, produce_in={sym("zqr"): 1}))
-        emit(RuleSpec(_rid(4, 16, k, i), s, PLUS, PLUS,
-                      consume_in={sym("zq", i): thr}, produce_in={sym("zqr"): 1}))
-        emit(RuleSpec(_rid(4, 17, k, i), s, PLUS, PLUS,
-                      consume_in={sym("zq", i): 1}))
-        emit(RuleSpec(_rid(4, 18, k, i), s, PLUS, PLUS,
-                      consume_in={sym("ex1"): 1, sym("zqr"): 1}))
-        emit(RuleSpec(_rid(4, 19, k, i), s, PLUS, PLUS,
-                      consume_in={sym("ex1"): 1}, produce_in={sym("dzp"): 1}))
-        emit(RuleSpec(_rid(4, 20, k, i), s, PLUS, PLUS,
-                      consume_in={sym("zqr"): 1}, produce_in={sym("dzn"): 1}))
-        emit(RuleSpec(_rid(4, 21, k, i), s, PLUS, PLUS,
-                      consume_in={sym("rz1"): 1}, produce_in={sym("rz2"): 1}))
-        emit(RuleSpec(_rid(4, 22, k, i), s, PLUS, PLUS,
-                      consume_in={sym("rz2"): 1}, produce_in={sym("rz3"): 1}))
-        emit(RuleSpec(_rid(4, 23, k, i), s, PLUS, MINUS,
-                      consume_in={sym("rz3"): 1}, produce_in={sym("up0"): 1},
-                      produce_out={sym("waste"): 1}))
-        priority.append((_rid(4, 15, k, i), _rid(4, 16, k, i)))
-        priority.append((_rid(4, 16, k, i), _rid(4, 17, k, i)))
+        s, mult2 = _lbl_strat(i, k), _lbl_mult2(i, k)
+        add(RuleSpec(_rid(4, 2, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("mz", i, 0): 1},
+                     produce_in={sym("mz", i, 1): 1}))
+        add(RuleSpec(_rid(4, 4, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("job2", k, i, l): 1},
+                     child=ChildPattern(mult2, NEUTRAL, NEUTRAL,
+                                        {}, {sym("apre"): 1})))
+        add(RuleSpec(_rid(4, 5, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("qin", i): 1},
+                     child=ChildPattern(mult2, NEUTRAL, NEUTRAL,
+                                        {}, {sym("bpre"): 1})))
+        add(RuleSpec(_rid(4, 6, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("mz", i, 1): 1},
+                     child=ChildPattern(mult2, NEUTRAL, PLUS,
+                                        {}, {sym("mstart"): 1})))
+        embedded_mult(4, 7, k, i, mult2, _lbl_m1p(i, k), _lbl_m2p(i, k),
+                      sym("zq", i), sym("fin1"))
+        add(RuleSpec(_rid(4, 11, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("rz0"): 1},
+                     child=ChildPattern(s, NEUTRAL, PLUS,
+                                        {}, {sym("rz1"): 1})))
+        add(RuleSpec(_rid(4, 12, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("qplus", i): 1},
+                     child=ChildPattern(s, PLUS, PLUS,
+                                        {}, {sym("ex0"): 1})))
+        add(RuleSpec(_rid(4, 13, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("zq", i): 1},
+                     child=ChildPattern(s, PLUS, PLUS,
+                                        {}, {sym("zq", i): 1})))
+        add(RuleSpec(_rid(4, 14, k, i), s, PLUS, PLUS,
+                     consume_in={sym("ex0"): 1}, produce_in={sym("ex1"): 1}))
+        count_round([_rid(4, n, k, i) for n in (15, 16, 17)], s, PLUS,
+                    sym("zq", i), produce_in={sym("zqr"): 1})
+        add(RuleSpec(_rid(4, 18, k, i), s, PLUS, PLUS,
+                     consume_in={sym("ex1"): 1, sym("zqr"): 1}))
         priority.append((_rid(4, 18, k, i), _rid(4, 19, k, i)))
         priority.append((_rid(4, 18, k, i), _rid(4, 20, k, i)))
-    for k, i, l in each_ki():
-        blk, bprio = _mult_rules(
-            _lbl_mult2(i, k), _lbl_m1p(i, k), _lbl_m2p(i, k), sym("zq", i),
-            sym("fin1"), lambda nn, k=k, i=i: f"S4X_k{k:02d}_i{i:02d}_R{nn:02d}")
-        rules.extend(blk)
-        priority.extend(bprio)
+        add(RuleSpec(_rid(4, 19, k, i), s, PLUS, PLUS,
+                     consume_in={sym("ex1"): 1}, produce_in={sym("dzp"): 1}))
+        add(RuleSpec(_rid(4, 20, k, i), s, PLUS, PLUS,
+                     consume_in={sym("zqr"): 1}, produce_in={sym("dzn"): 1}))
+        add(RuleSpec(_rid(4, 21, k, i), s, PLUS, PLUS,
+                     consume_in={sym("rz1"): 1}, produce_in={sym("rz2"): 1}))
+        add(RuleSpec(_rid(4, 22, k, i), s, PLUS, PLUS,
+                     consume_in={sym("rz2"): 1}, produce_in={sym("rz3"): 1}))
+        add(RuleSpec(_rid(4, 23, k, i), s, PLUS, MINUS,
+                     consume_in={sym("rz3"): 1}, produce_in={sym("up0"): 1},
+                     produce_out={sym("waste"): 1}))
 
     # -------- stage 5: Euler step, renormalization, restart --------
+    add(RuleSpec(_rid(5, 49), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("donek", k): 1 for k in players},
+                 produce_in={sym("tick"): 1}))
+    wake = {sym("wkP"): 1}
+    wake.update({sym("wkp", k): 1 for k in players})
+    add(RuleSpec(_rid(5, 51), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("tick"): 1}, produce_in=wake))
+    add(RuleSpec(_rid(5, 52), "P", NEUTRAL, NEUTRAL,
+                 consume_out={sym("wkP"): 1}, produce_in={sym("wkP0"): 1}))
+    add(RuleSpec(_rid(5, 54), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP0"): 1}, produce_in={sym("wkP1"): 1}))
+    add(RuleSpec(_rid(5, 56), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP1"): 1}, produce_in={sym("wkP2"): 1}))
+    add(RuleSpec(_rid(5, 58), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP2"): 1}, produce_in={sym("tick"): 1}))
+    for k in players:
+        add(RuleSpec(_rid(5, 20, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cand"): 1, sym("defc"): 1}))
+        add(RuleSpec(_rid(5, 23, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cand"): 1}, produce_in={sym("err"): 1}))
+        add(RuleSpec(_rid(5, 24, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("defc"): 1}, produce_in={sym("err"): 1}))
+        add(RuleSpec(_rid(5, 28, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("updone", i): 1 for i in strat(k)},
+                     produce_in={sym("pool0"): 1}))
+        add(RuleSpec(_rid(5, 29, k), str(k), NEUTRAL, PLUS,
+                     consume_in={sym("pool0"): 1},
+                     produce_in={sym("pool1"): 1, sym("quota"): R},
+                     produce_out={sym("waste"): 1}))
+        add(RuleSpec(_rid(5, 34, k), str(k), PLUS, NEUTRAL,
+                     consume_in={sym("pool1"): 1},
+                     produce_out={sym("waste"): 1}))
+        add(RuleSpec(_rid(5, 48, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("done", i): 1 for i in strat(k)},
+                     produce_out={sym("donek", k): 1}))
+        add(RuleSpec(_rid(5, 50, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("err"): 1}, produce_out={sym("err"): 1}))
+        add(RuleSpec(_rid(5, 53, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_out={sym("wkp", k): 1},
+                     produce_in={sym("wk0"): 1}))
+        add(RuleSpec(_rid(5, 55, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("wk0"): 1},
+                     produce_in={sym("wks", i): 1 for i in strat(k)}))
     for k, i, l in each_ki():
-        s = _lbl_strat(i, k)
-        emit(RuleSpec(_rid(5, 1, k, i), s, MINUS, MINUS,
-                      consume_in={sym("up0"): 1}, produce_in={sym("up1"): 1}))
-        emit(RuleSpec(_rid(5, 2, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzn"): R, sym("agent"): 1}))
-        emit(RuleSpec(_rid(5, 3, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzn"): thr, sym("agent"): 1}))
-        emit(RuleSpec(_rid(5, 4, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzp"): R}, produce_in={sym("cand"): 1}))
-        emit(RuleSpec(_rid(5, 5, k, i), s, MINUS, MINUS,
-                      consume_in={sym("agent"): 1}, produce_in={sym("cand"): 1}))
-        emit(RuleSpec(_rid(5, 6, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzn"): R}, produce_in={sym("defc"): 1}))
-        emit(RuleSpec(_rid(5, 7, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzn"): thr}, produce_in={sym("defc"): 1}))
-        emit(RuleSpec(_rid(5, 8, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzn"): 1}))
-        emit(RuleSpec(_rid(5, 9, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzp"): thr}, produce_in={sym("cand"): 1}))
-        emit(RuleSpec(_rid(5, 10, k, i), s, MINUS, MINUS,
-                      consume_in={sym("dzp"): 1}))
-        emit(RuleSpec(_rid(5, 11, k, i), s, MINUS, MINUS,
-                      consume_in={sym("up1"): 1},
-                      produce_in={sym("up2"): 1, sym("slack"): R}))
-        emit(RuleSpec(_rid(5, 12, k, i), s, MINUS, MINUS,
-                      consume_in={sym("cand"): R}, produce_in={sym("ovf"): 1},
-                      produce_out={sym("nz", i): R}))
-        emit(RuleSpec(_rid(5, 13, k, i), s, MINUS, NEUTRAL,
-                      consume_in={sym("up2"): 1}, produce_in={sym("up3"): 1},
-                      produce_out={sym("updone", i): 1}))
-        emit(RuleSpec(_rid(5, 14, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("cand"): 1}, produce_out={sym("cand"): 1}))
-        emit(RuleSpec(_rid(5, 15, k, i), s, MINUS, MINUS,
-                      consume_in={sym("ovf"): 1, sym("slack"): R}))
-        emit(RuleSpec(_rid(5, 16, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("defc"): 1}, produce_out={sym("defc"): 1}))
-        emit(RuleSpec(_rid(5, 17, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("slack"): 1},
-                      produce_out={sym("nzslack", i): 1}))
-        emit(RuleSpec(_rid(5, 18, k, i), s, MINUS, MINUS,
-                      consume_in={sym("cand"): 1, sym("slack"): 1},
-                      produce_in={sym("candok"): 1}))
-        emit(RuleSpec(_rid(5, 19, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("candok"): 1}, produce_out={sym("nz", i): 1}))
+        s, res = _lbl_strat(i, k), _lbl_res(i, k)
+        add(RuleSpec(_rid(5, 1, k, i), s, MINUS, MINUS,
+                     consume_in={sym("up0"): 1}, produce_in={sym("up1"): 1}))
+        add(RuleSpec(_rid(5, 2, k, i), s, MINUS, MINUS,
+                     consume_in={sym("dzn"): R, sym("agent"): 1}))
+        add(RuleSpec(_rid(5, 3, k, i), s, MINUS, MINUS,
+                     consume_in={sym("dzn"): thr, sym("agent"): 1}))
         priority.append((_rid(5, 2, k, i), _rid(5, 3, k, i)))
         priority.append((_rid(5, 3, k, i), _rid(5, 5, k, i)))
         priority.append((_rid(5, 3, k, i), _rid(5, 6, k, i)))
-        priority.append((_rid(5, 4, k, i), _rid(5, 9, k, i)))
-        priority.append((_rid(5, 6, k, i), _rid(5, 7, k, i)))
-        priority.append((_rid(5, 7, k, i), _rid(5, 8, k, i)))
-        priority.append((_rid(5, 9, k, i), _rid(5, 10, k, i)))
+        count_round([_rid(5, n, k, i) for n in (4, 9, 10)], s, MINUS,
+                    sym("dzp"), produce_in={sym("cand"): 1})
+        add(RuleSpec(_rid(5, 5, k, i), s, MINUS, MINUS,
+                     consume_in={sym("agent"): 1}, produce_in={sym("cand"): 1}))
+        count_round([_rid(5, n, k, i) for n in (6, 7, 8)], s, MINUS,
+                    sym("dzn"), produce_in={sym("defc"): 1})
+        add(RuleSpec(_rid(5, 11, k, i), s, MINUS, MINUS,
+                     consume_in={sym("up1"): 1},
+                     produce_in={sym("up2"): 1, sym("slack"): R}))
+        add(RuleSpec(_rid(5, 12, k, i), s, MINUS, MINUS,
+                     consume_in={sym("cand"): R}, produce_in={sym("ovf"): 1},
+                     produce_out={sym("nz", i): R}))
+        add(RuleSpec(_rid(5, 13, k, i), s, MINUS, NEUTRAL,
+                     consume_in={sym("up2"): 1}, produce_in={sym("up3"): 1},
+                     produce_out={sym("updone", i): 1}))
+        add(RuleSpec(_rid(5, 14, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("cand"): 1}, produce_out={sym("cand"): 1}))
+        add(RuleSpec(_rid(5, 15, k, i), s, MINUS, MINUS,
+                     consume_in={sym("ovf"): 1, sym("slack"): R}))
         priority.append((_rid(5, 15, k, i), _rid(5, 18, k, i)))
-    for k in players:
-        emit(RuleSpec(_rid(5, 20, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cand"): 1, sym("defc"): 1}))
-        for i in strat(k):
-            priority.append((_rid(5, 20, k), _rid(5, 21, k, i)))
-            priority.append((_rid(5, 20, k), _rid(5, 22, k, i)))
-            priority.append((_rid(5, 21, k, i), _rid(5, 23, k)))
-            priority.append((_rid(5, 22, k, i), _rid(5, 24, k)))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 21, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cand"): 1, sym("nzslack", i): 1},
-                      produce_in={sym("nz", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 22, k, i), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("defc"): 1, sym("nz", i): 1},
-                      produce_in={sym("nzslack", i): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 23, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("cand"): 1}, produce_in={sym("err"): 1}))
-        emit(RuleSpec(_rid(5, 24, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("defc"): 1}, produce_in={sym("err"): 1}))
-    for k, i, l in each_ki():
-        s = _lbl_strat(i, k)
-        emit(RuleSpec(_rid(5, 25, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("up3"): 1}, produce_in={sym("up4"): 1}))
-        emit(RuleSpec(_rid(5, 26, k, i), s, NEUTRAL, NEUTRAL,
-                      consume_in={sym("up4"): 1}, produce_in={sym("up5"): 1}))
-        emit(RuleSpec(_rid(5, 27, k, i), s, NEUTRAL, PLUS,
-                      consume_in={sym("up5"): 1}, produce_out={sym("up6"): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 28, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("updone", i): 1 for i in strat(k)},
-                      produce_in={sym("pool0"): 1}))
-        emit(RuleSpec(_rid(5, 29, k), str(k), NEUTRAL, PLUS,
-                      consume_in={sym("pool0"): 1},
-                      produce_in={sym("pool1"): 1, sym("quota"): R},
-                      produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 30, k, i), str(k), PLUS, PLUS,
-                      consume_in={sym("nz", i): 1, sym("quota"): 1},
-                      produce_in={sym("znew", i): 1}))
+        add(RuleSpec(_rid(5, 16, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("defc"): 1}, produce_out={sym("defc"): 1}))
+        add(RuleSpec(_rid(5, 17, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("slack"): 1},
+                     produce_out={sym("nzslack", i): 1}))
+        add(RuleSpec(_rid(5, 18, k, i), s, MINUS, MINUS,
+                     consume_in={sym("cand"): 1, sym("slack"): 1},
+                     produce_in={sym("candok"): 1}))
+        add(RuleSpec(_rid(5, 19, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("candok"): 1}, produce_out={sym("nz", i): 1}))
+        add(RuleSpec(_rid(5, 21, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("cand"): 1, sym("nzslack", i): 1},
+                     produce_in={sym("nz", i): 1}))
+        add(RuleSpec(_rid(5, 22, k, i), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("defc"): 1, sym("nz", i): 1},
+                     produce_in={sym("nzslack", i): 1}))
+        priority.append((_rid(5, 20, k), _rid(5, 21, k, i)))
+        priority.append((_rid(5, 20, k), _rid(5, 22, k, i)))
+        priority.append((_rid(5, 21, k, i), _rid(5, 23, k)))
+        priority.append((_rid(5, 22, k, i), _rid(5, 24, k)))
+        add(RuleSpec(_rid(5, 25, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("up3"): 1}, produce_in={sym("up4"): 1}))
+        add(RuleSpec(_rid(5, 26, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("up4"): 1}, produce_in={sym("up5"): 1}))
+        add(RuleSpec(_rid(5, 27, k, i), s, NEUTRAL, PLUS,
+                     consume_in={sym("up5"): 1}, produce_out={sym("up6"): 1}))
+        add(RuleSpec(_rid(5, 30, k, i), str(k), PLUS, PLUS,
+                     consume_in={sym("nz", i): 1, sym("quota"): 1},
+                     produce_in={sym("znew", i): 1}))
         priority.append((_rid(5, 30, k, i), _rid(5, 31, k, i)))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 31, k, i), str(k), PLUS, PLUS,
-                      consume_in={sym("nz", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 32, k, i), str(k), PLUS, PLUS,
-                      consume_in={sym("nzslack", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 33, k, i), str(k), PLUS, PLUS,
-                      consume_in={sym("quota"): 1},
-                      produce_in={sym("znew", i): 1}))
-    for k in players:
-        for i in strat(k):
-            for j in strat(k):
-                priority.append((_rid(5, 30, k, i), _rid(5, 33, k, j)))
-    for k in players:
-        emit(RuleSpec(_rid(5, 34, k), str(k), PLUS, NEUTRAL,
-                      consume_in={sym("pool1"): 1},
-                      produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 35, k, i), _lbl_strat(i, k), PLUS, PLUS,
-                      consume_out={sym("znew", i): 1},
-                      produce_in={sym("znew", i): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 36, k, i), _lbl_strat(i, k), PLUS, NEUTRAL,
-                      consume_out={sym("up6"): 1}, produce_in={sym("up7"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 37, k, i), _lbl_res(i, k), NEUTRAL, PLUS,
-                      consume_out={sym("up7"): 1}, produce_in={sym("up8"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 38, k, i), _lbl_res(i, k), PLUS, PLUS,
-                      consume_out={sym("znew", i): 1},
-                      produce_in={sym("zout", i): 1}))
-    # Loop L's S5R61 consumes iternext{L}, so iter{L}, stamp{L+1} and
-    # result{..,L+1} never exist: S5R39 stamps 0..L-1, S5R44 carries
-    # 1..L-1, and the stamp readers take 1..L.
-    for k, i, l in each_ki():
+        priority.extend((_rid(5, 30, k, i), _rid(5, 33, k, j))
+                        for j in strat(k))
+        add(RuleSpec(_rid(5, 31, k, i), str(k), PLUS, PLUS,
+                     consume_in={sym("nz", i): 1}))
+        add(RuleSpec(_rid(5, 32, k, i), str(k), PLUS, PLUS,
+                     consume_in={sym("nzslack", i): 1}))
+        add(RuleSpec(_rid(5, 33, k, i), str(k), PLUS, PLUS,
+                     consume_in={sym("quota"): 1},
+                     produce_in={sym("znew", i): 1}))
+        add(RuleSpec(_rid(5, 35, k, i), s, PLUS, PLUS,
+                     consume_out={sym("znew", i): 1},
+                     produce_in={sym("znew", i): 1}))
+        add(RuleSpec(_rid(5, 36, k, i), s, PLUS, NEUTRAL,
+                     consume_out={sym("up6"): 1}, produce_in={sym("up7"): 1}))
+        add(RuleSpec(_rid(5, 37, k, i), res, NEUTRAL, PLUS,
+                     consume_out={sym("up7"): 1}, produce_in={sym("up8"): 1}))
+        add(RuleSpec(_rid(5, 38, k, i), res, PLUS, PLUS,
+                     consume_out={sym("znew", i): 1},
+                     produce_in={sym("zout", i): 1}))
+        # Loop L's S5R61 consumes iternext{L}, so iter{L}, stamp{L+1} and
+        # result{..,L+1} never exist: S5R39 stamps 0..L-1, S5R44 carries
+        # 1..L-1, and the stamp readers take 1..L.
         for nn in range(0, L):
-            emit(RuleSpec(_rid(5, 39, k, i, nn), _lbl_res(i, k), PLUS, PLUS,
-                          consume_in={sym("iter", nn): 1},
-                          produce_in={sym("stamp", nn + 1): R,
-                                      sym("iternext", nn + 1): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 40, k, i), _lbl_res(i, k), PLUS, MINUS,
-                      consume_in={sym("up8"): 1}, produce_in={sym("up9"): 1},
-                      produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        for nn in range(1, L + 1):
-            emit(RuleSpec(_rid(5, 41, k, i, nn), _lbl_res(i, k), MINUS, MINUS,
-                          consume_in={sym("zout", i): 1, sym("stamp", nn): 1},
-                          produce_out={sym("result", k, i, l, nn): 1}))
-            priority.append((_rid(5, 41, k, i, nn), _rid(5, 42, k, i, nn)))
-    for k, i, l in each_ki():
-        for nn in range(1, L + 1):
-            emit(RuleSpec(_rid(5, 42, k, i, nn), _lbl_res(i, k), MINUS, MINUS,
-                          consume_in={sym("stamp", nn): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 43, k, i), _lbl_res(i, k), MINUS, NEUTRAL,
-                      consume_in={sym("up9"): 1}, produce_out={sym("up10"): 1}))
-        priority.append((_rid(5, 61, k, i), _rid(5, 43, k, i)))
-    for k, i, l in each_ki():
+            add(RuleSpec(_rid(5, 39, k, i, nn), res, PLUS, PLUS,
+                         consume_in={sym("iter", nn): 1},
+                         produce_in={sym("stamp", nn + 1): R,
+                                     sym("iternext", nn + 1): 1}))
         for nn in range(1, L):
-            emit(RuleSpec(_rid(5, 44, k, i, nn), _lbl_res(i, k), NEUTRAL, NEUTRAL,
-                          consume_in={sym("iternext", nn): 1},
-                          produce_in={sym("iter", nn): 1}))
-    for k, i, l in each_ki():
+            add(RuleSpec(_rid(5, 44, k, i, nn), res, NEUTRAL, NEUTRAL,
+                         consume_in={sym("iternext", nn): 1},
+                         produce_in={sym("iter", nn): 1}))
         for nn in range(1, L + 1):
-            emit(RuleSpec(_rid(5, 45, k, i, nn), _lbl_strat(i, k), NEUTRAL,
-                          NEUTRAL,
-                          consume_in={sym("result", k, i, l, nn): 1},
-                          produce_in={sym("reseed", k, i, l): 1},
-                          produce_out={sym("result", k, i, l, nn): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 46, k, i), _lbl_strat(i, k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("up10"): 1},
-                      produce_out={sym("done", i): 1}))
-    for k, i, l in each_ki():
-        for nn in range(1, L + 1):
-            emit(RuleSpec(_rid(5, 47, k, i, nn), str(k), NEUTRAL, NEUTRAL,
-                          consume_in={sym("result", k, i, l, nn): 1},
-                          produce_out={sym("result", k, i, l, nn): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 48, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("done", i): 1 for i in strat(k)},
-                      produce_out={sym("donek", k): 1}))
-    emit(RuleSpec(_rid(5, 49), "0", NEUTRAL, NEUTRAL,
-                  consume_in={sym("donek", k): 1 for k in players},
-                  produce_in={sym("tick"): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 50, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("err"): 1}, produce_out={sym("err"): 1}))
-    wake = {sym("wkP"): 1}
-    wake.update({sym("wkp", k): 1 for k in players})
-    emit(RuleSpec(_rid(5, 51), "0", NEUTRAL, NEUTRAL,
-                  consume_in={sym("tick"): 1}, produce_in=wake))
-    emit(RuleSpec(_rid(5, 52), "P", NEUTRAL, NEUTRAL,
-                  consume_out={sym("wkP"): 1}, produce_in={sym("wkP0"): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 53, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_out={sym("wkp", k): 1},
-                      produce_in={sym("wk0"): 1}))
-    emit(RuleSpec(_rid(5, 54), "P", NEUTRAL, NEUTRAL,
-                  consume_in={sym("wkP0"): 1}, produce_in={sym("wkP1"): 1}))
-    for k in players:
-        emit(RuleSpec(_rid(5, 55, k), str(k), NEUTRAL, NEUTRAL,
-                      consume_in={sym("wk0"): 1},
-                      produce_in={sym("wks", i): 1 for i in strat(k)}))
-    emit(RuleSpec(_rid(5, 56), "P", NEUTRAL, NEUTRAL,
-                  consume_in={sym("wkP1"): 1}, produce_in={sym("wkP2"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 57, k, i), _lbl_strat(i, k), NEUTRAL, PLUS,
-                      consume_out={sym("wks", i): 1},
-                      produce_in={sym("sdone"): 1}))
-    emit(RuleSpec(_rid(5, 58), "P", NEUTRAL, NEUTRAL,
-                  consume_in={sym("wkP2"): 1}, produce_in={sym("tick"): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 59, k, i), _lbl_strat(i, k), PLUS, PLUS,
-                      consume_in={sym("reseed", k, i, l): 1},
-                      produce_in={sym("share", k, i, l): 1}))
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 60, k, i), _lbl_strat(i, k), PLUS, NEUTRAL,
-                      consume_in={sym("sdone"): 1},
-                      produce_out={sym("waste"): 1}))
-    # Loop limit: on the final iteration the countdown token and the
-    # result-phase token annihilate, so the restart chain never fires.
-    for k, i, l in each_ki():
-        emit(RuleSpec(_rid(5, 61, k, i), _lbl_res(i, k), MINUS, MINUS,
-                      consume_in={sym("iternext", L): 1, sym("up9"): 1}))
+            result = sym("result", k, i, l, nn)
+            add(RuleSpec(_rid(5, 41, k, i, nn), res, MINUS, MINUS,
+                         consume_in={sym("zout", i): 1, sym("stamp", nn): 1},
+                         produce_out={result: 1}))
+            priority.append((_rid(5, 41, k, i, nn), _rid(5, 42, k, i, nn)))
+            add(RuleSpec(_rid(5, 42, k, i, nn), res, MINUS, MINUS,
+                         consume_in={sym("stamp", nn): 1}))
+            add(RuleSpec(_rid(5, 45, k, i, nn), s, NEUTRAL, NEUTRAL,
+                         consume_in={result: 1},
+                         produce_in={sym("reseed", k, i, l): 1},
+                         produce_out={result: 1}))
+            add(RuleSpec(_rid(5, 47, k, i, nn), str(k), NEUTRAL, NEUTRAL,
+                         consume_in={result: 1}, produce_out={result: 1}))
+        add(RuleSpec(_rid(5, 40, k, i), res, PLUS, MINUS,
+                     consume_in={sym("up8"): 1}, produce_in={sym("up9"): 1},
+                     produce_out={sym("waste"): 1}))
+        add(RuleSpec(_rid(5, 43, k, i), res, MINUS, NEUTRAL,
+                     consume_in={sym("up9"): 1}, produce_out={sym("up10"): 1}))
+        priority.append((_rid(5, 61, k, i), _rid(5, 43, k, i)))
+        add(RuleSpec(_rid(5, 46, k, i), s, NEUTRAL, NEUTRAL,
+                     consume_in={sym("up10"): 1},
+                     produce_out={sym("done", i): 1}))
+        add(RuleSpec(_rid(5, 57, k, i), s, NEUTRAL, PLUS,
+                     consume_out={sym("wks", i): 1},
+                     produce_in={sym("sdone"): 1}))
+        add(RuleSpec(_rid(5, 59, k, i), s, PLUS, PLUS,
+                     consume_in={sym("reseed", k, i, l): 1},
+                     produce_in={sym("share", k, i, l): 1}))
+        add(RuleSpec(_rid(5, 60, k, i), s, PLUS, NEUTRAL,
+                     consume_in={sym("sdone"): 1},
+                     produce_out={sym("waste"): 1}))
+        # Loop limit: on the final iteration the countdown token and the
+        # result-phase token annihilate, so the restart chain never fires.
+        add(RuleSpec(_rid(5, 61, k, i), res, MINUS, MINUS,
+                     consume_in={sym("iternext", L): 1, sym("up9"): 1}))
 
     # Waste collectors only in the (region, charge) cells waste lands in.
     # ridx numbers every region of the tree walk, so a region without
@@ -1134,8 +1023,8 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     for ridx, label in enumerate(sysd.labels(), start=1):
         for charge in sinks.get(label, ()):
             suffix = {NEUTRAL: "c0", MINUS: "cm", PLUS: "cp"}[charge]
-            emit(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
-                          charge, consume_in={_WASTE: 1}))
+            add(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
+                         charge, consume_in={_WASTE: 1}))
 
     # Declaration order is id order, so a canonical serialize/parse round
     # trip preserves every tie-break the step semantics depends on.

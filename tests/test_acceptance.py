@@ -2,7 +2,9 @@
 
 One test per numbered criterion, each emitting a single
 "CRITERION n: PASS/FAIL - detail" line, collected into
-acceptance_report.txt next to the package root.  Tolerances are pinned
+acceptance_report.txt next to the package root.  The report holds no
+wall times, so it only changes when a result does; the timed criteria
+print their measured seconds to stdout.  Tolerances are pinned
 here and nowhere else.  The one known shortfall (the doubling step
 bound at exact powers of two) is carried as a strict expected failure
 directly below criterion 2 rather than being absorbed into it.
@@ -70,9 +72,10 @@ def _write_report():
 def test_criterion_1_all_products_exact_under_60s():
     failures, elapsed = mult_sweep(100, 100)
     ok = failures == [] and elapsed < 60.0
+    print(f"criterion 1 wall time: {elapsed:.1f}s")
     _check(1, ok,
            f"10201/10201 pairs halt with exactly m*n output units "
-           f"in {elapsed:.1f}s (< 60s); failures: {len(failures)}")
+           f"in under 60s; failures: {len(failures)}")
 
 
 # ============================================================
@@ -151,10 +154,11 @@ def test_criterion_4_exact_count_agreement():
             disagreements.append((preset, seed, rep.first()))
     elapsed = time.perf_counter() - t0
     ok = disagreements == [] and elapsed < 300.0
+    print(f"criterion 4 wall time: {elapsed:.1f}s")
     _check(4, ok,
            f"{len(_AGREEMENT_SET)} seeded instances (<=3 players, <=3 "
            f"strategies, 10 loops): per-loop counts and error pools agree "
-           f"integer for integer in {elapsed:.1f}s (< 300s); "
+           f"integer for integer in under 300s; "
            f"disagreements: {disagreements}")
 
 

@@ -14,6 +14,7 @@ from pgne.builder import (MICRO, GameSpec, RuleTag, _rid, build_gne_system,
 from pgne.engine import MINUS, NEUTRAL, PLUS
 from pgne.harness import sample_experiment
 from pgne.symbols import sym
+from test_gne import _DATA
 
 
 def good_spec() -> GameSpec:
@@ -60,6 +61,14 @@ def test_save_load_round_trip(tmp_path):
     assert t == s
     save_game(t, path)
     assert load_game(path) == s
+
+
+@pytest.mark.parametrize("game", sorted(_DATA.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_save_game_reproduces_data_files(game, tmp_path):
+    path = tmp_path / "game.json"
+    save_game(load_game(str(game)), str(path))
+    assert path.read_bytes() == game.read_bytes()
 
 
 def test_quantize():
