@@ -696,7 +696,6 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         add(RuleSpec(_rid(2, 15, k), str(k), MINUS, NEUTRAL,
                      consume_in={sym("acc2"): 1}, produce_in={sym("cmp0"): 1},
                      produce_out={sym("waste"): 1}))
-    # Embedded multiplier blocks: population count times average payoff.
     for k, i, l in each_ki():
         mult = _lbl_mult(i, k)
         add(RuleSpec(_rid(2, 1, k, i), str(k), MINUS, MINUS,
@@ -713,6 +712,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                      consume_in={sym("mstart"): 1},
                      child=ChildPattern(mult, NEUTRAL, PLUS,
                                         {}, {sym("mstart"): 1})))
+        # Embedded multiplier: population count times average payoff.
         embedded_mult(2, 4, k, i, mult, _lbl_m1(i, k), _lbl_m2(i, k),
                       sym("unit"), sym("fin"))
         add(RuleSpec(_rid(2, 7, k, i), str(k), MINUS, MINUS,
