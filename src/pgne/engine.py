@@ -26,11 +26,12 @@ Step semantics, fixed here and relied on by every test in the suite:
 Selection is index driven.  Compilation records, per region, the rules
 that consume each symbol there.  A step counts, over the symbols present
 at its start, how many of each rule's consumed keys are present, and
-examines only the rules with all of them present and a matching target
-charge, in the total order.  Any other rule lacks a need for the whole
-step, so it could neither apply nor be starved.  The examined rules still
-go through every check, and `CRule.max_count` against the residual
-resources is the final judge: a threshold need can be present but short.
+examines only the rules with all of them present and matching target and
+child charges, in the total order.  Any other rule lacks a need or a
+charge for the whole step, so it could neither apply nor be starved.  The
+examined rules still go through every check, and `CRule.max_count`
+against the residual resources is the final judge: a threshold need can
+be present but short.
 
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import Multiset, Sym
 
@@ -117,16 +118,17 @@ class PSystem:
     priority: List[Tuple[str, str]] = field(default_factory=list)
     name: str = ""
 
+    def walk(self) -> Iterator[Tuple[MembraneNode, Optional[MembraneNode]]]:
+        """Every membrane in preorder with its parent (None for the skin)."""
+        stack: List[Tuple[MembraneNode, Optional[MembraneNode]]] = [
+            (self.tree, None)]
+        while stack:
+            node, parent = stack.pop()
+            yield node, parent
+            stack.extend((ch, node) for ch in reversed(node.children))
+
     def labels(self) -> List[str]:
-        out: List[str] = []
-
-        def walk(node: MembraneNode) -> None:
-            out.append(node.label)
-            for ch in node.children:
-                walk(ch)
-
-        walk(self.tree)
-        return out
+        return [node.label for node, _ in self.walk()]
 
 
 # ============================================================
@@ -138,19 +140,16 @@ class CRule:
     """A rule resolved against the region table, ready for the hot loop."""
 
     __slots__ = (
-        "spec", "id", "order", "rank", "target", "parent", "pre", "post",
-        "child", "child_pre", "child_post", "needs", "gives", "locks",
-        "cap1", "higher", "target_label",
+        "id", "order", "target", "pre", "post", "child", "child_pre",
+        "child_post", "needs", "gives", "flips", "locks", "higher",
+        "target_label",
     )
 
-    def __init__(self, spec: RuleSpec, rank: int, target: int, parent: int,
+    def __init__(self, spec: RuleSpec, target: int, parent: int,
                  child: int) -> None:
-        self.spec = spec
         self.id = spec.id
-        self.rank = rank
         self.order = -1
         self.target = target
-        self.parent = parent
         self.pre = spec.pre
         self.post = spec.post
         self.child = child
@@ -175,13 +174,13 @@ class CRule:
                 gives.append((child, s, n))
         self.needs = tuple(needs)
         self.gives = tuple(gives)
-        locks = []
-        if spec.post != spec.pre:
-            locks.append(target)
-        if spec.child and spec.child.post != spec.child.pre:
-            locks.append(child)
-        self.locks = tuple(locks)
-        self.cap1 = bool(locks)
+        # (region, new charge) per membrane the rule re-charges; each one
+        # is locked for the rest of the step once the rule fires.
+        flips = [(target, self.post)] if self.post != self.pre else []
+        if self.child_post != self.child_pre:
+            flips.append((child, self.child_post))
+        self.flips = tuple(flips)
+        self.locks = tuple([r for r, _ in flips])
         self.higher: Tuple["CRule", ...] = ()
 
     def fireable(self, avail: List[Dict[Sym, int]], charges: Sequence[int],
@@ -229,27 +228,23 @@ class CompiledSystem:
         self._initial: List[Dict[Sym, int]] = [{}]
         self._initial_charges: List[int] = [NEUTRAL]
 
-        def walk(node: MembraneNode, parent: int) -> None:
+        for node, parent in sys.walk():
             if node.label == ENV_LABEL:
                 raise StructureError(f"label {ENV_LABEL!r} is reserved")
             if node.label in self.label_index:
                 raise StructureError(f"duplicate membrane label {node.label!r}")
-            idx = len(self.region_labels)
-            self.label_index[node.label] = idx
+            self.label_index[node.label] = len(self.region_labels)
             self.region_labels.append(node.label)
-            self.parents.append(parent)
+            self.parents.append(
+                0 if parent is None else self.label_index[parent.label])
             self._initial.append(dict(node.contents.counts))
             self._initial_charges.append(node.charge)
-            for ch in node.children:
-                walk(ch, idx)
-
-        walk(sys.tree, 0)
         self.n_regions = len(self.region_labels)
 
         # Resolve rules.
         self.rules: List[CRule] = []
-        by_id: Dict[str, CRule] = {}
-        for rank, spec in enumerate(sys.rules):
+        by_id: Dict[str, int] = {}
+        for spec in sys.rules:
             if spec.id in by_id:
                 raise StructureError(f"duplicate rule id {spec.id!r}")
             if spec.consumes_nothing():
@@ -267,70 +262,51 @@ class CompiledSystem:
                     raise StructureError(
                         f"rule {spec.id}: {spec.child.label!r} is not a child "
                         f"of {spec.target!r}")
-            cr = CRule(spec, rank, t, self.parents[t], child)
-            self.rules.append(cr)
-            by_id[spec.id] = cr
+            by_id[spec.id] = len(self.rules)
+            self.rules.append(CRule(spec, t, self.parents[t], child))
 
         # Priority edges, total order, transitive higher sets.
         n = len(self.rules)
         adj: List[List[int]] = [[] for _ in range(n)]
-        radj: List[List[int]] = [[] for _ in range(n)]
         indeg = [0] * n
         for hi, lo in sys.priority:
             if hi == lo:
                 raise StructureError(f"priority pair {hi} > {lo} is reflexive")
             try:
-                a, b = by_id[hi].rank, by_id[lo].rank
+                a, b = by_id[hi], by_id[lo]
             except KeyError as miss:
                 raise StructureError(f"priority names unknown rule {miss.args[0]!r}")
             adj[a].append(b)
-            radj[b].append(a)
             indeg[b] += 1
 
         heap = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(heap)
         order: List[int] = []
-        indeg2 = list(indeg)
         while heap:
             i = heapq.heappop(heap)
             order.append(i)
             for j in adj[i]:
-                indeg2[j] -= 1
-                if indeg2[j] == 0:
+                indeg[j] -= 1
+                if indeg[j] == 0:
                     heapq.heappush(heap, j)
         if len(order) != n:
             raise StructureError("priority relation contains a cycle")
         self.ordered: List[CRule] = []
-        for pos, rank in enumerate(order):
-            cr = self.rules[rank]
+        for pos, i in enumerate(order):
+            cr = self.rules[i]
             cr.order = pos
             self.ordered.append(cr)
 
-        # Transitive closure of "strictly higher priority than".
-        memo: Dict[int, frozenset] = {}
-
-        def above(i: int) -> frozenset:
-            got = memo.get(i)
-            if got is not None:
-                return got
-            acc = set()
-            stack = list(radj[i])
-            while stack:
-                j = stack.pop()
-                if j in acc:
-                    continue
-                acc.add(j)
-                done = memo.get(j)
-                if done is not None:
-                    acc |= done
-                else:
-                    stack.extend(radj[j])
-            out = frozenset(acc)
-            memo[i] = out
-            return out
-
-        for cr in self.rules:
-            cr.higher = tuple(self.rules[j] for j in sorted(above(cr.rank)))
+        # Transitive closure of "strictly higher priority than": in
+        # topological order every rule's set is complete before its edges
+        # pass it on.
+        above: List[set] = [set() for _ in range(n)]
+        for a in order:
+            for b in adj[a]:
+                above[b].add(a)
+                above[b] |= above[a]
+        for cr, ups in zip(self.rules, above):
+            cr.higher = tuple(self.rules[j] for j in sorted(ups))
 
         # Candidate buckets keyed by (target region, pre charge).  Stepping
         # does not read them; they describe which rules a charge state arms.
@@ -354,15 +330,23 @@ class CompiledSystem:
             self,
             contents: Optional[Mapping[str, Mapping[Sym, int] | Multiset]] = None,
     ) -> "Configuration":
-        """Fresh start state; `contents` overrides initial region multisets."""
+        """Fresh start state; `contents` overrides initial region multisets.
+
+        Zero counts are dropped and negative ones refused.
+        """
         cont = [dict(c) for c in self._initial]
         if contents is not None:
             for label, ms in contents.items():
                 idx = self.label_index.get(label)
                 if idx is None:
                     raise StructureError(f"unknown label {label!r}")
-                items = ms.counts if isinstance(ms, Multiset) else ms
-                cont[idx] = {s: n for s, n in items.items() if n > 0}
+                cont[idx] = {}
+                for s, n in ms.items():
+                    if n < 0:
+                        raise StructureError(
+                            f"initial {label!r}: negative count {n} for {s}")
+                    if n:
+                        cont[idx][s] = n
         return Configuration(self, cont, list(self._initial_charges), 0)
 
 
@@ -454,15 +438,16 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     owned = [False] * csys.n_regions
     consumers: Dict[Tuple[int, Sym], List[CRule]] = {}
 
-    # Candidates: rules with every consumed key present and a matching
-    # target charge.  Any other rule has k = 0 for the whole step.
+    # Candidates: rules with every consumed key present and matching
+    # target and child charges.  Any other rule has k = 0 for the whole step.
     hits: Dict[CRule, int] = {}
     for r, watch in csys.watchers:
         for s in pre[r]:
             for cr in watch.get(s, ()):
                 hits[cr] = hits.get(cr, 0) + 1
     cand = [cr for cr, h in hits.items()
-            if h == len(cr.needs) and charges[cr.target] == cr.pre]
+            if h == len(cr.needs) and charges[cr.target] == cr.pre
+            and (cr.child < 0 or charges[cr.child] == cr.child_pre)]
     cand.sort(key=lambda r: r.order)
 
     locked = [False] * csys.n_regions
@@ -471,14 +456,11 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     record: StepRecord = []
 
     for cr in cand:
-        if cr.child >= 0 and charges[cr.child] != cr.child_pre:
-            continue
-        if cr.cap1 and any(locked[r] for r in cr.locks):
+        if cr.locks and any(locked[r] for r in cr.locks):
             continue
         k = cr.max_count(avail)
-        if strict:
-            k_solo = 1 if cr.fireable(pre, charges, [False] * csys.n_regions) else 0
-            if k_solo and k == 0:
+        if k == 0:
+            if strict and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
                 for r, s, n in cr.needs:
                     if avail[r].get(s, 0) < n:
@@ -488,7 +470,6 @@ def maximal_step(cfg: Configuration, strict: bool = False,
                                     ambiguities.append(Ambiguity(
                                         cfg.step, csys.region_labels[r], s,
                                         culprit.id, cr.id))
-        if k == 0:
             continue
         blocked = False
         for h in cr.higher:
@@ -497,7 +478,7 @@ def maximal_step(cfg: Configuration, strict: bool = False,
                 break
         if blocked:
             continue
-        if cr.cap1:
+        if cr.locks:
             k = 1
         for r, s, n in cr.needs:
             if not owned[r]:
@@ -512,12 +493,9 @@ def maximal_step(cfg: Configuration, strict: bool = False,
                 consumers.setdefault((r, s), []).append(cr)
         for r, s, n in cr.gives:
             deltas[(r, s)] = deltas.get((r, s), 0) + n * k
-        if cr.post != cr.pre:
-            charge_next[cr.target] = cr.post
-            locked[cr.target] = True
-        if cr.child >= 0 and cr.child_post != cr.child_pre:
-            charge_next[cr.child] = cr.child_post
-            locked[cr.child] = True
+        for r, c in cr.flips:
+            charge_next[r] = c
+            locked[r] = True
         record.append((cr, k))
 
     if not record:
@@ -621,10 +599,8 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
                 avail[r].pop(s, None)
         for r, s, n in cr.gives:
             deltas[(r, s)] = deltas.get((r, s), 0) + n * k
-        if cr.post != cr.pre:
-            charge_next[cr.target] = cr.post
-        if cr.child >= 0 and cr.child_post != cr.child_pre:
-            charge_next[cr.child] = cr.child_post
+        for r, c in cr.flips:
+            charge_next[r] = c
     for (r, s), n in deltas.items():
         avail[r][s] = avail[r].get(s, 0) + n
     cfg.charges = charge_next

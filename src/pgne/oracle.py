@@ -5,10 +5,10 @@ slot prices, per-strategy payoffs, excess payoffs, and the switch-rate
 field whose rest points are the equilibria.  It imports numpy on first
 use, so loading the package and running the count route never does.
 The count route mirrors the membrane system integer for integer: floored
-coefficient templates, round-half-up accumulation at the granularity
-threshold, and the exact overflow/renormalization policy of the update
-stage.  Tests compare the engine against the count route exactly and
-against the real route within discretization error.
+coefficient templates, round-to-nearest accumulation (an exact half rounds
+down) at the granularity threshold, and the exact overflow/renormalization
+policy of the update stage.  Tests compare the engine against the count
+route exactly and against the real route within discretization error.
 """
 
 from __future__ import annotations
@@ -99,7 +99,11 @@ def bnn_rate(phat, z, spec: GameSpec) -> np.ndarray:
 
 
 def count_round(x: int, r: int) -> int:
-    """Divide by r, rounding half up: the membranes' threshold rounding."""
+    """Divide by r, rounding to nearest with an exact half rounded down.
+
+    This is the membranes' threshold rounding: the remainder must reach
+    r // 2 + 1, so count_round(150, 100) == 1.
+    """
     if x < 0:
         raise ValueError("count_round expects nonnegative input")
     q, rem = divmod(x, r)

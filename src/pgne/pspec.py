@@ -195,18 +195,13 @@ class _Parser:
 
     # ---- multisets ----
 
-    def multiset(self, stop: Tuple[str, ...]) -> Dict[Sym, int]:
+    def multiset(self) -> Dict[Sym, int]:
         out: Dict[Sym, int] = {}
         if self.at_word("none"):
             self.next()
             return out
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in stop:
-                break
-            if t.kind not in ("word", "symbol"):
-                break
-            self.next()
+        while self.peek().kind in ("word", "symbol"):
+            t = self.next()
             if t.count < 1:
                 raise self.fail("zero count is not allowed", t)
             self.bases.setdefault(t.symbol.base, t)
@@ -228,7 +223,7 @@ class _Parser:
         contents: Dict[Sym, int] = {}
         if self.peek().kind == "punct" and self.peek().text == "{":
             self.next()
-            contents = self.multiset(stop=("}",))
+            contents = self.multiset()
             self.expect_punct("}")
         children: List[MembraneNode] = []
         while self.peek().kind == "punct" and self.peek().text == "[":
@@ -247,9 +242,9 @@ class _Parser:
 
     def mset_pair(self) -> Tuple[Dict[Sym, int], Dict[Sym, int]]:
         self.expect_punct("(")
-        consume = self.multiset(stop=("->",))
+        consume = self.multiset()
         self.expect_punct("->")
-        produce = self.multiset(stop=(")",))
+        produce = self.multiset()
         self.expect_punct(")")
         return consume, produce
 
@@ -273,9 +268,9 @@ class _Parser:
                 clabel = self.expect_label("child")
                 cpre, cpost = self.charge_pair()
                 self.expect_punct(":")
-                consume = self.multiset(stop=("->",))
+                consume = self.multiset()
                 self.expect_punct("->")
-                produce = self.multiset(stop=(")",))
+                produce = self.multiset()
                 self.expect_punct(")")
                 clauses["child"] = ChildPattern(clabel, cpre, cpost,
                                                 consume, produce)
@@ -350,24 +345,16 @@ def _rule_syms(r: RuleSpec) -> Iterator[Sym]:
 def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token], named: List[Token],
                 alphabet: Optional[List[str]], bases: Dict[str, Token],
                 fail: Callable[[str, Token], PSpecError]) -> None:
-    labels = {}
-
-    def walk(node: MembraneNode) -> None:
-        labels[node.label] = node
-        for ch in node.children:
-            walk(ch)
-
-    walk(sysd.tree)
+    parents = {node.label: parent and parent.label
+               for node, parent in sysd.walk()}
     for r in sysd.rules:
         t = rule_ids[r.id]
-        if r.target not in labels:
+        if r.target not in parents:
             raise fail(f"rule '{r.id} targets unknown membrane "
                        f"'{r.target}", t)
-        if r.child:
-            kids = [c.label for c in labels[r.target].children]
-            if r.child.label not in kids:
-                raise fail(f"rule '{r.id}: '{r.child.label} is not a "
-                           f"child of '{r.target}", t)
+        if r.child and parents.get(r.child.label) != r.target:
+            raise fail(f"rule '{r.id}: '{r.child.label} is not a "
+                       f"child of '{r.target}", t)
     for t in named:
         if t.text not in rule_ids:
             raise fail(f"priority names unknown rule '{t.text}", t)
@@ -411,19 +398,28 @@ def _mset_text(ms: Dict[Sym, int]) -> str:
     return " ".join(parts)
 
 
-def _membrane_lines(node: MembraneNode, depth: int, out: List[str]) -> None:
-    pad = "  " * depth
-    head = (f"{pad}[ '{_check_ident('label', node.label)} "
-            f"{_CHARGE_TEXT[node.charge]}")
-    if node.contents.counts:
-        head += " { " + _mset_text(node.contents.counts) + " }"
-    if not node.children:
-        out.append(head + " ]")
-        return
-    out.append(head)
-    for ch in node.children:
-        _membrane_lines(ch, depth + 1, out)
-    out.append(pad + "]")
+def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
+    # Membranes with children whose "]" line is still due, innermost last.
+    opened: List[MembraneNode] = []
+
+    def close_until(parent: Optional[MembraneNode]) -> None:
+        while opened and opened[-1] is not parent:
+            opened.pop()
+            out.append("  " * (len(opened) + 1) + "]")
+
+    for node, parent in sysd.walk():
+        close_until(parent)
+        head = (f"{'  ' * (len(opened) + 1)}[ "
+                f"'{_check_ident('label', node.label)} "
+                f"{_CHARGE_TEXT[node.charge]}")
+        if node.contents.counts:
+            head += " { " + _mset_text(node.contents.counts) + " }"
+        if node.children:
+            out.append(head)
+            opened.append(node)
+        else:
+            out.append(head + " ]")
+    close_until(None)
 
 
 def _rule_text(r: RuleSpec) -> str:
@@ -453,11 +449,8 @@ def serialize_system(sysd: PSystem) -> str:
     # Each distinct symbol once, in first-seen order, so a refusal names
     # the same symbol on every run.
     syms: Dict[Sym, object] = {}
-    nodes = [sysd.tree]
-    while nodes:
-        node = nodes.pop()
+    for node, _ in sysd.walk():
         syms.update(node.contents.counts)
-        nodes.extend(node.children)
     for r in sysd.rules:
         syms.update(dict.fromkeys(_rule_syms(r)))
     for s in syms:
@@ -471,7 +464,7 @@ def serialize_system(sysd: PSystem) -> str:
             lines.append("  " + " ".join(row[i:i + 8]))
         lines.append("")
     lines.append("membranes:")
-    _membrane_lines(sysd.tree, 1, lines)
+    _membrane_lines(sysd, lines)
     lines.append("")
     lines.append("rules:")
     for r in sysd.rules:

@@ -9,7 +9,7 @@ where a naive implementation spends most of its time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 class Sym:
@@ -76,63 +76,22 @@ class Multiset:
 
     @classmethod
     def of(cls, *items: Sym | Tuple[Sym, int]) -> "Multiset":
-        m = cls()
+        counts: Dict[Sym, int] = {}
         for it in items:
-            if isinstance(it, tuple):
-                m.add(it[0], it[1])
-            else:
-                m.add(it)
-        return m
-
-    def add(self, s: Sym, n: int = 1) -> None:
-        if n == 0:
-            return
-        c = self.counts.get(s, 0) + n
-        if c < 0:
-            raise ValueError(f"multiplicity of {s} went negative")
-        if c:
-            self.counts[s] = c
-        else:
-            del self.counts[s]
-
-    def remove(self, s: Sym, n: int = 1) -> None:
-        self.add(s, -n)
-
-    def update(self, other: "Multiset | Mapping[Sym, int]", scale: int = 1) -> None:
-        items = other.counts.items() if isinstance(other, Multiset) else other.items()
-        for s, n in items:
-            self.add(s, n * scale)
+            s, n = it if isinstance(it, tuple) else (it, 1)
+            counts[s] = counts.get(s, 0) + n
+        return cls(counts)
 
     def get(self, s: Sym) -> int:
         return self.counts.get(s, 0)
 
-    def __getitem__(self, s: Sym) -> int:
-        return self.counts.get(s, 0)
-
-    def __contains__(self, s: Sym) -> bool:
-        return s in self.counts
-
-    def __iter__(self) -> Iterator[Sym]:
-        return iter(self.counts)
-
     def items(self) -> Iterable[Tuple[Sym, int]]:
         return self.counts.items()
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def copy(self) -> "Multiset":
-        m = Multiset()
-        m.counts = dict(self.counts)
-        return m
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Multiset):
             return self.counts == other.counts
         return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
     def __repr__(self) -> str:
         if not self.counts:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgne.engine import (ENV_LABEL, MINUS, NEUTRAL, PLUS, ChildPattern,
                         MembraneNode, PSystem, RuleSpec, StructureError,
@@ -119,6 +121,28 @@ def test_transitive_priority_closure():
     assert tr.fired("top", 1) == 1
     assert tr.fired("mid", 1) == 0
     assert tr.fired("bot", 1) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=3 * n))))
+def test_priority_closure_is_reachability(relation):
+    rank, pairs = relation
+    # Pairs that agree with one ranking are acyclic by construction.
+    edges = {(f"r{a}", f"r{b}") for a, b in pairs if rank[a] < rank[b]}
+    ids = [f"r{i}" for i in range(len(rank))]
+    csys = one_region([rule(i, consume_in={A: 1}) for i in ids], edges)
+    above = {b: {a for a, lo in edges if lo == b} for b in ids}
+    for _ in ids:
+        above = {b: ups.union(*(above[a] for a in ups))
+                 for b, ups in above.items()}
+    for cr in csys.rules:
+        assert {h.id for h in cr.higher} == above[cr.id]
+        for other in csys.rules:
+            assert (csys.comparable(cr, other) == csys.comparable(other, cr)
+                    == (cr.id in above[other.id] or other.id in above[cr.id]))
 
 
 # ============================================================
@@ -278,6 +302,16 @@ def test_initial_override_replaces_region():
         run(csys, max_steps=1, initial={"zz": {A: 1}})
 
 
+def test_initial_override_refuses_negative_counts():
+    csys = one_region([rule("r", consume_in={A: 1}, produce_in={B: 1})],
+                      contents={A: 5})
+    # Zeros are dropped, as in a Multiset.
+    tr = run(csys, max_steps=3, initial={"m": {A: 2, X: 0}})
+    assert read_region(tr.final, "m").counts == {B: 2}
+    with pytest.raises(StructureError, match=r"'m'.*-3 for x"):
+        run(csys, max_steps=1, initial={"m": {A: 1, X: -3}})
+
+
 def test_read_region_base_filter():
     csys = one_region([rule("r", consume_in={A: 1},
                             produce_in={sym("pay", 1): 2, sym("pay", 2): 1,
@@ -285,7 +319,7 @@ def test_read_region_base_filter():
     tr = run(csys, max_steps=2)
     pays = read_region(tr.final, "m", base="pay")
     assert pays.counts == {sym("pay", 1): 2, sym("pay", 2): 1}
-    assert pays.total() == 3
+    assert sum(pays.counts.values()) == 3
 
 
 # ============================================================

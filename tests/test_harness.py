@@ -219,6 +219,20 @@ def test_cli_build_run_round_trip(tmp_path, capsys):
     assert "unit^15" in out
 
 
+def test_cli_run_strict_flags_incomparable_starvation(tmp_path, capsys):
+    # Two unordered rules compete for the one a: the first takes it.
+    path = tmp_path / "race.pspec"
+    path.write_text("membranes:\n  [ 'm ^0 { a } ]\n"
+                    "rules:\n"
+                    "  rule 'r1 at 'm ^0 -> ^0 in( a -> b )\n"
+                    "  rule 'r2 at 'm ^0 -> ^0 in( a -> c )\n")
+    assert main(["run", "--spec", str(path)]) == 0
+    assert "ambiguous" not in capsys.readouterr().out
+    assert main(["run", "--spec", str(path), "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "ambiguous steps: 1" in out and "m: b" in out
+
+
 def test_cli_build_needs_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["build"])
