@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,3 +329,34 @@ def test_fuzz_edits_raise_only_pspec_error(sysd, edits):
         parse_system(text)
     except PSpecError as e:
         assert 0 <= e.line <= text.count("\n") + 1
+
+
+# Single random edits of three texts; each outcome is the error with its
+# position, or the re-serialized system.  The digest pins every outcome,
+# so a change to the lexer or parser must keep messages, lines, columns
+# and accepted systems exactly as they are.
+_PIN_EDITS = _EDIT_CHARS + ["^0", "none", "rule", "'x"]
+_PIN_TEXTS = [
+    (lambda: SMALL, 300),
+    (lambda: serialize_system(build_mult_system(3, 5)), 200),
+    (lambda: serialize_system(build_gne_system(
+        sample_experiment(0, "small", loops=2))), 30)]
+EDIT_OUTCOMES_SHA256 = (
+    "bec9a84570e90911edbd7e11e3d922e83c2a45815045939b633429d4be365046")
+
+
+def test_edit_outcomes_pinned():
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for make, n in _PIN_TEXTS:
+        text = make()
+        for _ in range(n):
+            i = rng.randrange(len(text) + 1)
+            cut = rng.randrange(4)
+            edited = text[:i] + rng.choice(_PIN_EDITS) + text[i + cut:]
+            try:
+                outcome = "ok:" + serialize_system(parse_system(edited))
+            except PSpecError as e:
+                outcome = f"err:{e}|{e.line}|{e.col}"
+            h.update(outcome.encode() + b"\0")
+    assert h.hexdigest() == EDIT_OUTCOMES_SHA256
