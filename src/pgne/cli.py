@@ -77,7 +77,8 @@ def cmd_run(args) -> int:
                                                  key=lambda kv: kv[0].text))
             print(f"{label}: {inside}")
     if trace.ambiguities:
-        print(f"ambiguous steps: {len(trace.ambiguities)}")
+        steps = {a.step for a in trace.ambiguities}
+        print(f"ambiguous steps: {len(steps)}")
     if args.trace:
         _write(args.trace, export_trace_text(trace))
     return 0 if trace.halted else 1

@@ -24,13 +24,13 @@ pairs, two-space indent per tree depth.  parse(serialize(s)) is
 structurally equal to s: the serializer refuses a symbol the lexer would
 read back differently (base `none`, or a parameter that is not an int or a
 non-numeric identifier).  Parse errors give the line and column of the
-offending token where there is one.
+offending token where there is one.  Tokens are plain tuples, and each
+distinct token text, so each distinct symbol, is read once per parse.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
@@ -59,15 +59,11 @@ class PSpecError(Exception):
 # ============================================================
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # word label charge symbol punct eof
-    text: str
-    pos: int  # offset into the text
-    # symbol extras
-    symbol: Optional[Sym] = None
-    count: int = 1
-    charge: int = NEUTRAL
+# A token is a plain tuple (kind, text, value, count), shared by every
+# occurrence of its text.  kind: word label charge symbol punct eof; value:
+# the Sym of a word or symbol, the charge of a charge; a label's text drops
+# the quote.  Token offsets are kept in a list beside the tokens.
+Tok = Tuple[str, str, object, int]
 
 
 def _error(text: str, msg: str, pos: int) -> PSpecError:
@@ -111,33 +107,49 @@ def _params(text: str, inner: str, start: int) -> List[object]:
     return params
 
 
-def _lex(text: str) -> Iterator[Token]:
+def _read(text: str, m: re.Match, kind: str, tok: str, start: int) -> Tok:
+    """The token for text tok, or its lexing error."""
+    if kind == "punct":
+        return kind, tok, None, 1
+    if kind == "label":
+        return kind, tok[1:], None, 1
+    if kind == "charge":
+        return kind, tok, _CHARGE_VAL[tok[1]], 1
+    if kind == "bad":
+        raise _error(text, _BAD_CHAR.get(tok, f"unexpected character "
+                                              f"{tok!r}"), start)
+    inner, count = m.group("params", "count")
+    if inner is None and count is None:
+        # Bare word: keyword or plain symbol, parser decides.
+        return "word", tok, sym(tok), 1
+    if inner is not None and not m.group("close"):
+        raise _error(text, "unterminated parameter list", start)
+    params = _params(text, inner, start) if inner else []
+    return (kind, tok, sym(m.group("atom"), *params),
+            int(count) if count else 1)
+
+
+def _lex(text: str) -> Tuple[List[Tok], List[int]]:
+    """The tokens of text and the offset where each starts."""
+    toks: List[Tok] = []
+    starts: List[int] = []
+    add, add_start = toks.append, starts.append
+    # Each distinct token text is read once.  An entry is stored only
+    # after its text lexed cleanly, so an error names its first occurrence.
+    seen: Dict[str, Tok] = {}
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind is None:
-            yield Token("eof", "", len(text))
-            return
+        if kind is None:  # only the end of the text
+            break
         tok, start = m.group(kind), m.start(kind)
-        if kind == "punct":
-            yield Token(kind, tok, start)
-        elif kind == "symbol":
-            inner, count = m.group("params", "count")
-            if inner is None and count is None:
-                # Bare word: keyword or plain symbol, parser decides.
-                yield Token("word", tok, start, symbol=sym(tok))
-                continue
-            if inner is not None and not m.group("close"):
-                raise _error(text, "unterminated parameter list", start)
-            params = _params(text, inner, start) if inner else []
-            yield Token(kind, tok, start, symbol=sym(m.group("atom"), *params),
-                        count=int(count) if count else 1)
-        elif kind == "label":
-            yield Token(kind, tok[1:], start)
-        elif kind == "charge":
-            yield Token(kind, tok, start, charge=_CHARGE_VAL[tok[1]])
-        else:
-            raise _error(text, _BAD_CHAR.get(tok, f"unexpected character "
-                                                  f"{tok!r}"), start)
+        t = seen.get(tok)
+        if t is None:
+            t = seen[tok] = _read(text, m, kind, tok, start)
+        add(t)
+        add_start(start)
+    add(("eof", "", None, 1))
+    add_start(len(text))
+    return toks, starts
 
 
 # ============================================================
@@ -148,134 +160,120 @@ def _lex(text: str) -> Iterator[Token]:
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = list(_lex(text))
+        self.tokens, self.starts = _lex(text)
         self.pos = 0
-        # First token of each symbol base, in text order.
-        self.bases: Dict[str, Token] = {}
+        # Index of the first token of each symbol base, in text order.
+        self.bases: Dict[str, int] = {}
 
-    def peek(self) -> Token:
+    def peek(self) -> Tok:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> Tok:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def fail(self, msg: str, t: Optional[Token] = None) -> PSpecError:
-        return _error(self.text, msg, (t or self.peek()).pos)
+    def fail(self, msg: str, i: Optional[int] = None) -> PSpecError:
+        """Error at token i, by default the next one."""
+        pos = self.starts[self.pos if i is None else i]
+        return _error(self.text, msg, pos)
 
-    def expect_punct(self, text: str) -> Token:
-        t = self.next()
-        if t.kind != "punct" or t.text != text:
-            raise self.fail(f"expected {text!r}, found {t.text!r}", t)
+    def take(self, kind: str, text: Optional[str] = None,
+             what: str = "") -> Tok:
+        """Next token, which must be of kind (and text, when given)."""
+        t = self.tokens[self.pos]
+        if t[0] != kind or (text is not None and t[1] != text):
+            raise self.fail(f"expected {what or repr(text)}, found {t[1]!r}")
+        self.pos += 1
         return t
 
-    def expect_label(self, what: str) -> str:
-        t = self.next()
-        if t.kind != "label":
-            raise self.fail(f"expected {what} label, found {t.text!r}", t)
-        return t.text
-
-    def expect_charge(self) -> int:
-        t = self.next()
-        if t.kind != "charge":
-            raise self.fail(f"expected charge, found {t.text!r}", t)
-        return t.charge
-
-    def at_word(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "word" and t.text in words
+    def at(self, kind: str, *texts: str) -> bool:
+        t = self.tokens[self.pos]
+        return t[0] == kind and t[1] in texts
 
     def at_section(self) -> bool:
-        if not self.at_word(*_SECTIONS):
-            return False
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "punct" and nxt.text == ":"
+        return (self.at("word", *_SECTIONS)
+                and self.tokens[self.pos + 1][:2] == ("punct", ":"))
 
     # ---- multisets ----
 
     def multiset(self) -> Dict[Sym, int]:
         out: Dict[Sym, int] = {}
-        if self.at_word("none"):
-            self.next()
+        if self.at("word", "none"):
+            self.pos += 1
             return out
-        while self.peek().kind in ("word", "symbol"):
-            t = self.next()
-            if t.count < 1:
-                raise self.fail("zero count is not allowed", t)
-            self.bases.setdefault(t.symbol.base, t)
-            out[t.symbol] = out.get(t.symbol, 0) + t.count
+        toks, i, bases = self.tokens, self.pos, self.bases
+        t = toks[i]
+        while t[0] == "word" or t[0] == "symbol":
+            s, count = t[2], t[3]
+            if count < 1:
+                raise self.fail("zero count is not allowed", i)
+            bases.setdefault(s.base, i)
+            out[s] = out.get(s, 0) + count
+            i += 1
+            t = toks[i]
+        self.pos = i
         if not out:
             raise self.fail("expected a multiset or 'none'")
         return out
 
     # ---- membranes ----
 
-    def membrane(self, seen: Dict[str, Token]) -> MembraneNode:
-        self.expect_punct("[")
-        me = self.peek()
-        label = self.expect_label("membrane")
+    def membrane(self, seen: Dict[str, int]) -> MembraneNode:
+        self.take("punct", "[")
+        me = self.pos
+        label = self.take("label", what="membrane label")[1]
         if label in seen:
             raise self.fail(f"duplicate membrane label '{label}", me)
         seen[label] = me
-        charge = self.expect_charge()
+        charge = self.take("charge", what="charge")[2]
         contents: Dict[Sym, int] = {}
-        if self.peek().kind == "punct" and self.peek().text == "{":
-            self.next()
+        if self.at("punct", "{"):
+            self.pos += 1
             contents = self.multiset()
-            self.expect_punct("}")
+            self.take("punct", "}")
         children: List[MembraneNode] = []
-        while self.peek().kind == "punct" and self.peek().text == "[":
+        while self.at("punct", "["):
             children.append(self.membrane(seen))
-        self.expect_punct("]")
+        self.take("punct", "]")
         return MembraneNode(label, children=children,
                             contents=Multiset(contents), charge=charge)
 
     # ---- rules ----
 
     def charge_pair(self) -> Tuple[int, int]:
-        pre = self.expect_charge()
-        self.expect_punct("->")
-        post = self.expect_charge()
-        return pre, post
+        pre = self.take("charge", what="charge")[2]
+        self.take("punct", "->")
+        return pre, self.take("charge", what="charge")[2]
 
     def mset_pair(self) -> Tuple[Dict[Sym, int], Dict[Sym, int]]:
-        self.expect_punct("(")
         consume = self.multiset()
-        self.expect_punct("->")
+        self.take("punct", "->")
         produce = self.multiset()
-        self.expect_punct(")")
+        self.take("punct", ")")
         return consume, produce
 
     def rule(self) -> RuleSpec:
-        t = self.next()
-        if not (t.kind == "word" and t.text == "rule"):
-            raise self.fail(f"expected 'rule', found {t.text!r}", t)
-        rid = self.expect_label("rule")
-        t = self.next()
-        if not (t.kind == "word" and t.text == "at"):
-            raise self.fail(f"expected 'at', found {t.text!r}", t)
-        target = self.expect_label("target")
+        self.take("word", "rule")
+        rid = self.take("label", what="rule label")[1]
+        self.take("word", "at")
+        target = self.take("label", what="target label")[1]
         pre, post = self.charge_pair()
         clauses: Dict[str, object] = {}
-        while self.at_word("in", "out", "child"):
-            t = self.next()
-            if t.text in clauses:
-                raise self.fail(f"duplicate clause {t.text!r}", t)
-            if t.text == "child":
-                self.expect_punct("(")
-                clabel = self.expect_label("child")
+        while self.at("word", "in", "out", "child"):
+            word = self.next()[1]
+            if word in clauses:
+                raise self.fail(f"duplicate clause {word!r}", self.pos - 1)
+            self.take("punct", "(")
+            if word == "child":
+                clabel = self.take("label", what="child label")[1]
                 cpre, cpost = self.charge_pair()
-                self.expect_punct(":")
-                consume = self.multiset()
-                self.expect_punct("->")
-                produce = self.multiset()
-                self.expect_punct(")")
+                self.take("punct", ":")
                 clauses["child"] = ChildPattern(clabel, cpre, cpost,
-                                                consume, produce)
+                                                *self.mset_pair())
             else:
-                clauses[t.text] = self.mset_pair()
+                clauses[word] = self.mset_pair()
         cin = clauses.get("in", ({}, {}))
         cout = clauses.get("out", ({}, {}))
         return RuleSpec(id=rid, target=target, pre=pre, post=post,
@@ -287,46 +285,46 @@ class _Parser:
 
     def system(self) -> PSystem:
         name = ""
-        if self.at_word("system"):
-            self.next()
-            name = self.expect_label("system name")
+        if self.at("word", "system"):
+            self.pos += 1
+            name = self.take("label", what="system name label")[1]
         seen_sections: List[str] = []
         alphabet: Optional[List[str]] = None
         tree: Optional[MembraneNode] = None
         rules: List[RuleSpec] = []
-        rule_ids: Dict[str, Token] = {}
+        rule_ids: Dict[str, int] = {}  # token index of each rule
         priority: List[Tuple[str, str]] = []
-        named: List[Token] = []  # priority's label tokens
-        while self.peek().kind != "eof":
+        named: List[Tuple[str, int]] = []  # priority's labels, token index
+        while self.peek()[0] != "eof":
             if not self.at_section():
                 raise self.fail("expected a section header")
-            head = self.next().text
-            self.expect_punct(":")
+            head = self.next()[1]
+            self.pos += 1  # the ':' at_section saw
             if head in seen_sections:
                 raise self.fail(f"duplicate section {head!r}")
             seen_sections.append(head)
             if head == "alphabet":
                 alphabet = []
-                while self.peek().kind == "word" and not self.at_section():
-                    alphabet.append(self.next().text)
+                while self.peek()[0] == "word" and not self.at_section():
+                    alphabet.append(self.next()[1])
             elif head == "membranes":
                 tree = self.membrane({})
             elif head == "rules":
-                while self.at_word("rule") and not self.at_section():
-                    t = self.peek()
+                while self.at("word", "rule"):
+                    i = self.pos
                     r = self.rule()
                     if r.id in rule_ids:
-                        raise self.fail(f"duplicate rule id '{r.id}", t)
-                    rule_ids[r.id] = t
+                        raise self.fail(f"duplicate rule id '{r.id}", i)
+                    rule_ids[r.id] = i
                     rules.append(r)
             else:
-                while self.peek().kind == "label":
-                    a = self.next()
-                    self.expect_punct(">")
-                    b = self.peek()
-                    self.expect_label("rule")
-                    priority.append((a.text, b.text))
-                    named += (a, b)
+                while self.peek()[0] == "label":
+                    i = self.pos
+                    a = self.next()[1]
+                    self.take("punct", ">")
+                    b = self.take("label", what="rule label")[1]
+                    priority.append((a, b))
+                    named += ((a, i), (b, i + 2))
         if tree is None:
             raise self.fail("missing membranes section")
         sysd = PSystem(tree, rules, priority, name)
@@ -342,22 +340,23 @@ def _rule_syms(r: RuleSpec) -> Iterator[Sym]:
         yield from r.child.produce
 
 
-def _check_refs(sysd: PSystem, rule_ids: Dict[str, Token], named: List[Token],
-                alphabet: Optional[List[str]], bases: Dict[str, Token],
-                fail: Callable[[str, Token], PSpecError]) -> None:
+def _check_refs(sysd: PSystem, rule_ids: Dict[str, int],
+                named: List[Tuple[str, int]], alphabet: Optional[List[str]],
+                bases: Dict[str, int],
+                fail: Callable[[str, int], PSpecError]) -> None:
     parents = {node.label: parent and parent.label
                for node, parent in sysd.walk()}
     for r in sysd.rules:
-        t = rule_ids[r.id]
+        i = rule_ids[r.id]
         if r.target not in parents:
             raise fail(f"rule '{r.id} targets unknown membrane "
-                       f"'{r.target}", t)
+                       f"'{r.target}", i)
         if r.child and parents.get(r.child.label) != r.target:
             raise fail(f"rule '{r.id}: '{r.child.label} is not a "
-                       f"child of '{r.target}", t)
-    for t in named:
-        if t.text not in rule_ids:
-            raise fail(f"priority names unknown rule '{t.text}", t)
+                       f"child of '{r.target}", i)
+    for label, i in named:
+        if label not in rule_ids:
+            raise fail(f"priority names unknown rule '{label}", i)
     if alphabet is not None:
         allowed = set(alphabet)
         missing = [base for base in bases if base not in allowed]

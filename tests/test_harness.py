@@ -233,6 +233,19 @@ def test_cli_run_strict_flags_incomparable_starvation(tmp_path, capsys):
     assert "ambiguous steps: 1" in out and "m: b" in out
 
 
+def test_cli_run_strict_counts_steps_not_races(tmp_path, capsys):
+    # Three unordered rules race for one a: two losers, one ambiguous step.
+    path = tmp_path / "race3.pspec"
+    path.write_text("membranes:\n  [ 'm ^0 { a } ]\n"
+                    "rules:\n"
+                    "  rule 'r1 at 'm ^0 -> ^0 in( a -> b )\n"
+                    "  rule 'r2 at 'm ^0 -> ^0 in( a -> c )\n"
+                    "  rule 'r3 at 'm ^0 -> ^0 in( a -> d )\n")
+    assert main(["run", "--spec", str(path), "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "steps: 1 " in out and "ambiguous steps: 1\n" in out
+
+
 def test_cli_build_needs_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["build"])

@@ -100,6 +100,7 @@ def check_error(text, needle, line=None):
     assert needle in str(info.value)
     if line is not None:
         assert info.value.line == line
+    return info.value
 
 
 def test_duplicate_membrane_label():
@@ -142,6 +143,21 @@ def test_missing_alphabet_symbol_position():
     text = ("alphabet:\n  a b\nmembranes:\n  [ 'm ^0 { a b{1} } ]\n"
             "rules:\n  rule 'r at 'm ^0 -> ^0 in( a -> z y{2} )\n")
     check_error(text, "missing from alphabet: y, z (line 6, col 35)", line=6)
+
+
+# A symbol repeated on a later line: the error names its first occurrence.
+@pytest.mark.parametrize("atom,needle", [
+    ("a^0", "zero count"), ("a{x-y}", "bad parameter 'x-y'")])
+def test_repeated_symbol_error_names_first_occurrence(atom, needle):
+    text = (f"membranes:\n  [ 'm ^0 {{ b {atom} }}\n"
+            f"    [ 'n ^0 {{ {atom} }} ] ]\n")
+    assert check_error(text, needle, line=2).col == 15
+
+
+def test_repeated_missing_base_names_first_occurrence():
+    text = ("alphabet:\n  b\nmembranes:\n  [ 'm ^0 { b a{1} }\n"
+            "    [ 'n ^0 { a{1} } ] ]\n")
+    assert check_error(text, "missing from alphabet: a", line=4).col == 15
 
 
 def test_zero_count_rejected():
