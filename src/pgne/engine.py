@@ -31,7 +31,15 @@ child charges, in the total order.  Any other rule lacks a need or a
 charge for the whole step, so it could neither apply nor be starved.  The
 examined rules still go through every check, and `CRule.max_count`
 against the residual resources is the final judge: a threshold need can
-be present but short.
+be present but short.  A rule with one need, which is most rules, is a
+candidate as soon as that key is present; only rules with more needs
+count hits.
+
+A step's record is a `StepRecord`: the applied rules and their counts in
+two parallel lists, read as a sequence of (rule, count) pairs.  A trace
+keeps every record of its run, so one tuple per application would be one
+more object per application for CPython's cyclic collector to track and
+walk on every collection; two lists keep that at three objects a step.
 
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import Multiset, Sym
@@ -142,7 +151,7 @@ class CRule:
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
         "child_post", "needs", "gives", "flips", "locks", "higher",
-        "target_label",
+        "target_label", "multi",
     )
 
     def __init__(self, spec: RuleSpec, target: int, parent: int,
@@ -174,6 +183,8 @@ class CRule:
                 gives.append((child, s, n))
         self.needs = tuple(needs)
         self.gives = tuple(gives)
+        # Selection counts hits only for a rule with more than one need.
+        self.multi = len(needs) > 1
         # (region, new charge) per membrane the rule re-charges; each one
         # is locked for the rest of the step once the rule fires.
         flips = [(target, self.post)] if self.post != self.pre else []
@@ -316,7 +327,8 @@ class CompiledSystem:
 
         # Selection index: per region, symbol -> the rules consuming it
         # there.  A rule's needs name distinct (region, symbol) keys, so it
-        # is a candidate exactly when len(needs) of its keys are present.
+        # is a candidate exactly when len(needs) of its keys are present:
+        # at once for a one-need rule, which is most rules.
         watchers: List[Dict[Sym, List[CRule]]] = [{} for _ in self.parents]
         for cr in self.rules:
             for r, s, _ in cr.needs:
@@ -418,16 +430,50 @@ class Ambiguity:
     loser: str
 
 
-StepRecord = List[Tuple[CRule, int]]
+class StepRecord:
+    """The applications of one step, as parallel lists of rules and counts.
+
+    Reads as the sequence of (rule, count) pairs in selection order: len,
+    iteration, indexing and == against a list of pairs.  An empty record
+    is falsy.
+    """
+
+    __slots__ = ("rules", "counts")
+
+    def __init__(self, rules: List[CRule], counts: List[int]) -> None:
+        self.rules = rules
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self) -> Iterator[Tuple[CRule, int]]:
+        return zip(self.rules, self.counts)
+
+    def __getitem__(self, i: int) -> Tuple[CRule, int]:
+        return self.rules[i], self.counts[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StepRecord):
+            return self.rules == other.rules and self.counts == other.counts
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StepRecord({list(self)!r})"
+
+
+_ORDER = attrgetter("order")
 
 
 def maximal_step(cfg: Configuration, strict: bool = False,
                  ambiguities: Optional[List[Ambiguity]] = None) -> StepRecord:
     """Advance cfg by one transition in place.
 
-    Returns the applications performed as (rule, count) pairs in selection
-    order; an empty record means no rule was applicable (cfg unchanged,
-    step counter not advanced).
+    Returns the applications performed, in selection order; an empty
+    record means no rule was applicable (cfg unchanged, step counter not
+    advanced).
     """
     csys = cfg.csys
     charges = cfg.charges
@@ -436,24 +482,34 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     pre = cfg.contents
     avail = list(pre)
     owned = [False] * csys.n_regions
-    consumers: Dict[Tuple[int, Sym], List[CRule]] = {}
+    consumers: Optional[Dict[Tuple[int, Sym], List[CRule]]] = (
+        {} if strict else None)
 
     # Candidates: rules with every consumed key present and matching
     # target and child charges.  Any other rule has k = 0 for the whole step.
+    cand: List[CRule] = []
+    add = cand.append
     hits: Dict[CRule, int] = {}
     for r, watch in csys.watchers:
         for s in pre[r]:
             for cr in watch.get(s, ()):
-                hits[cr] = hits.get(cr, 0) + 1
-    cand = [cr for cr, h in hits.items()
-            if h == len(cr.needs) and charges[cr.target] == cr.pre
-            and (cr.child < 0 or charges[cr.child] == cr.child_pre)]
-    cand.sort(key=lambda r: r.order)
+                if cr.multi:
+                    hits[cr] = hits.get(cr, 0) + 1
+                elif charges[cr.target] == cr.pre and (
+                        cr.child < 0 or charges[cr.child] == cr.child_pre):
+                    add(cr)
+    for cr, h in hits.items():
+        if (h == len(cr.needs) and charges[cr.target] == cr.pre
+                and (cr.child < 0 or charges[cr.child] == cr.child_pre)):
+            add(cr)
+    cand.sort(key=_ORDER)
 
     locked = [False] * csys.n_regions
     charge_next = list(charges)
-    deltas: Dict[Tuple[int, Sym], int] = {}
-    record: StepRecord = []
+    # Products per region, committed after all consumption.
+    made: Dict[int, Dict[Sym, int]] = {}
+    record = StepRecord([], [])
+    applied, counts = record.rules.append, record.counts.append
 
     for cr in cand:
         if cr.locks and any(locked[r] for r in cr.locks):
@@ -492,20 +548,25 @@ def maximal_step(cfg: Configuration, strict: bool = False,
             if strict:
                 consumers.setdefault((r, s), []).append(cr)
         for r, s, n in cr.gives:
-            deltas[(r, s)] = deltas.get((r, s), 0) + n * k
+            out = made.get(r)
+            if out is None:
+                out = made[r] = {}
+            out[s] = out.get(s, 0) + n * k
         for r, c in cr.flips:
             charge_next[r] = c
             locked[r] = True
-        record.append((cr, k))
+        applied(cr)
+        counts(k)
 
-    if not record:
+    if not record.rules:
         return record
 
-    for (r, s), n in deltas.items():
+    for r, out in made.items():
         if not owned[r]:
             avail[r] = dict(avail[r])
-            owned[r] = True
-        avail[r][s] = avail[r].get(s, 0) + n
+        into = avail[r]
+        for s, n in out.items():
+            into[s] = into.get(s, 0) + n
     cfg.contents = avail
     cfg.charges = charge_next
     cfg.step += 1

@@ -17,7 +17,8 @@ A system file is a token stream with four sections:
       'RS07 > 'RS08
 
 `#` comments run to end of line.  Symbol atoms reuse the multiset
-notation `base{p1,p2}^count`; `none` denotes the empty multiset.
+notation `base{p1,p2}^count`; `none` denotes the empty multiset and
+stands alone, without a count, parameters or other symbols.
 Serialization is canonical: declaration order for rules, tree order for
 membranes, sorted symbol text inside every multiset, sorted priority
 pairs, two-space indent per tree depth.  parse(serialize(s)) is
@@ -207,6 +208,8 @@ class _Parser:
         t = toks[i]
         while t[0] == "word" or t[0] == "symbol":
             s, count = t[2], t[3]
+            if s.base == "none":
+                raise self.fail("'none' must stand alone", i)
             if count < 1:
                 raise self.fail("zero count is not allowed", i)
             bases.setdefault(s.base, i)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from types import ModuleType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from pgne.engine import (ENV_LABEL, MINUS, NEUTRAL, PLUS, ChildPattern,
                         Trace, apply_record, compile_system,
                         export_trace_text, maximal_step, read_region,
                         replay_matches, run)
+from pgne.harness import run_gne, sample_experiment
 from pgne.symbols import Multiset, sym
 
 A, B, C, D, X, Y = (sym(t) for t in "abcdxy")
@@ -263,6 +267,74 @@ def test_records_only_replay_via_apply_record():
     for rec in tr.records:
         apply_record(cfg, rec)
     assert cfg.equal_state(tr.final)
+
+
+# ============================================================
+# Step records
+# ============================================================
+
+
+def two_rule_step():
+    csys = one_region([rule("r", consume_in={A: 2}, produce_in={B: 1}),
+                       rule("s", consume_in={C: 1}, produce_in={D: 1})],
+                      contents={A: 5, C: 1})
+    return csys, csys.initial_configuration()
+
+
+def test_step_record_reads_as_pairs():
+    csys, cfg = two_rule_step()
+    rec = maximal_step(cfg)
+    r, s = csys.rules
+    pairs = [(r, 2), (s, 1)]
+    assert len(rec) == 2
+    assert list(rec) == pairs
+    assert [rec[0], rec[1], rec[-1]] == [(r, 2), (s, 1), (s, 1)]
+    with pytest.raises(IndexError):
+        rec[2]
+    assert rec == pairs and pairs == rec
+    assert rec != pairs[:1] and rec != pairs[::-1] and rec != tuple(pairs)
+    assert rec.rules == [r, s] and rec.counts == [2, 1]
+    assert repr(rec) == "StepRecord([(<rule r @ m>, 2), (<rule s @ m>, 1)])"
+
+
+def test_apply_record_replays_a_step_record():
+    _, cfg = two_rule_step()
+    work = cfg.copy()
+    apply_record(work, maximal_step(cfg))
+    assert work.equal_state(cfg) and work.step == cfg.step == 1
+
+
+def test_empty_step_record_is_falsy():
+    csys = one_region([rule("r", consume_in={A: 1})], contents={B: 1})
+    cfg = csys.initial_configuration()
+    rec = maximal_step(cfg)
+    assert not rec and len(rec) == 0 and list(rec) == [] and rec == []
+    assert cfg.step == 0
+
+
+def _tracked(roots, stop=frozenset()):
+    """Ids of the GC-tracked objects reachable from roots, not through
+    stop, a type or a module."""
+    seen = set()
+    todo = list(roots)
+    while todo:
+        o = todo.pop()
+        if (id(o) in seen or id(o) in stop or not gc.is_tracked(o)
+                or isinstance(o, (type, ModuleType))):
+            continue
+        seen.add(id(o))
+        todo.extend(gc.get_referents(o))
+    return seen
+
+
+def test_step_records_own_few_gc_objects():
+    # A trace keeps every record alive, and every object a record owns is
+    # walked by each collection that reaches it: a step's record owns at
+    # most itself and its two lists, whatever its number of applications.
+    trace = run_gne(sample_experiment(27, "default")).trace
+    owned = _tracked(trace.records, _tracked([trace.final.csys]))
+    assert sum(map(len, trace.records)) > 15 * trace.steps
+    assert len(owned) <= 3 * trace.steps
 
 
 def test_identical_runs_identical_traces():

@@ -94,12 +94,14 @@ def test_alphabet_is_validated():
 # ============================================================
 
 
-def check_error(text, needle, line=None):
+def check_error(text, needle, line=None, col=None):
     with pytest.raises(PSpecError) as info:
         parse_system(text)
     assert needle in str(info.value)
     if line is not None:
         assert info.value.line == line
+    if col is not None:
+        assert info.value.col == col
     return info.value
 
 
@@ -162,6 +164,23 @@ def test_repeated_missing_base_names_first_occurrence():
 
 def test_zero_count_rejected():
     check_error("membranes:\n  [ 'm ^0 { a^0 } ]", "zero count")
+
+
+# `none` is the empty multiset, never a symbol: anywhere but alone it is
+# refused at its token, since the serializer could not write it back.
+@pytest.mark.parametrize("body,col", [
+    ("a none", 15), ("none^2 a", 13), ("none{1}", 13), ("a b none{2}^3", 17)])
+def test_none_must_stand_alone(body, col):
+    check_error(f"membranes:\n  [ 'm ^0 {{ {body} }} ]",
+                "'none' must stand alone", line=2, col=col)
+
+
+def test_none_must_stand_alone_in_rules():
+    text = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
+            "  rule 'r at 'm ^0 -> ^0 in( a none -> b )\n")
+    check_error(text, "'none' must stand alone", line=4, col=32)
+    text = text.replace("a none -> b", "a -> b none^2")
+    check_error(text, "'none' must stand alone", line=4, col=37)
 
 
 def test_bad_charge_position():
@@ -358,7 +377,7 @@ _PIN_TEXTS = [
     (lambda: serialize_system(build_gne_system(
         sample_experiment(0, "small", loops=2))), 30)]
 EDIT_OUTCOMES_SHA256 = (
-    "bec9a84570e90911edbd7e11e3d922e83c2a45815045939b633429d4be365046")
+    "fafb4796c748cc8c8a1a0bf907eed60785c0ae0a2d760556521299783ed4fc55")
 
 
 def test_edit_outcomes_pinned():
