@@ -41,6 +41,12 @@ keeps every record of its run, so one tuple per application would be one
 more object per application for CPython's cyclic collector to track and
 walk on every collection; two lists keep that at three objects a step.
 
+A step works in place: applied rules consume straight from the live
+region dicts, and after selection the step commits products by walking
+its own record.  A step that applies nothing leaves the configuration
+untouched.  Only strict mode reads start-of-step counts once consumption
+begins, so only it snapshots them.
+
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
 inspected like any other region.
@@ -308,16 +314,20 @@ class CompiledSystem:
             cr.order = pos
             self.ordered.append(cr)
 
-        # Transitive closure of "strictly higher priority than": in
-        # topological order every rule's set is complete before its edges
-        # pass it on.
-        above: List[set] = [set() for _ in range(n)]
+        # Transitive closure of "strictly higher priority than", for the
+        # rules some edge reaches (the rest keep higher == ()): in topological
+        # order every rule's set is complete before its edges pass it on.
+        above: Dict[int, set] = {}
         for a in order:
+            ups = above.get(a, ())
             for b in adj[a]:
-                above[b].add(a)
-                above[b] |= above[a]
-        for cr, ups in zip(self.rules, above):
-            cr.higher = tuple(self.rules[j] for j in sorted(ups))
+                into = above.get(b)
+                if into is None:
+                    into = above[b] = set()
+                into.add(a)
+                into.update(ups)
+        for b, ups in above.items():
+            self.rules[b].higher = tuple(self.rules[j] for j in sorted(ups))
 
         # Candidate buckets keyed by (target region, pre charge).  Stepping
         # does not read them; they describe which rules a charge state arms.
@@ -388,6 +398,8 @@ class Configuration:
                              list(self.charges), self.step)
 
     def region(self, label: str) -> Dict[Sym, int]:
+        """The live dict of one region, which the next step mutates in
+        place; `read_region` gives a copy."""
         idx = self.csys.label_index.get(label)
         if idx is None:
             raise StructureError(f"unknown label {label!r}")
@@ -477,13 +489,7 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     """
     csys = cfg.csys
     charges = cfg.charges
-    # Start-of-step dicts are never written: a region is copied into
-    # `avail` the first time this step consumes from or produces into it.
-    pre = cfg.contents
-    avail = list(pre)
-    owned = [False] * csys.n_regions
-    consumers: Optional[Dict[Tuple[int, Sym], List[CRule]]] = (
-        {} if strict else None)
+    avail = cfg.contents
 
     # Candidates: rules with every consumed key present and matching
     # target and child charges.  Any other rule has k = 0 for the whole step.
@@ -491,7 +497,7 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     add = cand.append
     hits: Dict[CRule, int] = {}
     for r, watch in csys.watchers:
-        for s in pre[r]:
+        for s in avail[r]:
             for cr in watch.get(s, ()):
                 if cr.multi:
                     hits[cr] = hits.get(cr, 0) + 1
@@ -504,28 +510,29 @@ def maximal_step(cfg: Configuration, strict: bool = False,
             add(cr)
     cand.sort(key=_ORDER)
 
+    if strict:
+        pre = [dict(c) for c in avail]
+        consumers: Dict[Tuple[int, Sym], List[CRule]] = {}
     locked = [False] * csys.n_regions
-    charge_next = list(charges)
-    # Products per region, committed after all consumption.
-    made: Dict[int, Dict[Sym, int]] = {}
+    charge_next: Optional[List[int]] = None
     record = StepRecord([], [])
     applied, counts = record.rules.append, record.counts.append
 
     for cr in cand:
-        if cr.locks and any(locked[r] for r in cr.locks):
+        # `locks` names at most the target and one child.
+        if cr.locks and (locked[cr.locks[0]] or locked[cr.locks[-1]]):
             continue
         k = cr.max_count(avail)
         if k == 0:
-            if strict and cr.max_count(pre):
+            if strict and ambiguities is not None and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
                 for r, s, n in cr.needs:
                     if avail[r].get(s, 0) < n:
                         for culprit in consumers.get((r, s), ()):
                             if culprit is not cr and not csys.comparable(culprit, cr):
-                                if ambiguities is not None:
-                                    ambiguities.append(Ambiguity(
-                                        cfg.step, csys.region_labels[r], s,
-                                        culprit.id, cr.id))
+                                ambiguities.append(Ambiguity(
+                                    cfg.step, csys.region_labels[r], s,
+                                    culprit.id, cr.id))
             continue
         blocked = False
         for h in cr.higher:
@@ -536,41 +543,38 @@ def maximal_step(cfg: Configuration, strict: bool = False,
             continue
         if cr.locks:
             k = 1
+            if charge_next is None:
+                charge_next = list(charges)
+            for r, c in cr.flips:
+                charge_next[r] = c
+                locked[r] = True
         for r, s, n in cr.needs:
-            if not owned[r]:
-                avail[r] = dict(avail[r])
-                owned[r] = True
-            left = avail[r][s] - n * k
+            into = avail[r]
+            left = into[s] - n * k
             if left:
-                avail[r][s] = left
+                into[s] = left
             else:
-                del avail[r][s]
+                del into[s]
             if strict:
                 consumers.setdefault((r, s), []).append(cr)
-        for r, s, n in cr.gives:
-            out = made.get(r)
-            if out is None:
-                out = made[r] = {}
-            out[s] = out.get(s, 0) + n * k
-        for r, c in cr.flips:
-            charge_next[r] = c
-            locked[r] = True
         applied(cr)
         counts(k)
 
     if not record.rules:
         return record
-
-    for r, out in made.items():
-        if not owned[r]:
-            avail[r] = dict(avail[r])
-        into = avail[r]
-        for s, n in out.items():
-            into[s] = into.get(s, 0) + n
-    cfg.contents = avail
-    cfg.charges = charge_next
+    _commit_products(avail, record)
+    if charge_next is not None:
+        cfg.charges = charge_next
     cfg.step += 1
     return record
+
+
+def _commit_products(regions: List[Dict[Sym, int]], record: StepRecord) -> None:
+    """Add each application's products, n * k per give, after all consumption."""
+    for cr, k in record:
+        for r, s, n in cr.gives:
+            into = regions[r]
+            into[s] = into.get(s, 0) + n * k
 
 
 # ============================================================
@@ -646,7 +650,6 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
     """Replay one recorded step onto cfg without any selection logic."""
     avail = cfg.contents
     charge_next = list(cfg.charges)
-    deltas: Dict[Tuple[int, Sym], int] = {}
     for cr, k in record:
         for r, s, n in cr.needs:
             left = avail[r].get(s, 0) - n * k
@@ -658,12 +661,9 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
                 avail[r][s] = left
             else:
                 avail[r].pop(s, None)
-        for r, s, n in cr.gives:
-            deltas[(r, s)] = deltas.get((r, s), 0) + n * k
         for r, c in cr.flips:
             charge_next[r] = c
-    for (r, s), n in deltas.items():
-        avail[r][s] = avail[r].get(s, 0) + n
+    _commit_products(avail, record)
     cfg.charges = charge_next
     cfg.step += 1
 

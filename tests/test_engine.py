@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgne.builder import build_gne_system, loop_steps_bound
 from pgne.engine import (ENV_LABEL, MINUS, NEUTRAL, PLUS, ChildPattern,
                         MembraneNode, PSystem, RuleSpec, StructureError,
                         Trace, apply_record, compile_system,
@@ -335,6 +336,58 @@ def test_step_records_own_few_gc_objects():
     owned = _tracked(trace.records, _tracked([trace.final.csys]))
     assert sum(map(len, trace.records)) > 15 * trace.steps
     assert len(owned) <= 3 * trace.steps
+
+
+def default_27():
+    spec = sample_experiment(27, "default")
+    budget = loop_steps_bound(spec.r_disc) * (spec.loops + 1)
+    return compile_system(build_gne_system(spec)), budget
+
+
+def test_steps_mutate_the_live_regions():
+    # A non-strict step consumes from and commits into the region dicts
+    # cfg already holds; a step that applies nothing leaves them as they
+    # were.  Strict mode snapshots the start of each step and must select
+    # the same applications.
+    csys, budget = default_27()
+    cfg = csys.initial_configuration()
+    regions = list(cfg.contents)
+    records = []
+    for _ in range(budget):
+        before = cfg.copy()
+        rec = maximal_step(cfg)
+        assert len(cfg.contents) == len(regions)
+        assert all(now is held for now, held in zip(cfg.contents, regions))
+        if not rec:
+            assert cfg.equal_state(before) and cfg.step == before.step
+            break
+        records.append(rec)
+    else:
+        pytest.fail("default/27 did not halt within its budget")
+    strict = run(csys, max_steps=budget, strict=True)
+    assert strict.halted and strict.records == records
+
+
+def test_budget_stop_leaves_a_resumable_final_state():
+    # run() probes for quiescence on a copy: the final state of a run cut
+    # at k steps is the state after k steps, and stepping it on gives the
+    # uninterrupted run's records from step k + 1.
+    csys, budget = default_27()
+    whole = run(csys, max_steps=budget)
+    k = whole.steps // 2
+    cut = run(csys, max_steps=k)
+    assert not cut.halted and cut.steps == k
+    at_k = csys.initial_configuration()
+    for rec in whole.records[:k]:
+        apply_record(at_k, rec)
+    assert cut.final.equal_state(at_k) and cut.final.step == k
+    rest = []
+    for _ in range(budget):
+        rec = maximal_step(cut.final)
+        if not rec:
+            break
+        rest.append(rec)
+    assert rest == whole.records[k:]
 
 
 def test_identical_runs_identical_traces():
