@@ -16,7 +16,7 @@ from .symbols import Multiset, sym
 from .engine import (ENV_LABEL, PLUS, CompiledSystem, MembraneNode, PSystem,
                      RuleSpec, StructureError, Trace, apply_record,
                      compile_system, export_trace_text, maximal_step,
-                     read_region, replay_matches, run)
+                     read_region, run)
 from .builder import (GameError, GameSpec, LoopTiming, build_gne_system,
                       build_mult_system, coefficient_matrices, mult_steps,
                       payoff_coefficients, stage_boundaries)
@@ -28,8 +28,7 @@ __all__ = [
     "Multiset", "sym",
     "ENV_LABEL", "PLUS", "CompiledSystem", "MembraneNode", "PSystem",
     "RuleSpec", "StructureError", "Trace", "apply_record", "compile_system",
-    "export_trace_text", "maximal_step", "read_region", "replay_matches",
-    "run",
+    "export_trace_text", "maximal_step", "read_region", "run",
     "GameError", "GameSpec", "LoopTiming", "build_gne_system",
     "build_mult_system", "coefficient_matrices", "mult_steps",
     "payoff_coefficients", "stage_boundaries",

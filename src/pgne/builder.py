@@ -16,6 +16,7 @@ operations cannot be perturbed by float rounding.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -82,26 +83,34 @@ def save_game(spec: GameSpec, path: str) -> None:
         fh.write("\n")
 
 
+def _whole(name: str, x) -> int:
+    """x as an int, refusing a float that is not a whole number."""
+    if isinstance(x, float) and not x.is_integer():
+        raise GameError(f"{name} value {x} is not a whole number")
+    return int(x)
+
+
 def load_game(path: str) -> GameSpec:
     """Read a game file; any malformed content raises GameError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return GameSpec(
-            players=int(doc["players"]),
-            slots=int(doc["slots"]),
-            strategies=[list(map(int, s)) for s in doc["strategies"]],
+            players=_whole("players", doc["players"]),
+            slots=_whole("slots", doc["slots"]),
+            strategies=[[_whole("strategies", i) for i in s]
+                        for s in doc["strategies"]],
             d_diag=[float(x) for x in doc["d_diag"]],
             j_bar=[float(x) for x in doc["j_bar"]],
             alpha=[[float(x) for x in row] for row in doc["alpha"]],
             beta=[[float(x) for x in row] for row in doc["beta"]],
             mass=[float(x) for x in doc["mass"]],
-            r_disc=int(doc.get("r_disc", 100)),
-            loops=int(doc.get("loops", 10)),
+            r_disc=_whole("r_disc", doc.get("r_disc", 100)),
+            loops=_whole("loops", doc.get("loops", 10)),
         )
     except KeyError as miss:
         raise GameError(f"game file missing field {miss.args[0]!r}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise GameError(f"malformed game file {path}: {exc}")
 
 
@@ -147,6 +156,9 @@ def validate_game(spec: GameSpec) -> List[str]:
                        ("beta", [x for r in spec.beta for x in r]),
                        ("mass", spec.mass)):
         for x in vals:
+            if not math.isfinite(x):
+                out.append(f"{name} value {x} is not finite")
+                break
             if abs(x * MICRO - round(x * MICRO)) > 1e-6:
                 out.append(f"{name} value {x} is not quantized to 1e-4")
                 break

@@ -405,15 +405,6 @@ class Configuration:
             raise StructureError(f"unknown label {label!r}")
         return self.contents[idx]
 
-    def charge(self, label: str) -> int:
-        idx = self.csys.label_index.get(label)
-        if idx is None:
-            raise StructureError(f"unknown label {label!r}")
-        return self.charges[idx]
-
-    def equal_state(self, other: "Configuration") -> bool:
-        return self.contents == other.contents and self.charges == other.charges
-
 
 def read_region(cfg: Configuration, label: str,
                 base: Optional[str] = None) -> Multiset:
@@ -445,9 +436,9 @@ class Ambiguity:
 class StepRecord:
     """The applications of one step, as parallel lists of rules and counts.
 
-    Reads as the sequence of (rule, count) pairs in selection order: len,
-    iteration, indexing and == against a list of pairs.  An empty record
-    is falsy.
+    Reads as the sequence of (rule, count) pairs in selection order: len
+    and iteration.  An empty record is falsy, and records compare equal
+    only to records.
     """
 
     __slots__ = ("rules", "counts")
@@ -462,14 +453,9 @@ class StepRecord:
     def __iter__(self) -> Iterator[Tuple[CRule, int]]:
         return zip(self.rules, self.counts)
 
-    def __getitem__(self, i: int) -> Tuple[CRule, int]:
-        return self.rules[i], self.counts[i]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StepRecord):
             return self.rules == other.rules and self.counts == other.counts
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -584,7 +570,11 @@ def _commit_products(regions: List[Dict[Sym, int]], record: StepRecord) -> None:
 
 @dataclass
 class Trace:
-    """The full story of a run: per-step applications, optional snapshots."""
+    """The full story of a run: per-step applications and the final state.
+
+    `snapshots` is always empty: records replay with `apply_record`.  The
+    field stays because the benchmark builds a `Trace` positionally.
+    """
 
     records: List[StepRecord]
     snapshots: List[Configuration]
@@ -597,38 +587,21 @@ class Trace:
     def steps(self) -> int:
         return len(self.records)
 
-    def fired(self, rule_id: str, step: int) -> int:
-        """Application count of rule_id at 1-based transition `step`."""
-        if step < 1 or step > len(self.records):
-            return 0
-        for cr, k in self.records[step - 1]:
-            if cr.id == rule_id:
-                return k
-        return 0
-
-    def rule_ids(self, step: int) -> List[str]:
-        return [cr.id for cr, _ in self.records[step - 1]]
-
 
 def run(sys: PSystem | CompiledSystem, max_steps: int,
-        trace_mode: str = "records",
         initial: Optional[Mapping[str, Mapping[Sym, int] | Multiset]] = None,
         strict: bool = False) -> Trace:
     """Drive a system to quiescence or to the step budget.
 
-    trace_mode: "records" keeps per-step rule applications only; "full"
-    additionally snapshots every configuration (memory-heavy, test use).
+    The trace keeps each step's record and the final configuration; any
+    earlier state is rebuilt by replaying records with `apply_record`.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     csys = sys if isinstance(sys, CompiledSystem) else compile_system(sys)
     cfg = csys.initial_configuration(initial)
-    snapshots: List[Configuration] = []
     records: List[StepRecord] = []
     ambiguities: List[Ambiguity] = []
-    full = trace_mode == "full"
-    if full:
-        snapshots.append(cfg.copy())
     halted = False
     for _ in range(max_steps):
         rec = maximal_step(cfg, strict=strict, ambiguities=ambiguities)
@@ -636,14 +609,12 @@ def run(sys: PSystem | CompiledSystem, max_steps: int,
             halted = True
             break
         records.append(rec)
-        if full:
-            snapshots.append(cfg.copy())
     else:
         # Budget spent; check whether the system happens to be quiet anyway.
         probe = cfg.copy()
         halted = not maximal_step(probe)
     reason = "quiescent" if halted else "budget"
-    return Trace(records, snapshots, cfg, halted, reason, ambiguities)
+    return Trace(records, [], cfg, halted, reason, ambiguities)
 
 
 def apply_record(cfg: Configuration, record: StepRecord) -> None:
@@ -666,18 +637,6 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
     _commit_products(avail, record)
     cfg.charges = charge_next
     cfg.step += 1
-
-
-def replay_matches(trace: Trace) -> bool:
-    """Verify snapshot t + record t reproduces snapshot t+1 (full traces)."""
-    if not trace.snapshots:
-        raise ValueError("replay needs a full trace")
-    for t, rec in enumerate(trace.records):
-        work = trace.snapshots[t].copy()
-        apply_record(work, rec)
-        if not work.equal_state(trace.snapshots[t + 1]):
-            return False
-    return True
 
 
 def export_trace_text(trace: Trace) -> str:

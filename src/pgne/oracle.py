@@ -1,8 +1,8 @@
 """Numerical reference for the equilibrium dynamics.
 
 Two routes live here.  The real-valued route evaluates the game directly:
-slot prices, per-strategy payoffs, excess payoffs, and the switch-rate
-field whose rest points are the equilibria.  It imports numpy on first
+per-strategy payoffs, excess payoffs, and the switch-rate field whose
+rest points are the equilibria.  It imports numpy on first
 use, so loading the package and running the count route never does.
 The count route mirrors the membrane system integer for integer: floored
 coefficient templates, round-to-nearest accumulation (an exact half rounds
@@ -36,27 +36,6 @@ def _player_blocks(spec: GameSpec) -> Iterator[Tuple[int, int]]:
     for strategies in spec.strategies:
         yield off, off + len(strategies)
         off += len(strategies)
-
-
-def pricing(spec: GameSpec, x) -> np.ndarray:
-    """Slot prices for a demand vector x (length n, actual demand units)."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    C = coefficient_matrices(spec)["C"]
-    if x.shape != (C.shape[1],):
-        raise ValueError(f"x must have length {C.shape[1]}")
-    return np.diag(spec.d_diag) @ (C @ x) + np.asarray(spec.j_bar)
-
-
-def individual_cost(spec: GameSpec, k: int, xk) -> float:
-    """Private cost of player k at demand allocation xk."""
-    import numpy as np
-    xk = np.asarray(xk, dtype=float)
-    alpha = np.asarray(spec.alpha[k - 1])
-    beta = np.asarray(spec.beta[k - 1])
-    if xk.shape != alpha.shape:
-        raise ValueError(f"xk must have length {len(alpha)}")
-    return float(np.sum(0.5 * alpha * xk ** 2 + beta * xk))
 
 
 def payoff(spec: GameSpec, z) -> np.ndarray:

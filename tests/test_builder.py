@@ -46,6 +46,9 @@ def test_good_spec_validates_clean():
     (lambda s: s.beta[1].__setitem__(0, 0.00003), "not quantized"),
     (lambda s: s.d_diag.__setitem__(0, -0.5), ">= 0"),
     (lambda s: s.mass.__setitem__(0, 0.0), "> 0"),
+    (lambda s: s.mass.__setitem__(0, math.inf), "mass value inf is not finite"),
+    (lambda s: s.d_diag.__setitem__(1, math.nan),
+     "d_diag value nan is not finite"),
 ])
 def test_validation_catches(mutate, needle):
     s = good_spec()

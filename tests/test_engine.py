@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from pgne.builder import build_gne_system, loop_steps_bound
 from pgne.engine import (ENV_LABEL, MINUS, NEUTRAL, PLUS, ChildPattern,
-                        MembraneNode, PSystem, RuleSpec, StructureError,
-                        Trace, apply_record, compile_system,
-                        export_trace_text, maximal_step, read_region,
-                        replay_matches, run)
+                        MembraneNode, PSystem, RuleSpec, StepRecord,
+                        StructureError, apply_record, compile_system,
+                        export_trace_text, maximal_step, read_region, run)
 from pgne.harness import run_gne, sample_experiment
 from pgne.symbols import Multiset, sym
 
@@ -31,6 +30,38 @@ def rule(rid, **kw):
     return RuleSpec(id=rid, **kw)
 
 
+def fired(tr, rule_id, step):
+    """Application count of rule_id at 1-based transition `step`."""
+    return dict((cr.id, k) for cr, k in tr.records[step - 1]).get(rule_id, 0)
+
+
+def ids(tr, step):
+    """Rule ids applied at 1-based transition `step`, in selection order."""
+    return [cr.id for cr, _ in tr.records[step - 1]]
+
+
+def charge(cfg, label):
+    return cfg.charges[cfg.csys.label_index[label]]
+
+
+def same_state(a, b):
+    return a.contents == b.contents and a.charges == b.charges
+
+
+def step_and_replay(csys, max_steps):
+    """Step one configuration and replay each record onto a second one,
+    which must match the first after every step; True if the run halted."""
+    cfg = csys.initial_configuration()
+    replayed = csys.initial_configuration()
+    for _ in range(max_steps):
+        rec = maximal_step(cfg)
+        if not rec:
+            return True
+        apply_record(replayed, rec)
+        assert same_state(replayed, cfg) and replayed.step == cfg.step
+    return False
+
+
 # ============================================================
 # Core stepping semantics
 # ============================================================
@@ -41,7 +72,7 @@ def test_maximality_consumes_everything():
                       contents={A: 7})
     tr = run(csys, max_steps=5)
     assert tr.steps == 1
-    assert tr.records[0][0][1] == 3  # floor(7 / 2) applications
+    assert fired(tr, "r", 1) == 3  # floor(7 / 2) applications
     assert read_region(tr.final, "m").counts == {A: 1, B: 3}
 
 
@@ -50,10 +81,10 @@ def test_products_invisible_until_commit():
         rule("make", consume_in={A: 1}, produce_in={B: 1}),
         rule("use", consume_in={B: 1}, produce_in={C: 1}),
     ], contents={A: 1})
-    tr = run(csys, max_steps=5, trace_mode="full")
+    tr = run(csys, max_steps=5)
     # b exists only after step 1, so `use` cannot fire before step 2.
-    assert tr.rule_ids(1) == ["make"]
-    assert tr.rule_ids(2) == ["use"]
+    assert ids(tr, 1) == ["make"]
+    assert ids(tr, 2) == ["use"]
     assert read_region(tr.final, "m").counts == {C: 1}
 
 
@@ -64,8 +95,8 @@ def test_greedy_declaration_order_splits_shared_tokens():
     ], contents={A: 3})
     tr = run(csys, max_steps=2)
     # Unrelated rules run greedily in declaration order: first takes all.
-    assert tr.fired("first", 1) == 3
-    assert tr.fired("second", 1) == 0
+    assert fired(tr, "first", 1) == 3
+    assert fired(tr, "second", 1) == 0
 
 
 def test_priority_inverts_declaration_order():
@@ -74,8 +105,8 @@ def test_priority_inverts_declaration_order():
         rule("second", consume_in={A: 1}, produce_in={C: 1}),
     ], priority=[("second", "first")], contents={A: 3})
     tr = run(csys, max_steps=2)
-    assert tr.fired("second", 1) == 3
-    assert tr.fired("first", 1) == 0
+    assert fired(tr, "second", 1) == 3
+    assert fired(tr, "first", 1) == 0
 
 
 def test_strong_priority_blocks_while_higher_applicable():
@@ -88,12 +119,12 @@ def test_strong_priority_blocks_while_higher_applicable():
                   max_steps=3)
     # One high application exhausts x; the leftover a then goes to low
     # in the same step because high is no longer applicable.
-    assert blocked.fired("high", 1) == 1
-    assert blocked.fired("low", 1) == 1
+    assert fired(blocked, "high", 1) == 1
+    assert fired(blocked, "low", 1) == 1
 
     free = run(one_region(rules, [("high", "low")], {A: 2}), max_steps=3)
-    assert free.fired("high", 1) == 0
-    assert free.fired("low", 1) == 2
+    assert fired(free, "high", 1) == 0
+    assert fired(free, "low", 1) == 2
 
 
 def test_charge_cap_exhausts_applicability_for_blocking():
@@ -104,8 +135,8 @@ def test_charge_cap_exhausts_applicability_for_blocking():
         rule("low", consume_in={A: 1}, produce_in={C: 1}),
     ]
     tr = run(one_region(rules, [("high", "low")], {A: 1, X: 5}), max_steps=9)
-    assert tr.fired("high", 1) == 1
-    assert tr.fired("low", 1) == 1
+    assert fired(tr, "high", 1) == 1
+    assert fired(tr, "low", 1) == 1
 
 
 def test_transitive_priority_closure():
@@ -123,9 +154,9 @@ def test_transitive_priority_closure():
     # Selection still processes higher rules first; the starved mid
     # takes nothing and the others fire in the same step.
     tr = run(csys, max_steps=3)
-    assert tr.fired("top", 1) == 1
-    assert tr.fired("mid", 1) == 0
-    assert tr.fired("bot", 1) == 1
+    assert fired(tr, "top", 1) == 1
+    assert fired(tr, "mid", 1) == 0
+    assert fired(tr, "bot", 1) == 1
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -163,17 +194,17 @@ def test_charge_gates_applicability():
     ], contents={A: 1, B: 1})
     tr = run(csys, max_steps=5)
     # plus_only sees the new charge one step after flip stages it.
-    assert tr.rule_ids(1) == ["flip"]
-    assert tr.rule_ids(2) == ["plus_only"]
+    assert ids(tr, 1) == ["flip"]
+    assert ids(tr, 2) == ["plus_only"]
 
 
 def test_charge_change_applies_once_per_step():
     csys = one_region([rule("flip", pre=NEUTRAL, post=PLUS,
                             consume_in={A: 1})], contents={A: 5})
     tr = run(csys, max_steps=1)
-    assert tr.fired("flip", 1) == 1
+    assert fired(tr, "flip", 1) == 1
     assert read_region(tr.final, "m").get(A) == 4
-    assert tr.final.charge("m") == PLUS
+    assert charge(tr.final, "m") == PLUS
 
 
 def test_one_charge_change_per_membrane_per_step():
@@ -182,8 +213,8 @@ def test_one_charge_change_per_membrane_per_step():
         rule("to_minus", pre=NEUTRAL, post=MINUS, consume_in={B: 1}),
     ], contents={A: 1, B: 1})
     tr = run(csys, max_steps=1)
-    assert tr.rule_ids(1) == ["to_plus"]
-    assert tr.final.charge("m") == PLUS
+    assert ids(tr, 1) == ["to_plus"]
+    assert charge(tr.final, "m") == PLUS
     assert read_region(tr.final, "m").counts == {B: 1}
 
 
@@ -195,8 +226,8 @@ def test_rewriting_rules_run_alongside_the_charge_change():
     ], contents={A: 1, B: 4})
     tr = run(csys, max_steps=1)
     # work is gated on the pre-step charge, so it fires in the same step.
-    assert tr.fired("work", 1) == 4
-    assert tr.final.charge("m") == MINUS
+    assert fired(tr, "work", 1) == 4
+    assert charge(tr.final, "m") == MINUS
 
 
 def test_child_pattern_and_charge():
@@ -208,8 +239,8 @@ def test_child_pattern_and_charge():
     csys = compile_system(PSystem(tree, rules))
     tr = run(csys, max_steps=3, initial={"p": {X: 2}})
     # Child charge flip caps the rule at one application despite x^2.
-    assert tr.fired("open", 1) == 1
-    assert tr.final.charge("q") == PLUS
+    assert fired(tr, "open", 1) == 1
+    assert charge(tr.final, "q") == PLUS
     assert read_region(tr.final, "q").counts == {A: 1, B: 1}
     # Second application blocked: child now ^+ but pattern wants ^0.
     assert tr.steps == 1
@@ -221,7 +252,7 @@ def test_out_consumption_reaches_parent_region():
     rules = [RuleSpec(id="pull", target="q",
                       consume_out={X: 1}, produce_in={B: 1})]
     tr = run(compile_system(PSystem(tree, rules)), max_steps=2)
-    assert tr.fired("pull", 1) == 3
+    assert fired(tr, "pull", 1) == 3
     assert read_region(tr.final, "q").counts == {B: 3}
     assert read_region(tr.final, "p").counts == {}
 
@@ -256,9 +287,7 @@ def loopy_system():
 
 
 def test_full_trace_replays_exactly():
-    tr = run(compile_system(loopy_system()), max_steps=20, trace_mode="full")
-    assert tr.halted
-    assert replay_matches(tr)
+    assert step_and_replay(compile_system(loopy_system()), max_steps=20)
 
 
 def test_records_only_replay_via_apply_record():
@@ -267,7 +296,7 @@ def test_records_only_replay_via_apply_record():
     cfg = csys.initial_configuration()
     for rec in tr.records:
         apply_record(cfg, rec)
-    assert cfg.equal_state(tr.final)
+    assert same_state(cfg, tr.final)
 
 
 # ============================================================
@@ -289,11 +318,10 @@ def test_step_record_reads_as_pairs():
     pairs = [(r, 2), (s, 1)]
     assert len(rec) == 2
     assert list(rec) == pairs
-    assert [rec[0], rec[1], rec[-1]] == [(r, 2), (s, 1), (s, 1)]
-    with pytest.raises(IndexError):
-        rec[2]
-    assert rec == pairs and pairs == rec
-    assert rec != pairs[:1] and rec != pairs[::-1] and rec != tuple(pairs)
+    assert rec == StepRecord([r, s], [2, 1])
+    assert rec != StepRecord([r], [2]) and rec != StepRecord([s, r], [1, 2])
+    # Records compare only with records, not with their pairs.
+    assert rec != pairs and pairs != rec
     assert rec.rules == [r, s] and rec.counts == [2, 1]
     assert repr(rec) == "StepRecord([(<rule r @ m>, 2), (<rule s @ m>, 1)])"
 
@@ -302,14 +330,15 @@ def test_apply_record_replays_a_step_record():
     _, cfg = two_rule_step()
     work = cfg.copy()
     apply_record(work, maximal_step(cfg))
-    assert work.equal_state(cfg) and work.step == cfg.step == 1
+    assert same_state(work, cfg) and work.step == cfg.step == 1
 
 
 def test_empty_step_record_is_falsy():
     csys = one_region([rule("r", consume_in={A: 1})], contents={B: 1})
     cfg = csys.initial_configuration()
     rec = maximal_step(cfg)
-    assert not rec and len(rec) == 0 and list(rec) == [] and rec == []
+    assert not rec and len(rec) == 0 and list(rec) == []
+    assert rec == StepRecord([], [])
     assert cfg.step == 0
 
 
@@ -483,7 +512,7 @@ def test_partial_share_is_not_flagged():
         rule("also", consume_in={A: 1}, produce_in={C: 1}),
     ]
     tr = run(one_region(rules, (), {A: 3}), max_steps=3, strict=True)
-    assert tr.fired("also", 1) == 1
+    assert fired(tr, "also", 1) == 1
     assert tr.ambiguities == []
 
 

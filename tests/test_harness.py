@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -309,6 +310,8 @@ _BAD_INPUT = {
     "run": ["run", "--spec", "{pspec}"],
     "mult": ["mult", "--", "-1", "3"],
     "oracle": ["oracle", "--spec", "{bad}"],
+    "oracle-inf": ["oracle", "--spec", "{inf}"],
+    "oracle-fraction": ["oracle", "--spec", "{fraction}"],
     "oracle-loops": ["oracle", "--spec", "{game}", "--loops", "0"],
     "compare": ["compare", "--spec", "{game}", "--loops", "0"],
     "experiment": ["experiment", "--seed", "1", "--preset", "small",
@@ -322,10 +325,18 @@ _BAD_INPUT = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUT))
 def test_cli_bad_input_is_one_error_line(case, tmp_path, capsys):
-    paths = {name: str(tmp_path / name) for name in ("game", "pspec", "bad", "out")}
-    save_game(sample_experiment(6, "small", loops=2), paths["game"])
+    paths = {name: str(tmp_path / name)
+             for name in ("game", "pspec", "bad", "inf", "fraction", "out")}
+    spec = sample_experiment(6, "small", loops=2)
+    save_game(spec, paths["game"])
     (tmp_path / "pspec").write_text("not a system\n")
     (tmp_path / "bad").write_text('{"players": "x"}\n')
+    # json writes an infinite float as the bare word Infinity.
+    save_game(dataclasses.replace(spec, mass=[math.inf] * spec.players),
+              paths["inf"])
+    slots = [list(s) for s in spec.strategies]
+    slots[0][-1] -= 0.3  # truncating would quietly pick the slot below
+    save_game(dataclasses.replace(spec, strategies=slots), paths["fraction"])
     argv = [arg.format(**paths) for arg in _BAD_INPUT[case]]
     assert main(argv) == 1
     err = capsys.readouterr().err

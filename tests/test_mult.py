@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from pgne import (ENV_LABEL, build_mult_system, compile_system, mult_steps,
-                  read_region, replay_matches, run, sym)
+                  read_region, run, sym)
+from test_engine import step_and_replay
 
 
 def apps(trace, t):
@@ -141,9 +142,8 @@ def test_total_order_extends_priorities():
 
 
 def test_replay_full_trace():
-    trace = run(build_mult_system(13, 7), max_steps=60, trace_mode="full")
-    assert trace.halted
-    assert replay_matches(trace)
+    assert step_and_replay(compile_system(build_mult_system(13, 7)),
+                           max_steps=60)
 
 
 def test_no_ambiguity_flags():

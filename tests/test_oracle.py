@@ -7,9 +7,8 @@ import pytest
 
 from pgne import GameSpec, coefficient_matrices, payoff_coefficients
 from pgne.oracle import (StateZ, bnn_rate, count_round, discrete_update,
-                         excess_payoff, gne_residual, individual_cost,
-                         initial_state, payoff, payoff_counts, pricing,
-                         rate_counts, simulate, trajectory_csv)
+                         excess_payoff, gne_residual, initial_state, payoff,
+                         payoff_counts, rate_counts, simulate, trajectory_csv)
 
 
 def two_player_spec(**over):
@@ -36,38 +35,6 @@ def flat_spec():
 # ============================================================
 # Real route
 # ============================================================
-
-
-def test_pricing_zero_demand():
-    spec = two_player_spec()
-    assert np.allclose(pricing(spec, np.zeros(4)), spec.j_bar)
-
-
-def test_pricing_single_unit():
-    spec = two_player_spec()
-    # One unit of demand on the strategy using slot 1.
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    got = pricing(spec, x)
-    want = np.array(spec.j_bar) + np.array([0.5, 0.0, 0.0])
-    assert np.allclose(got, want)
-
-
-def test_pricing_no_sensitivity():
-    spec = two_player_spec(d_diag=[0.0, 0.0, 0.0])
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert np.allclose(pricing(spec, rng.uniform(0, 2, 4)), spec.j_bar)
-
-
-def test_individual_cost():
-    spec = two_player_spec()
-    assert individual_cost(spec, 1, [0.0, 0.0]) == 0.0
-    lin = two_player_spec(alpha=[[0.0, 0.0], [0.0, 0.0]])
-    assert individual_cost(lin, 1, [2.0, 3.0]) == pytest.approx(
-        0.1 * 2 + 0.2 * 3)
-    single = GameSpec(players=1, slots=1, strategies=[[1]], d_diag=[0.0],
-                      j_bar=[0.0], alpha=[[2.0]], beta=[[1.0]], mass=[1.0])
-    assert individual_cost(single, 1, [3.0]) == pytest.approx(12.0)
 
 
 def test_payoff_zero_parameters():

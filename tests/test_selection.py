@@ -34,7 +34,7 @@ def reference_step(cfg: Configuration, strict: bool,
     charge_next = list(charges)
     consumers: Dict[Tuple[int, Sym], list] = {}
     deltas: Dict[Tuple[int, Sym], int] = {}
-    record: StepRecord = []
+    record = StepRecord([], [])
     for cr in csys.ordered:
         if charges[cr.target] != cr.pre:
             continue
@@ -69,7 +69,8 @@ def reference_step(cfg: Configuration, strict: bool,
         for r in cr.locks:
             locked[r] = True
             charge_next[r] = cr.post if r == cr.target else cr.child_post
-        record.append((cr, k))
+        record.rules.append(cr)
+        record.counts.append(k)
     if record:
         for (r, s), n in deltas.items():
             avail[r][s] = avail[r].get(s, 0) + n
