@@ -83,9 +83,16 @@ def save_game(spec: GameSpec, path: str) -> None:
         fh.write("\n")
 
 
+def _real(name: str, x) -> float:
+    """x as a float, refusing the strings and bools float() would coerce."""
+    if isinstance(x, (str, bool)):
+        raise GameError(f"{name} value {x!r} is not a number")
+    return float(x)
+
+
 def _whole(name: str, x) -> int:
     """x as an int, refusing a float that is not a whole number."""
-    if isinstance(x, float) and not x.is_integer():
+    if not _real(name, x).is_integer():
         raise GameError(f"{name} value {x} is not a whole number")
     return int(x)
 
@@ -100,11 +107,11 @@ def load_game(path: str) -> GameSpec:
             slots=_whole("slots", doc["slots"]),
             strategies=[[_whole("strategies", i) for i in s]
                         for s in doc["strategies"]],
-            d_diag=[float(x) for x in doc["d_diag"]],
-            j_bar=[float(x) for x in doc["j_bar"]],
-            alpha=[[float(x) for x in row] for row in doc["alpha"]],
-            beta=[[float(x) for x in row] for row in doc["beta"]],
-            mass=[float(x) for x in doc["mass"]],
+            d_diag=[_real("d_diag", x) for x in doc["d_diag"]],
+            j_bar=[_real("j_bar", x) for x in doc["j_bar"]],
+            alpha=[[_real("alpha", x) for x in row] for row in doc["alpha"]],
+            beta=[[_real("beta", x) for x in row] for row in doc["beta"]],
+            mass=[_real("mass", x) for x in doc["mass"]],
             r_disc=_whole("r_disc", doc.get("r_disc", 100)),
             loops=_whole("loops", doc.get("loops", 10)),
         )
@@ -158,6 +165,9 @@ def validate_game(spec: GameSpec) -> List[str]:
         for x in vals:
             if not math.isfinite(x):
                 out.append(f"{name} value {x} is not finite")
+                break
+            if not math.isfinite(x * MICRO):
+                out.append(f"{name} value {x} is too large")
                 break
             if abs(x * MICRO - round(x * MICRO)) > 1e-6:
                 out.append(f"{name} value {x} is not quantized to 1e-4")

@@ -23,17 +23,15 @@ Step semantics, fixed here and relied on by every test in the suite:
     rule application per step.
   * Objects produced during a step become visible only at the next step.
 
-Selection is index driven.  Compilation records, per region, the rules
-that consume each symbol there.  A step counts, over the symbols present
-at its start, how many of each rule's consumed keys are present, and
-examines only the rules with all of them present and matching target and
-child charges, in the total order.  Any other rule lacks a need or a
-charge for the whole step, so it could neither apply nor be starved.  The
-examined rules still go through every check, and `CRule.max_count`
-against the residual resources is the final judge: a threshold need can
-be present but short.  A rule with one need, which is most rules, is a
-candidate as soon as that key is present; only rules with more needs
-count hits.
+Selection is index driven.  Compilation files each rule under one
+watched key, the (region, symbol) of its first need.  A step visits the
+rules watching the symbols present at its start, and a visited rule is a
+candidate if its charges match and its other needed symbols are present
+(zero counts are never stored).  Any other rule lacks a need or a charge
+for the whole step, so it could neither apply nor be starved.  Candidates
+go through every check in the total order, and the count against the
+residual resources is the final judge: a threshold need can be present
+but short.  Most rules have one need, and count it inline.
 
 A step's record is a `StepRecord`: the applied rules and their counts in
 two parallel lists, read as a sequence of (rule, count) pairs.  A trace
@@ -157,7 +155,7 @@ class CRule:
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
         "child_post", "needs", "gives", "flips", "locks", "higher",
-        "target_label", "multi",
+        "target_label", "rest",
     )
 
     def __init__(self, spec: RuleSpec, target: int, parent: int,
@@ -189,8 +187,8 @@ class CRule:
                 gives.append((child, s, n))
         self.needs = tuple(needs)
         self.gives = tuple(gives)
-        # Selection counts hits only for a rule with more than one need.
-        self.multi = len(needs) > 1
+        # Selection watches the first need; the rest it checks for presence.
+        self.rest = self.needs[1:]
         # (region, new charge) per membrane the rule re-charges; each one
         # is locked for the rest of the step once the rule fires.
         flips = [(target, self.post)] if self.post != self.pre else []
@@ -329,20 +327,17 @@ class CompiledSystem:
         for b, ups in above.items():
             self.rules[b].higher = tuple(self.rules[j] for j in sorted(ups))
 
-        # Candidate buckets keyed by (target region, pre charge).  Stepping
-        # does not read them; they describe which rules a charge state arms.
+        # Rules by (target region, pre charge): what a charge state arms.
         self.buckets: Dict[Tuple[int, int], List[CRule]] = {}
         for cr in self.ordered:
             self.buckets.setdefault((cr.target, cr.pre), []).append(cr)
 
-        # Selection index: per region, symbol -> the rules consuming it
-        # there.  A rule's needs name distinct (region, symbol) keys, so it
-        # is a candidate exactly when len(needs) of its keys are present:
-        # at once for a one-need rule, which is most rules.
+        # Selection index: per region, symbol -> the rules whose first need
+        # it is.  A step checks their other needs only when it is present.
         watchers: List[Dict[Sym, List[CRule]]] = [{} for _ in self.parents]
         for cr in self.rules:
-            for r, s, _ in cr.needs:
-                watchers[r].setdefault(s, []).append(cr)
+            r, s, _ = cr.needs[0]
+            watchers[r].setdefault(s, []).append(cr)
         self.watchers = [(r, w) for r, w in enumerate(watchers) if w]
 
     def comparable(self, a: CRule, b: CRule) -> bool:
@@ -481,19 +476,20 @@ def maximal_step(cfg: Configuration, strict: bool = False,
     # target and child charges.  Any other rule has k = 0 for the whole step.
     cand: List[CRule] = []
     add = cand.append
-    hits: Dict[CRule, int] = {}
     for r, watch in csys.watchers:
         for s in avail[r]:
             for cr in watch.get(s, ()):
-                if cr.multi:
-                    hits[cr] = hits.get(cr, 0) + 1
-                elif charges[cr.target] == cr.pre and (
-                        cr.child < 0 or charges[cr.child] == cr.child_pre):
+                if charges[cr.target] != cr.pre or (
+                        cr.child >= 0 and charges[cr.child] != cr.child_pre):
+                    continue
+                if cr.rest:
+                    for q, t, _ in cr.rest:
+                        if t not in avail[q]:
+                            break
+                    else:
+                        add(cr)
+                else:
                     add(cr)
-    for cr, h in hits.items():
-        if (h == len(cr.needs) and charges[cr.target] == cr.pre
-                and (cr.child < 0 or charges[cr.child] == cr.child_pre)):
-            add(cr)
     cand.sort(key=_ORDER)
 
     if strict:
@@ -508,7 +504,11 @@ def maximal_step(cfg: Configuration, strict: bool = False,
         # `locks` names at most the target and one child.
         if cr.locks and (locked[cr.locks[0]] or locked[cr.locks[-1]]):
             continue
-        k = cr.max_count(avail)
+        if cr.rest:
+            k = cr.max_count(avail)
+        else:
+            (r, s, n), = cr.needs
+            k = avail[r].get(s, 0) // n
         if k == 0:
             if strict and ambiguities is not None and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
@@ -605,7 +605,7 @@ def run(sys: PSystem | CompiledSystem, max_steps: int,
     halted = False
     for _ in range(max_steps):
         rec = maximal_step(cfg, strict=strict, ambiguities=ambiguities)
-        if not rec:
+        if not rec.rules:
             halted = True
             break
         records.append(rec)

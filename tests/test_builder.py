@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from pgne.builder import (MICRO, GameSpec, RuleTag, _rid, build_gne_system,
+from pgne.builder import (MICRO, GameError, GameSpec, RuleTag, _rid, build_gne_system,
                           build_mult_system, coefficient_matrices,
                           initial_distribution, load_game, payoff_coefficients,
                           quantize, rule_tag, save_game, validate_game)
@@ -49,6 +52,7 @@ def test_good_spec_validates_clean():
     (lambda s: s.mass.__setitem__(0, math.inf), "mass value inf is not finite"),
     (lambda s: s.d_diag.__setitem__(1, math.nan),
      "d_diag value nan is not finite"),
+    (lambda s: s.mass.__setitem__(0, 1e305), "mass value 1e+305 is too large"),
 ])
 def test_validation_catches(mutate, needle):
     s = good_spec()
@@ -64,6 +68,32 @@ def test_save_load_round_trip(tmp_path):
     assert t == s
     save_game(t, path)
     assert load_game(path) == s
+
+
+def _write_game(tmp_path, **fields) -> str:
+    doc = asdict(good_spec())
+    doc.update(fields)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields,needle", [
+    ({"players": "2"}, "players value '2' is not a number"),
+    ({"loops": True}, "loops value True is not a number"),
+    ({"strategies": [[1, "3"], [2, 3]]}, "strategies value '3' is not a number"),
+    ({"mass": ["3.5", 3.25]}, "mass value '3.5' is not a number"),
+    ({"alpha": [[2.0, False], [1.5, 3.5]]}, "alpha value False is not a number"),
+])
+def test_load_refuses_strings_and_bools(fields, needle, tmp_path):
+    with pytest.raises(GameError, match=re.escape(needle)):
+        load_game(_write_game(tmp_path, **fields))
+
+
+def test_load_accepts_whole_floats_for_integer_fields(tmp_path):
+    path = _write_game(tmp_path, players=2.0, strategies=[[1.0, 3], [2, 3.0]],
+                       r_disc=100.0, loops=5.0)
+    assert load_game(path) == good_spec()
 
 
 @pytest.mark.parametrize("game", sorted(_DATA.glob("*.json")),

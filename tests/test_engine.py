@@ -88,6 +88,24 @@ def test_products_invisible_until_commit():
     assert read_region(tr.final, "m").counts == {C: 1}
 
 
+@pytest.mark.parametrize("start,made", [(A, B), (B, A)],
+                         ids=["watched-need-present", "other-need-present"])
+def test_two_need_rule_waits_for_a_need_made_this_step(start, made):
+    # `both` is filed under its first need, a, and checks b for presence.
+    # One need is there at the start; `make` makes the other in step 1.
+    csys = one_region([
+        rule("make", consume_in={C: 1}, produce_in={made: 1}),
+        rule("both", consume_in={A: 1, B: 1}, produce_in={D: 1}),
+    ], contents={start: 1, C: 1})
+    assert csys.rules[1].needs[0][1] == A
+    for strict in (False, True):
+        tr = run(csys, max_steps=5, strict=strict)
+        assert ids(tr, 1) == ["make"]
+        assert ids(tr, 2) == ["both"]
+        assert tr.steps == 2
+        assert read_region(tr.final, "m").counts == {D: 1}
+
+
 def test_greedy_declaration_order_splits_shared_tokens():
     csys = one_region([
         rule("first", consume_in={A: 1}, produce_in={B: 1}),

@@ -312,6 +312,9 @@ _BAD_INPUT = {
     "oracle": ["oracle", "--spec", "{bad}"],
     "oracle-inf": ["oracle", "--spec", "{inf}"],
     "oracle-fraction": ["oracle", "--spec", "{fraction}"],
+    "oracle-huge": ["oracle", "--spec", "{huge}"],
+    "oracle-string": ["oracle", "--spec", "{string}"],
+    "oracle-bool": ["oracle", "--spec", "{bool}"],
     "oracle-loops": ["oracle", "--spec", "{game}", "--loops", "0"],
     "compare": ["compare", "--spec", "{game}", "--loops", "0"],
     "experiment": ["experiment", "--seed", "1", "--preset", "small",
@@ -326,7 +329,8 @@ _BAD_INPUT = {
 @pytest.mark.parametrize("case", sorted(_BAD_INPUT))
 def test_cli_bad_input_is_one_error_line(case, tmp_path, capsys):
     paths = {name: str(tmp_path / name)
-             for name in ("game", "pspec", "bad", "inf", "fraction", "out")}
+             for name in ("game", "pspec", "bad", "inf", "fraction", "huge",
+                          "string", "bool", "out")}
     spec = sample_experiment(6, "small", loops=2)
     save_game(spec, paths["game"])
     (tmp_path / "pspec").write_text("not a system\n")
@@ -337,6 +341,13 @@ def test_cli_bad_input_is_one_error_line(case, tmp_path, capsys):
     slots = [list(s) for s in spec.strategies]
     slots[0][-1] -= 0.3  # truncating would quietly pick the slot below
     save_game(dataclasses.replace(spec, strategies=slots), paths["fraction"])
+    # Finite, but too large to quantize: x * 1e4 overflows to infinity.
+    save_game(dataclasses.replace(spec, mass=[1e305] * spec.players),
+              paths["huge"])
+    # int() and float() would quietly coerce these.
+    save_game(dataclasses.replace(spec, players=str(spec.players)),
+              paths["string"])
+    save_game(dataclasses.replace(spec, loops=True), paths["bool"])
     argv = [arg.format(**paths) for arg in _BAD_INPUT[case]]
     assert main(argv) == 1
     err = capsys.readouterr().err
