@@ -225,6 +225,60 @@ def test_missing_membranes_section():
     check_error("# nothing\n", "missing membranes")
 
 
+# Lexer edges: comments touching tokens or the end of the text, empty
+# text, '#' inside a parameter list, and CRLF or tab line starts.
+def test_comment_at_end_without_newline():
+    s = parse_system("membranes:\n  [ 'm ^0 { a } ] # trailing")
+    assert s.tree.contents.get(sym("a")) == 1
+
+
+def test_empty_text():
+    check_error("", "missing membranes section")
+
+
+def test_comment_right_after_token():
+    s = parse_system("membranes:#x\n  [ 'm ^0 ]")
+    assert s.tree.label == "m"
+
+
+def test_hash_inside_parameter_list():
+    check_error("membranes:\n  [ 'm ^0 { a{1,#2} } ]",
+                "bad parameter '#2'", line=2, col=13)
+
+
+@pytest.mark.parametrize("text,col", [
+    ("membranes:\r\n  [ 'm ^0 { a^0 } ]", 13),
+    ("membranes:\n\t[ 'm ^0 { a^0 } ]", 12)])
+def test_crlf_and_tab_line_starts(text, col):
+    check_error(text, "zero count", line=2, col=col)
+
+
+# Errors near the end of a full-size system: both positions come from
+# token offsets that are worked out only when an error is raised.
+@pytest.fixture(scope="module")
+def default_lines():
+    sysd = build_gne_system(sample_experiment(27, "default"))
+    return serialize_system(sysd).split("\n")
+
+
+def test_error_position_on_last_rule_line(default_lines):
+    lines = list(default_lines)
+    n = lines.index("priority:") - 2
+    assert lines[n].startswith("  rule ")
+    col = lines[n].rfind("->") + 1
+    lines[n] = lines[n][:col - 1] + "-" + lines[n][col + 1:]
+    check_error("\n".join(lines), "stray '-'", line=n + 1, col=col)
+
+
+def test_error_position_on_last_priority_pair(default_lines):
+    lines = list(default_lines)
+    n = len(lines) - 2
+    head, _, _ = lines[n].rpartition("'")
+    lines[n] = head + "'nosuch"
+    check_error("\n".join(lines), "priority names unknown rule 'nosuch",
+                line=n + 1, col=len(head) + 1)
+
+
 def test_duplicate_section():
     check_error("membranes:\n  [ 'm ^0 ]\nmembranes:\n  [ 'q ^0 ]",
                 "duplicate section")
