@@ -25,8 +25,12 @@ pairs, two-space indent per tree depth.  parse(serialize(s)) is
 structurally equal to s: the serializer refuses a symbol the lexer would
 read back differently (base `none`, or a parameter that is not an int or a
 non-numeric identifier).  Parse errors give the line and column of the
-offending token where there is one.  Tokens are plain tuples, and each
-distinct token text, so each distinct symbol, is read once per parse.
+offending token where there is one.
+
+The lexer is one `findall` pass that returns the token texts as plain
+strings.  A memo local to the parse reads each distinct text, so each
+distinct symbol, once, into a plain tuple shared by all its occurrences.
+Token offsets are not kept; an error finds them with one more scan.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class PSpecError(Exception):
 # A token is a plain tuple (kind, text, value, count), shared by every
 # occurrence of its text.  kind: word label charge symbol punct eof; value:
 # the Sym of a word or symbol, the charge of a charge; a label's text drops
-# the quote.  Token offsets are kept in a list beside the tokens.
+# the quote.  Offsets are not kept: an error works them out again.
 Tok = Tuple[str, str, object, int]
 
 
@@ -73,43 +77,56 @@ def _error(text: str, msg: str, pos: int) -> PSpecError:
     return PSpecError(msg, line, pos - text.rfind("\n", 0, pos))
 
 
-# Whitespace and comments, then one token.  Parameter lists run to the
-# next '}', newlines included; an empty 'close' means there is none.
-# Only the end of the text matches no token.
+# One token.  Parameter lists run to the next '}', newlines included; an
+# empty 'close' means there is none.  Any other character is 'bad'.
 _TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
-    (?: (?P<punct>->|[\[\](){}>:])
-      | (?P<label>'%(id)s)
-      | (?P<charge>\^[0+-])
-      | (?P<symbol>(?P<atom>%(id)s)
-            (?:\{(?P<params>[^}]*)(?P<close>\}?))?
-            (?:\^(?P<count>[0-9]+))?)
-      | (?P<bad>.)
-    )?""" % {"id": _ID}, re.VERBOSE | re.DOTALL)
+      (?P<punct>->|[\[\](){}>:])
+    | (?P<label>'%(id)s)
+    | (?P<charge>\^[0+-])
+    | (?P<symbol>(?P<atom>%(id)s)
+          (?:\{(?P<params>[^}]*)(?P<close>\}?))?
+          (?:\^(?P<count>[0-9]+))?)
+    | (?P<bad>.)""" % {"id": _ID}, re.VERBOSE | re.DOTALL)
+# The scan: a whitespace run or a comment, each with an empty group, or a
+# token (the same grammar, its groups made one) and the whitespace after
+# it.  Skipping is never a prefix of the token: at the end of the text
+# that would backtrack and hand a space or a '#' to 'bad'.
+_SCAN = re.compile(r"[ \t\r\n]+|\#[^\n]*|(%s)[ \t\r\n]*"
+                   % re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern),
+                   re.VERBOSE | re.DOTALL)
 _NUMBER = re.compile(r"-?[0-9]+")
 _BAD_CHAR = {"-": "stray '-'; expected '->'",
              "'": "empty label after quote",
              "^": "bad charge; expected ^0, ^+ or ^-"}
 
 
-def _params(text: str, inner: str, start: int) -> List[object]:
+def _starts(text: str) -> List[int]:
+    """The offset of each token of text, the end of text last (for eof)."""
+    starts = [m.start(1) for m in _SCAN.finditer(text) if m.lastindex]
+    starts.append(len(text))
+    return starts
+
+
+def _params(inner: str) -> List[object]:
     """Integer and identifier parameters of the list text inner."""
     params: List[object] = []
     for piece in inner.split(",") if inner.strip() else ():
         piece = piece.strip()
         if not piece:
-            raise _error(text, "empty parameter", start)
+            raise PSpecError("empty parameter")
         if _NUMBER.fullmatch(piece):
             params.append(int(piece))
         elif _IDENT.fullmatch(piece):
             params.append(piece)
         else:
-            raise _error(text, f"bad parameter {piece!r}", start)
+            raise PSpecError(f"bad parameter {piece!r}")
     return params
 
 
-def _read(text: str, m: re.Match, kind: str, tok: str, start: int) -> Tok:
-    """The token for text tok, or its lexing error."""
+def _read(tok: str) -> Tok:
+    """The token for text tok; its error carries no position."""
+    m = _TOKEN.fullmatch(tok)
+    kind = m.lastgroup
     if kind == "punct":
         return kind, tok, None, 1
     if kind == "label":
@@ -117,40 +134,33 @@ def _read(text: str, m: re.Match, kind: str, tok: str, start: int) -> Tok:
     if kind == "charge":
         return kind, tok, _CHARGE_VAL[tok[1]], 1
     if kind == "bad":
-        raise _error(text, _BAD_CHAR.get(tok, f"unexpected character "
-                                              f"{tok!r}"), start)
+        raise PSpecError(_BAD_CHAR.get(tok, f"unexpected character {tok!r}"))
     inner, count = m.group("params", "count")
     if inner is None and count is None:
         # Bare word: keyword or plain symbol, parser decides.
         return "word", tok, sym(tok), 1
     if inner is not None and not m.group("close"):
-        raise _error(text, "unterminated parameter list", start)
-    params = _params(text, inner, start) if inner else []
+        raise PSpecError("unterminated parameter list")
+    params = _params(inner) if inner else []
     return (kind, tok, sym(m.group("atom"), *params),
             int(count) if count else 1)
 
 
-def _lex(text: str) -> Tuple[List[Tok], List[int]]:
-    """The tokens of text and the offset where each starts."""
-    toks: List[Tok] = []
-    starts: List[int] = []
-    add, add_start = toks.append, starts.append
-    # Each distinct token text is read once.  An entry is stored only
-    # after its text lexed cleanly, so an error names its first occurrence.
+def _lex(text: str) -> List[Tok]:
+    """The tokens of text, ending in eof."""
+    texts = list(filter(None, _SCAN.findall(text)))
+    # Each distinct text is read once, in order of first occurrence, so
+    # the first bad text raises, at its first occurrence.
     seen: Dict[str, Tok] = {}
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # only the end of the text
-            break
-        tok, start = m.group(kind), m.start(kind)
-        t = seen.get(tok)
-        if t is None:
-            t = seen[tok] = _read(text, m, kind, tok, start)
-        add(t)
-        add_start(start)
-    add(("eof", "", None, 1))
-    add_start(len(text))
-    return toks, starts
+    for tok in dict.fromkeys(texts):
+        try:
+            seen[tok] = _read(tok)
+        except PSpecError as e:
+            pos = _starts(text)[texts.index(tok)]
+            raise _error(text, str(e), pos) from None
+    toks = list(map(seen.__getitem__, texts))
+    toks.append(("eof", "", None, 1))
+    return toks
 
 
 # ============================================================
@@ -161,7 +171,7 @@ def _lex(text: str) -> Tuple[List[Tok], List[int]]:
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens, self.starts = _lex(text)
+        self.tokens = _lex(text)
         self.pos = 0
         # Index of the first token of each symbol base, in text order.
         self.bases: Dict[str, int] = {}
@@ -177,7 +187,7 @@ class _Parser:
 
     def fail(self, msg: str, i: Optional[int] = None) -> PSpecError:
         """Error at token i, by default the next one."""
-        pos = self.starts[self.pos if i is None else i]
+        pos = _starts(self.text)[self.pos if i is None else i]
         return _error(self.text, msg, pos)
 
     def take(self, kind: str, text: Optional[str] = None,
