@@ -223,22 +223,7 @@ def test_non_ascii_digits_are_pspec_errors(atom, needle):
 def test_missing_membranes_section():
     check_error("rules:\n", "missing membranes")
     check_error("# nothing\n", "missing membranes")
-
-
-# Lexer edges: comments touching tokens or the end of the text, empty
-# text, '#' inside a parameter list, and CRLF or tab line starts.
-def test_comment_at_end_without_newline():
-    s = parse_system("membranes:\n  [ 'm ^0 { a } ] # trailing")
-    assert s.tree.contents.get(sym("a")) == 1
-
-
-def test_empty_text():
     check_error("", "missing membranes section")
-
-
-def test_comment_right_after_token():
-    s = parse_system("membranes:#x\n  [ 'm ^0 ]")
-    assert s.tree.label == "m"
 
 
 def test_hash_inside_parameter_list():
@@ -302,6 +287,10 @@ def test_comments_and_counts():
     s = parse_system(text)
     assert s.tree.contents.get(sym("a")) == 1
     assert s.tree.contents.get(sym("b")) == 12
+    # A comment may touch the token before it, and end the text.
+    assert parse_system("membranes:#x\n  [ 'm ^0 ]").tree.label == "m"
+    s = parse_system("membranes:\n  [ 'm ^0 { a } ] # trailing")
+    assert s.tree.contents.get(sym("a")) == 1
 
 
 def test_order_of_rules_is_preserved():
