@@ -67,7 +67,7 @@ class PSpecError(Exception):
 # A token is a plain tuple (kind, text, value, count), shared by every
 # occurrence of its text.  kind: word label charge symbol punct eof; value:
 # the Sym of a word or symbol, the charge of a charge; a label's text drops
-# the quote.  Offsets are not kept: an error works them out again.
+# the quote.
 Tok = Tuple[str, str, object, int]
 
 
