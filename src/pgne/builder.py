@@ -448,21 +448,24 @@ def mult_steps(m: int) -> int:
     return 7 + 6 * (m.bit_length() - 1)
 
 
-# Transitions of one iteration outside its two embedded multiplications:
-# stage 1 takes 10, stage 3 takes 7 and stage 5 at most 18; stages 2 and 4
-# spend 6 and 9 around their multiplier.  Measured on 1-3 players, 2-5
-# slots and r_disc from 2 to 10^5.  At r_disc = 100 the bound is the 136
-# steps per loop that the acceptance gate allows.
-_LOOP_FIXED_STEPS = 10 + 6 + 7 + 9 + 18
+def stage_steps(max_count: int, last: bool) -> Tuple[int, int, int, int, int]:
+    """Exact steps of each stage of one game-system loop.  max_count, the
+    largest count at the loop's start, is both multipliers' multiplicand."""
+    m = mult_steps(max_count)
+    return (10,  # pricing chain in P, from the kickoff to each player's go
+            6 + m,  # 2 load the multipliers, m multiply, 4 average
+            7,  # excess payoff of each strategy over its player's mean
+            9 + m,  # 4 load the multipliers, m multiply, 5 round and split
+            12 if last else 18)  # 12 update and export, 6 restart the loop
 
 
 def loop_steps_bound(r_disc: int) -> int:
     """Most transitions one iteration of a built game system takes.
 
-    The multiplicand of every embedded multiplier is a population count,
-    at most r_disc, so each multiplication halts within mult_steps(r_disc).
+    Every population count is at most r_disc, so this is the sum of
+    `stage_steps(r_disc, False)`: 136 at r_disc = 100.
     """
-    return 2 * mult_steps(r_disc) + _LOOP_FIXED_STEPS
+    return sum(stage_steps(r_disc, False))
 
 
 # ============================================================

@@ -392,21 +392,15 @@ class Configuration:
         return Configuration(self.csys, [dict(c) for c in self.contents],
                              list(self.charges), self.step)
 
-    def region(self, label: str) -> Dict[Sym, int]:
-        """The live dict of one region, which the next step mutates in
-        place; `read_region` gives a copy."""
-        idx = self.csys.label_index.get(label)
-        if idx is None:
-            raise StructureError(f"unknown label {label!r}")
-        return self.contents[idx]
-
 
 def read_region(cfg: Configuration, label: str,
                 base: Optional[str] = None) -> Multiset:
     """Filtered copy of one region's contents; cfg is left untouched."""
-    raw = cfg.region(label)
+    idx = cfg.csys.label_index.get(label)
+    if idx is None:
+        raise StructureError(f"unknown label {label!r}")
     out = Multiset()
-    for s, n in raw.items():
+    for s, n in cfg.contents[idx].items():
         if base is None or s.base == base:
             out.counts[s] = n
     return out

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .builder import (GameSpec, LoopTiming, PayoffCoefficients,
                       build_gne_system, build_mult_system, loop_steps_bound,
                       mult_steps, payoff_coefficients, quantize,
-                      stage_boundaries)
+                      stage_boundaries, stage_steps)
 from .engine import ENV_LABEL, Trace, compile_system, read_region, run
 from .oracle import (KI, StateZ, Trajectory, initial_state, simulate,
                      trajectory_csv)
@@ -208,7 +208,8 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     skin; err tokens are attributed to loops by the step window in which
     their forming rules fired.  The step budget is
     `loop_steps_bound(r_disc) * (loops + 1)`: one loop more than the run
-    performs.
+    performs.  Each loop whose stages miss `stage_steps` at its start
+    state, and each region that holds waste at halt, adds one warning.
     """
     co = payoff_coefficients(spec)
     warnings: List[str] = []
@@ -218,9 +219,6 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     if not trace.halted:
         warnings.append(f"budget exhausted after {trace.steps} steps")
     timings = stage_boundaries(trace)
-    for lt in timings:
-        if lt.missing:
-            warnings.append(f"loop {lt.loop}: stages {lt.missing} never ran")
 
     # Exported counts, keyed by the loop stamp.
     skin = read_region(trace.final, "0", base="result")
@@ -253,6 +251,20 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
                 warnings.append(
                     f"loop {nn}: player {k} total "
                     f"{state.population(spec, k)} != {spec.r_disc}")
+    # A stage whose marker never fired has no span: it took 0 steps.
+    for lt, start in zip(timings, states):
+        took = {sp.stage: sp.end - sp.start + 1 for sp in lt.spans}
+        law = stage_steps(max(start.counts.values()), lt.loop == spec.loops)
+        for stage, want in enumerate(law, start=1):
+            if took.get(stage, 0) != want:
+                warnings.append(f"loop {lt.loop}: stage {stage} took "
+                                f"{took.get(stage, 0)} steps, not {want}")
+                break
+    waste = sym("waste")
+    for label, region in zip(trace.final.csys.region_labels,
+                             trace.final.contents):
+        if region.get(waste):
+            warnings.append(f"{label} holds {region[waste]} waste at halt")
     return GneResult(spec, co, trace, states, timings, warnings)
 
 
@@ -302,7 +314,9 @@ def compare_engines(spec: GameSpec, traj: Optional[Trajectory] = None,
     Stage values are recovered from the membrane trace by counting rule
     applications inside each loop window: payoff conversions (stage 1),
     mean exports (stage 2), excess exports (stage 3), rounded products
-    and split rates (stage 4), then final counts and err (stage 5).
+    and split rates (stage 4).  Final counts and err (stage 5) are
+    compared for every loop both routes exported, windowed or not, and
+    fewer windows than loops is itself a divergence.
     """
     if result is None:
         result = run_gne(spec)
@@ -335,14 +349,16 @@ def compare_engines(spec: GameSpec, traj: Optional[Trajectory] = None,
                   _applied(lt, _DZP, k, i), rec.rate.dzp[(k, i)])
             claim(loop_no, "stage4:rate-", f"dzn[{k},{i}]",
                   _applied(lt, _DZN, k, i), rec.rate.dzn[(k, i)])
-        if idx + 1 < len(result.states) and idx + 1 < len(traj.states):
-            es, os_ = result.states[idx + 1], traj.states[idx + 1]
-            for k, i in co.pairs:
-                claim(loop_no, "stage5:counts", f"z[{k},{i}]",
-                      es.counts[(k, i)], os_.counts[(k, i)])
-            for k in range(1, spec.players + 1):
-                claim(loop_no, "stage5:err", f"err[{k}]",
-                      es.err.get(k, 0), os_.err.get(k, 0))
+    if checked < spec.loops:
+        claim(checked + 1, "stage1:kickoff", "loops", checked, spec.loops)
+    for loop_no in range(1, min(len(result.states), len(traj.states))):
+        es, os_ = result.states[loop_no], traj.states[loop_no]
+        for k, i in co.pairs:
+            claim(loop_no, "stage5:counts", f"z[{k},{i}]",
+                  es.counts[(k, i)], os_.counts[(k, i)])
+        for k in range(1, spec.players + 1):
+            claim(loop_no, "stage5:err", f"err[{k}]",
+                  es.err.get(k, 0), os_.err.get(k, 0))
 
     if len(result.states) != len(traj.states):
         divs.append(Divergence(min(len(result.states), len(traj.states)),

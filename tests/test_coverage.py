@@ -1,4 +1,5 @@
-"""Every rule family the builder emits fires, and waste never waits.
+"""Every rule family the builder emits fires, waste never waits, and
+every loop takes the steps of the builder's step law.
 
 The corpus is the golden acceptance instances and non-preset shapes, the
 rare-path games and 80 derandomized random shapes.  A family is a
@@ -11,7 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from pgne.builder import rule_tag
+from pgne.builder import mult_steps, rule_tag, stage_steps
 from pgne.engine import CRule, apply_record
 from pgne.harness import run_gne, sample_experiment
 from pgne.symbols import sym
@@ -42,7 +43,7 @@ def traces():
     specs.update((name, rare_game(name)) for name in RARE_GAMES)
     specs.update((f"random{j}", spec)
                  for j, spec in enumerate(_random_shapes()))
-    return {name: run_gne(spec).trace for name, spec in specs.items()}
+    return {name: run_gne(spec) for name, spec in specs.items()}
 
 
 def _family(cr: CRule):
@@ -56,7 +57,7 @@ def _family(cr: CRule):
 
 def test_every_emitted_family_fires(traces):
     emitted, fired = set(), set()
-    for trace in traces.values():
+    for trace in (res.trace for res in traces.values()):
         emitted.update(map(_family, trace.final.csys.ordered))
         fired.update(map(_family, {cr for rec in trace.records
                                    for cr, _ in rec}))
@@ -67,7 +68,8 @@ def test_waste_never_waits(traces):
     # At every step, each region collects all the waste it holds, so no
     # waste lands in a cell without a collector.  The halted state
     # collects nothing and must hold none.
-    for name, trace in traces.items():
+    for name, res in traces.items():
+        trace = res.trace
         assert trace.halted, name
         cfg = trace.final.csys.initial_configuration()
         for rec in trace.records + [[]]:
@@ -79,3 +81,25 @@ def test_waste_never_waits(traces):
                     if r and _WASTE in c}
             assert held == collected, (name, cfg.step)
             apply_record(cfg, rec)
+
+
+def test_corpus_runs_warning_free(traces):
+    assert {name: res.warnings for name, res in traces.items()
+            if res.warnings} == {}
+
+
+def test_step_law_exact(traces):
+    # Each stage takes exactly what `stage_steps` gives at the largest
+    # count of its loop's start state, and a run takes the sum of
+    # 50 + 2 M_n over its loops, less the 6 restart steps of the last.
+    for name, res in traces.items():
+        loops = res.spec.loops
+        assert [lt.loop for lt in res.timings] == list(range(1, loops + 1))
+        total = -6
+        for lt, z in zip(res.timings, res.states):
+            top = max(z.counts.values())
+            took = [(sp.stage, sp.end - sp.start + 1) for sp in lt.spans]
+            law = stage_steps(top, lt.loop == loops)
+            assert took == list(enumerate(law, start=1)), (name, lt.loop)
+            total += 50 + 2 * mult_steps(top)
+        assert res.trace.steps == total, name

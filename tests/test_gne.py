@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgne.builder import (MICRO, GameSpec, build_gne_system, load_game,
-                          payoff_coefficients, stage_boundaries)
+                          payoff_coefficients, stage_boundaries,
+                          stage_steps)
 from pgne.engine import compile_system, read_region, run
 from pgne.harness import compare_engines, run_gne, sample_experiment
 from pgne.oracle import simulate, trajectory_csv
@@ -77,9 +78,11 @@ def test_loop_step_counts_and_payoff_timing():
     spec = sample_experiment(27, "default", loops=4)
     res = run_gne(spec)
     assert len(res.timings) == 4
-    for lt in res.timings:
+    for lt, start in zip(res.timings, res.states):
         assert lt.missing == []
         assert lt.total <= 136
+        law = stage_steps(max(start.counts.values()), lt.loop == 4)
+        assert [sp.end - sp.start + 1 for sp in lt.spans] == list(law)
         assert lt.payoff_step - lt.start + 1 == 8
 
 

@@ -198,6 +198,55 @@ def test_tampered_counts_are_attributed_to_stage_5():
     assert len([d for d in rep.divergences if d.loop == 1]) == 2
 
 
+def _drop_rules(monkeypatch, prefix: str) -> None:
+    # Every game system the harness builds loses the rules named prefix*.
+    build = harness.build_gne_system
+
+    def stripped(spec):
+        sysd = build(spec)
+        sysd.rules = [r for r in sysd.rules if not r.id.startswith(prefix)]
+        return sysd
+
+    monkeypatch.setattr(harness, "build_gne_system", stripped)
+
+
+def test_compare_without_kickoff_does_not_agree(monkeypatch, tmp_path,
+                                                capsys):
+    # Without the kickoff S1R02 no loop opens a window, yet every loop
+    # still exports counts, and those differ from the reference's.
+    _drop_rules(monkeypatch, "S1R02")
+    spec = sample_experiment(27, "default")
+    rep = compare_engines(spec)
+    assert not rep.agree and rep.loops_checked == 0
+    first = rep.first()
+    assert (first.loop, first.stage, first.engine, first.oracle) == \
+        (1, "stage1:kickoff", 0, 10)
+    assert {d.loop for d in rep.divergences
+            if d.stage == "stage5:counts"} == set(range(1, 11))
+    game = str(tmp_path / "game.json")
+    save_game(spec, game)
+    assert main(["compare", "--spec", game]) == 1
+    assert "first divergence: loop 1 stage1:kickoff" in capsys.readouterr().out
+
+
+def test_waste_left_at_halt_is_flagged(monkeypatch):
+    _drop_rules(monkeypatch, "S1R16")
+    res = run_gne(sample_experiment(27, "default"))
+    assert "0 holds 100 waste at halt" in res.warnings
+    assert len(res.warnings) == 36
+    assert all(w.endswith(" waste at halt") for w in res.warnings)
+
+
+def test_stage_steps_miss_is_flagged(monkeypatch):
+    # A law one step longer in stage 3 than the run: every loop warns once.
+    law = harness.stage_steps
+    monkeypatch.setattr(harness, "stage_steps", lambda m, last: tuple(
+        s + (n == 2) for n, s in enumerate(law(m, last))))
+    res = run_gne(tiny_spec())
+    assert res.warnings == ["loop 1: stage 3 took 7 steps, not 8",
+                            "loop 2: stage 3 took 7 steps, not 8"]
+
+
 # ============================================================
 # Command line
 # ============================================================
