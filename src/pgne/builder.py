@@ -15,6 +15,7 @@ operations cannot be perturbed by float rounding.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -551,13 +552,26 @@ class RuleTag(NamedTuple):
 _RID_FIELDS = re.compile(r"S(\d+)R(\d+)(?:_k(\d+))?(?:_i(\d+))?(?:_n(\d+))?")
 
 
+# Distinct rule ids whose tags stay cached: a few game shapes' worth.
+_TAGGED_IDS = 1 << 13
+
+
+@functools.lru_cache(maxsize=_TAGGED_IDS)
 def rule_tag(rule_id: str) -> Optional[RuleTag]:
-    """The fields `_rid` wrote into rule_id, or None if `_rid` did not write it."""
+    """The fields `_rid` wrote into rule_id, or None if `_rid` did not write it.
+
+    Memoized: a rule id is parsed once per process, not once per run.
+    """
     m = _RID_FIELDS.fullmatch(rule_id)
     if m is None:
         return None
     tag = RuleTag(*(None if g is None else int(g) for g in m.groups()))
     return tag if _rid(*tag) == rule_id else None
+
+
+# Game shapes whose skeletons stay cached; a process that samples games
+# from one preset builds one shape.
+_SKELETON_SHAPES = 4
 
 
 def build_gne_system(spec: GameSpec) -> PSystem:
@@ -567,20 +581,70 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     its resulting per-strategy counts out through the skin as
     result{k,i,l,n} objects (n is the 1-based iteration), so the entire
     trajectory can be read off the final environment.
+
+    The game's coefficients set only the products of the pricing
+    families S1R02 (`kappa`) and S1R07_k_i (`linear_row`).  Everything
+    else depends on the game's shape alone and comes from a cached
+    `_skeleton`, so this copies it, adds those two families and sorts.
+    The copy shares only interned symbols and strings with the cache, so
+    callers may mutate the system they get.
     """
     diags = validate_game(spec)
     if diags:
         raise GameError("; ".join(diags))
-
+    skel = _skeleton((spec.players, spec.slots,
+                      tuple(tuple(s) for s in spec.strategies),
+                      spec.r_disc, spec.loops))
     co = payoff_coefficients(spec)
-    R = spec.r_disc
-    thr = R // 2 + 1
-    L = spec.loops
-    N = spec.players
-    players = list(range(1, N + 1))
+    rules = [_copy_rule(r) for r in skel.rules]
+    rules.append(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
+                          consume_in={sym("tick"): 1},
+                          produce_in={sym("pl", l): c for l, c in
+                                      enumerate(co.kappa, start=1) if c}))
+    for l, (k, i) in enumerate(co.pairs, start=1):
+        rules.append(RuleSpec(_rid(1, 7, k, i), "P", PLUS, PLUS,
+                              consume_in={sym("share", k, i, l): 1},
+                              produce_in={sym("pl", j): c for j, c in
+                                          enumerate(co.linear_row(l), start=1)
+                                          if c}))
+    # Declaration order is id order, so a canonical serialize/parse round
+    # trip preserves every tie-break the step semantics depends on.
+    rules.sort(key=lambda r: r.id)
+    return PSystem(_copy_node(skel.tree), rules, list(skel.priority),
+                   name=skel.name)
 
-    def strat(k: int) -> List[int]:
-        return spec.strategies[k - 1]
+
+def _copy_node(node: MembraneNode) -> MembraneNode:
+    return MembraneNode(node.label, [_copy_node(c) for c in node.children],
+                        Multiset(node.contents.counts), node.charge)
+
+
+def _copy_rule(r: RuleSpec) -> RuleSpec:
+    c = r.child
+    return RuleSpec(r.id, r.target, r.pre, r.post, r.consume_out.copy(),
+                    r.produce_out.copy(), r.consume_in.copy(),
+                    r.produce_in.copy(),
+                    None if c is None else
+                    ChildPattern(c.label, c.pre, c.post, c.consume.copy(),
+                                 c.produce.copy()))
+
+
+@functools.lru_cache(maxsize=_SKELETON_SHAPES)
+def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
+              ) -> PSystem:
+    """The tree, priorities and every rule but S1R02 and S1R07 of a shape.
+
+    shape is (players, slots, strategies, r_disc, loops) of a valid game.
+    Its rules are sorted by id; `build_gne_system` only ever copies it.
+    """
+    N, _, strategies, R, L = shape
+    thr = R // 2 + 1
+    players = list(range(1, N + 1))
+    l_of = {ki: l for l, ki in enumerate(
+        ((k, i) for k in players for i in strategies[k - 1]), start=1)}
+
+    def strat(k: int) -> Tuple[int, ...]:
+        return strategies[k - 1]
 
     # ---- membrane tree ----
     tree_children: List[MembraneNode] = [
@@ -589,7 +653,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         init = initial_distribution(len(strat(k)), R)
         kids: List[MembraneNode] = []
         for pos, i in enumerate(strat(k)):
-            l = co.l_of[(k, i)]
+            l = l_of[(k, i)]
             res = MembraneNode(_lbl_res(i, k),
                                contents=Multiset.of((sym("iter", 0), 1)))
             kids.append(MembraneNode(
@@ -616,7 +680,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     def each_ki():
         for k in players:
             for i in strat(k):
-                yield k, i, co.l_of[(k, i)]
+                yield k, i, l_of[(k, i)]
 
     def count_round(ids: List[str], label: str, charge: int, x: Sym,
                     **product: Dict[Sym, int]) -> None:
@@ -651,10 +715,8 @@ def build_gne_system(spec: GameSpec) -> PSystem:
         priority.extend(bprio)
 
     # -------- stage 1: price the current profile --------
-    add(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
-                 consume_in={sym("tick"): 1},
-                 produce_in={sym("pl", l): c
-                             for l, c in enumerate(co.kappa, start=1) if c}))
+    # The kickoff S1R02 and the pricing S1R07 carry the game's coefficients;
+    # `build_gne_system` adds them.
     add(RuleSpec(_rid(1, 5), "0", NEUTRAL, NEUTRAL,
                  consume_in={sym("reg", k): R for k in players},
                  produce_in={sym("gate"): 1}))
@@ -689,10 +751,6 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                      produce_out={share: 1, sym("reg", k): 1}))
         add(RuleSpec(_rid(1, 4, k, i), "P", NEUTRAL, NEUTRAL,
                      consume_out={share: 1}, produce_in={share: 1}))
-        add(RuleSpec(_rid(1, 7, k, i), "P", PLUS, PLUS,
-                     consume_in={share: 1},
-                     produce_in={sym("pl", j): c for j, c in
-                                 enumerate(co.linear_row(l), start=1) if c}))
         add(RuleSpec(_rid(1, 10, k, i), "P", MINUS, MINUS,
                      consume_in={sym("pl", l): 1},
                      produce_out={sym("pay", k, i, l): 1}))
@@ -1051,8 +1109,6 @@ def build_gne_system(spec: GameSpec) -> PSystem:
             add(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
                          charge, consume_in={_WASTE: 1}))
 
-    # Declaration order is id order, so a canonical serialize/parse round
-    # trip preserves every tie-break the step semantics depends on.
     rules.sort(key=lambda r: r.id)
     priority.sort()
     return sysd
@@ -1114,6 +1170,9 @@ def _close_loop(lt: LoopTiming, end: int, first: Dict[Tuple[int, int], int],
     lt.spans.append(StageSpan(lt.loop, 5, cur, end))
 
 
+_UNSEEN = object()
+
+
 def stage_boundaries(trace: Trace) -> List[LoopTiming]:
     """Partition a run into per-iteration stage windows in one pass.
 
@@ -1122,6 +1181,10 @@ def stage_boundaries(trace: Trace) -> List[LoopTiming]:
     families (see `_close_loop`); a stage whose marker never fires within
     its loop is reported in `missing`.  Each loop also sums its rule
     applications per tag in `apps`, so callers never read rule ids.
+
+    Each application costs one dict lookup of its rule; only the steps in
+    which a tagged rule fired (about a fifth of the applications in a
+    default game are tagged) go on to the loop bookkeeping.
     """
     # Per distinct rule: its (stage, num) family and its apps key, or None.
     keyed: Dict[CRule, Optional[Tuple[Tuple[int, int], tuple]]] = {}
@@ -1129,13 +1192,19 @@ def stage_boundaries(trace: Trace) -> List[LoopTiming]:
     first: Dict[Tuple[int, int], int] = {}
     last: Dict[Tuple[int, int], int] = {}
     for t, rec in enumerate(trace.records, start=1):
-        step = []
+        step = None
         for cr, cnt in rec:
-            if cr not in keyed:
+            tagged = keyed.get(cr, _UNSEEN)
+            if tagged is _UNSEEN:
                 tag = rule_tag(cr.id)
-                keyed[cr] = None if tag is None else (tag[:2], tag[:4])
-            if keyed[cr] is not None:
-                step.append((*keyed[cr], cnt))
+                tagged = keyed[cr] = \
+                    None if tag is None else (tag[:2], tag[:4])
+            if tagged is not None:
+                if step is None:
+                    step = []
+                step.append((*tagged, cnt))
+        if step is None:
+            continue
         if any(fam == (1, 2) for fam, _, _ in step):
             if out:
                 _close_loop(out[-1], t - 1, first, last)

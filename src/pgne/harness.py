@@ -209,7 +209,8 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     their forming rules fired.  The step budget is
     `loop_steps_bound(r_disc) * (loops + 1)`: one loop more than the run
     performs.  Each loop whose stages miss `stage_steps` at its start
-    state, and each region that holds waste at halt, adds one warning.
+    state, and each region that holds waste at halt, adds one warning, as
+    do fewer loop windows than loops (a kickoff that never fired).
     """
     co = payoff_coefficients(spec)
     warnings: List[str] = []
@@ -245,6 +246,9 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     if len(states) - 1 != spec.loops:
         warnings.append(
             f"completed {len(states) - 1} of {spec.loops} iterations")
+    if len(timings) < spec.loops:
+        warnings.append(
+            f"{len(timings)} loop windows for {spec.loops} loops")
     for nn, state in enumerate(states):
         for k in range(1, spec.players + 1):
             if state.err.get(k, 0) == 0 and state.population(spec, k) != spec.r_disc:

@@ -10,12 +10,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import pgne.builder as builder
 from pgne.builder import (MICRO, GameError, GameSpec, RuleTag, _rid, build_gne_system,
                           build_mult_system, coefficient_matrices,
                           initial_distribution, load_game, payoff_coefficients,
                           quantize, rule_tag, save_game, validate_game)
 from pgne.engine import MINUS, NEUTRAL, PLUS
 from pgne.harness import sample_experiment
+from pgne.pspec import serialize_system
 from pgne.symbols import sym
 from test_gne import _DATA
 
@@ -216,6 +218,40 @@ def test_gne_rule_count_scales_with_loops():
     # Loop-stamped rules (and their carry-split priorities) grow with L.
     assert len(b.rules) > len(a.rules)
     assert len(b.priority) == len(a.priority) + 4  # one pair per (k, i)
+
+
+def _cold_text(spec: GameSpec) -> str:
+    builder._skeleton.cache_clear()
+    return serialize_system(build_gne_system(spec))
+
+
+def test_skeleton_reuse_is_invisible():
+    # Slot 3 is shared by players 1 and 2; with no sensitivity there, their
+    # pricing rules lose the zero cross products.
+    flat = sample_experiment(3, "default")
+    flat.d_diag[2] = 0.0
+    games = [sample_experiment(1, "default"), sample_experiment(2, "small"),
+             sample_experiment(27, "default"), flat]
+    want = [_cold_text(g) for g in games]
+    pricing = {r.id: r for r in build_gne_system(flat).rules}
+    assert len(pricing["S1R07_k01_i03"].produce_in) == 1
+    builder._skeleton.cache_clear()
+    for g, text in [*zip(games, want), *zip(games[::-1], want[::-1])]:
+        assert serialize_system(build_gne_system(g)) == text
+
+
+def test_mutating_a_built_system_leaves_the_next_build_alone():
+    spec = sample_experiment(1, "default")
+    want = _cold_text(spec)
+    sysd = build_gne_system(spec)
+    rules = {r.id: r for r in sysd.rules}
+    rules["S5R39_k01_i03_n000"].produce_in[sym("stamp", 1)] = 7
+    rules["S2R01_k01_i03"].child.produce[sym("apre")] = 9
+    sysd.tree.children[0].contents.counts[sym("tick")] = 5
+    sysd.tree.children[1].children.pop()
+    sysd.priority.append(("S1R05", "S1R06"))
+    sysd.rules.pop()
+    assert serialize_system(build_gne_system(spec)) == want
 
 
 def test_mass_must_be_positive_to_build():

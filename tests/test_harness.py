@@ -229,6 +229,18 @@ def test_compare_without_kickoff_does_not_agree(monkeypatch, tmp_path,
     assert "first divergence: loop 1 stage1:kickoff" in capsys.readouterr().out
 
 
+def test_run_without_kickoff_is_flagged(monkeypatch, tmp_path, capsys):
+    # Every loop still exports counts, but none opens a window.
+    _drop_rules(monkeypatch, "S1R02")
+    res = run_gne(sample_experiment(27, "default"))
+    assert res.timings == []
+    assert res.warnings == ["0 loop windows for 10 loops"]
+    out = str(tmp_path / "exp")
+    assert main(["experiment", "--seed", "27", "--engine", "membrane",
+                 "--out", out]) == 1
+    assert "warning: 0 loop windows for 10 loops" in capsys.readouterr().out
+
+
 def test_waste_left_at_halt_is_flagged(monkeypatch):
     _drop_rules(monkeypatch, "S1R16")
     res = run_gne(sample_experiment(27, "default"))
