@@ -2,9 +2,14 @@
 
 A system is a static description: a labeled membrane tree, initial region
 contents, a rule list, and a strict partial order of rule priorities.  The
-engine compiles that description once (resolving labels to region indices,
-extending the priority order to a total order, precomputing the transitive
-higher-priority sets) and then drives configurations forward step by step.
+engine compiles that description once and then drives configurations
+forward step by step.  Most of compiling (resolving labels to region
+indices, extending the priority order to a total order, precomputing the
+transitive higher-priority sets and the selection index) depends only on
+the tree's labels and the rules' conditions, not on initial contents or
+rule products.  `compile_system` does that part once per such plan and
+shares it among the systems that have it, such as sampled games of one
+shape, which differ only in the products of a few rules.
 
 Step semantics, fixed here and relied on by every test in the suite:
 
@@ -54,7 +59,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress, count
+from operator import attrgetter, ne
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import Multiset, Sym
@@ -232,16 +238,71 @@ class CRule:
         return f"<rule {self.id} @ {self.target_label}>"
 
 
-class CompiledSystem:
-    """A PSystem lowered to index arrays plus the derived total order."""
+# Plans kept for reuse, most recent first; a process that compiles games
+# of one preset compiles one plan.
+_PLAN_SHAPES = 4
+_PLANS: List["_Plan"] = []
 
-    def __init__(self, sys: PSystem) -> None:
-        self.source = sys
+# A rule's fields that its plan depends on, its child pattern with its
+# products included, and the products a binding may change.
+_CONDITIONS = attrgetter("id", "target", "pre", "post", "consume_out",
+                         "consume_in", "child")
+_PRODUCTS = attrgetter("produce_out", "produce_in")
+
+
+def _frozen(row: tuple) -> tuple:
+    """A _CONDITIONS row copied so that no later change to its rule reaches it."""
+    rid, target, pre, post, co, ci, c = row
+    if c is not None:
+        c = ChildPattern(c.label, c.pre, c.post, dict(c.consume),
+                         dict(c.produce))
+    return rid, target, pre, post, dict(co), dict(ci), c
+
+
+# Dicts compare equal in any key order, but a rule's needs and gives keep
+# the order of its multisets; a plan keeps the order of every multiset
+# with two keys or more.
+def _condition_order(spec: RuleSpec) -> tuple:
+    c = spec.child
+    return (tuple(spec.consume_out), tuple(spec.consume_in),
+            *(() if c is None else (tuple(c.consume), tuple(c.produce))))
+
+
+def _product_order(spec: RuleSpec) -> tuple:
+    return tuple(spec.produce_out), tuple(spec.produce_in)
+
+
+def _orders(specs: List[RuleSpec], order) -> List[Tuple[int, tuple]]:
+    return [(i, keys) for i, keys in enumerate(map(order, specs))
+            if len(max(keys, key=len)) > 1]
+
+
+class _Plan:
+    """What compiling derives from a system's conditions alone.
+
+    That is the region table, from the tree's labels and parents, and the
+    rules resolved from each rule's id, target, charges, consumed
+    multisets and child pattern, with the priority order over them.  The
+    rules carry the products of the system the plan was built from; a
+    binding swaps in fresh rules where its own products differ.  A plan
+    holds no system and no container a caller can reach.
+    """
+
+    def __init__(self, sys: PSystem, nodes: list) -> None:
+        # The snapshot `matches` compares against: what the plan depends
+        # on, copied, and the products its rules were compiled with.
+        specs = sys.rules
+        self.nodes = nodes
+        self.conditions = [_frozen(row) for row in map(_CONDITIONS, specs)]
+        self.pairs = frozenset(sys.priority)
+        self.condition_orders = _orders(specs, _condition_order)
+        self.products = [(dict(po), dict(pi))
+                         for po, pi in map(_PRODUCTS, specs)]
+        self.product_orders = _orders(specs, _product_order)
+
         self.region_labels: List[str] = [ENV_LABEL]
         self.parents: List[int] = [-1]
         self.label_index: Dict[str, int] = {ENV_LABEL: 0}
-        self._initial: List[Dict[Sym, int]] = [{}]
-        self._initial_charges: List[int] = [NEUTRAL]
 
         for node, parent in sys.walk():
             if node.label == ENV_LABEL:
@@ -252,14 +313,12 @@ class CompiledSystem:
             self.region_labels.append(node.label)
             self.parents.append(
                 0 if parent is None else self.label_index[parent.label])
-            self._initial.append(dict(node.contents.counts))
-            self._initial_charges.append(node.charge)
         self.n_regions = len(self.region_labels)
 
         # Resolve rules.
         self.rules: List[CRule] = []
         by_id: Dict[str, int] = {}
-        for spec in sys.rules:
+        for spec in specs:
             if spec.id in by_id:
                 raise StructureError(f"duplicate rule id {spec.id!r}")
             if spec.consumes_nothing():
@@ -315,6 +374,7 @@ class CompiledSystem:
         # Transitive closure of "strictly higher priority than", for the
         # rules some edge reaches (the rest keep higher == ()): in topological
         # order every rule's set is complete before its edges pass it on.
+        # `below` inverts it: the rules whose `higher` names a rule.
         above: Dict[int, set] = {}
         for a in order:
             ups = above.get(a, ())
@@ -324,8 +384,11 @@ class CompiledSystem:
                     into = above[b] = set()
                 into.add(a)
                 into.update(ups)
+        self.below: Dict[int, List[int]] = {}
         for b, ups in above.items():
             self.rules[b].higher = tuple(self.rules[j] for j in sorted(ups))
+            for a in ups:
+                self.below.setdefault(a, []).append(b)
 
         # Rules by (target region, pre charge): what a charge state arms.
         self.buckets: Dict[Tuple[int, int], List[CRule]] = {}
@@ -339,6 +402,81 @@ class CompiledSystem:
             r, s, _ = cr.needs[0]
             watchers[r].setdefault(s, []).append(cr)
         self.watchers = [(r, w) for r, w in enumerate(watchers) if w]
+
+    def matches(self, nodes: list, rows: List[tuple], pairs: frozenset,
+                specs: List[RuleSpec]) -> bool:
+        """True if a system with these conditions compiles to this plan."""
+        return (nodes == self.nodes and rows == self.conditions
+                and pairs == self.pairs
+                and all(_condition_order(specs[i]) == keys
+                        for i, keys in self.condition_orders))
+
+    def differ(self, specs: List[RuleSpec]) -> set:
+        """Indices of the rules whose products are not the plan's."""
+        out = set(compress(count(), map(ne, map(_PRODUCTS, specs),
+                                        self.products)))
+        out.update(i for i, keys in self.product_orders
+                   if i not in out and _product_order(specs[i]) != keys)
+        return out
+
+
+def _rebind(index: Dict, keys, swap) -> Dict:
+    """A copy of a dict of rule lists with the lists under keys swapped."""
+    out = dict(index)
+    for key in keys:
+        out[key] = [swap(cr, cr) for cr in index[key]]
+    return out
+
+
+class CompiledSystem:
+    """A PSystem lowered to index arrays plus the derived total order.
+
+    All but `source`, the initial contents and charges and each rule's
+    `produce_out` and `produce_in` comes from a plan.  A plan depends only
+    on the tree's labels and parents, on each rule's id, target, charges,
+    consumed multisets and child pattern, and on the set of priority
+    pairs.  Compiled systems are read-only: the systems of one plan share
+    its region table, its indexes and each compiled rule whose products,
+    and whose higher rules' products, are the plan's.  The last
+    `_PLAN_SHAPES` (4) plans stay cached.
+    """
+
+    def __init__(self, plan: _Plan, sys: PSystem,
+                 initial: List[Dict[Sym, int]], charges: List[int],
+                 differ: set) -> None:
+        self.source = sys
+        self.region_labels = plan.region_labels
+        self.parents = plan.parents
+        self.label_index = plan.label_index
+        self.n_regions = plan.n_regions
+        self._initial = initial
+        self._initial_charges = charges
+
+        # A rule whose products differ from the plan's (indices in differ)
+        # gets a fresh CRule, and so does every rule whose `higher` names it.
+        changed = set(differ)
+        for i in differ:
+            changed.update(plan.below.get(i, ()))
+        fresh: Dict[CRule, CRule] = {}
+        self.rules = list(plan.rules)
+        self.ordered = list(plan.ordered)
+        for i in changed:
+            old = plan.rules[i]
+            cr = fresh[old] = CRule(sys.rules[i], old.target,
+                                    plan.parents[old.target], old.child)
+            cr.order = old.order
+            self.rules[i] = self.ordered[cr.order] = cr
+        swap = fresh.get
+        for old, cr in fresh.items():
+            cr.higher = tuple(swap(h, h) for h in old.higher)
+        self.buckets = _rebind(plan.buckets,
+                               {(cr.target, cr.pre) for cr in fresh}, swap)
+        watched: Dict[int, set] = {}
+        for cr in fresh:
+            r, s, _ = cr.needs[0]
+            watched.setdefault(r, set()).add(s)
+        self.watchers = [(r, _rebind(w, watched[r], swap) if r in watched else w)
+                         for r, w in plan.watchers]
 
     def comparable(self, a: CRule, b: CRule) -> bool:
         return a in b.higher or b in a.higher
@@ -368,7 +506,40 @@ class CompiledSystem:
 
 
 def compile_system(sys: PSystem) -> CompiledSystem:
-    return CompiledSystem(sys)
+    """Lower sys for stepping, reusing the plan of an earlier system.
+
+    The plan is found by an exact snapshot of what it depends on: each
+    membrane's label and its parent's, each rule's id, target, charges,
+    consumed multisets (in their order) and child pattern, and the set of
+    priority pairs.  A cached plan keeps copies, so changing sys or its
+    parts later cannot change a plan.  A miss builds the plan and raises
+    StructureError for a malformed system.  Every compile then binds sys
+    to its plan: it keeps sys as `source`, copies the initial contents and
+    charges, and compiles afresh each rule whose products are not the
+    plan's, with the rules below it in priority.
+    """
+    nodes: list = []  # each membrane's label and its parent's, in walk order
+    initial: List[Dict[Sym, int]] = [{}]
+    charges = [NEUTRAL]
+    for node, parent in sys.walk():
+        nodes += node.label, None if parent is None else parent.label
+        initial.append(dict(node.contents.counts))
+        charges.append(node.charge)
+    specs = sys.rules
+    rows = list(map(_CONDITIONS, specs))
+    # Pair order and repeats change neither the order nor the closure.
+    pairs = frozenset(sys.priority)
+    for at, plan in enumerate(_PLANS):
+        if plan.matches(nodes, rows, pairs, specs):
+            _PLANS.insert(0, _PLANS.pop(at))
+            differ = plan.differ(specs)
+            break
+    else:
+        plan = _Plan(sys, nodes)
+        _PLANS.insert(0, plan)
+        del _PLANS[_PLAN_SHAPES:]
+        differ = set()
+    return CompiledSystem(plan, sys, initial, charges, differ)
 
 
 # ============================================================

@@ -9,20 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgne.builder import build_gne_system, loop_steps_bound
+from pgne import engine
+from pgne.builder import (build_gne_system, build_mult_system, load_game,
+                          loop_steps_bound, mult_steps)
 from pgne.engine import (ENV_LABEL, MINUS, NEUTRAL, PLUS, ChildPattern,
                         MembraneNode, PSystem, RuleSpec, StepRecord,
                         StructureError, apply_record, compile_system,
                         export_trace_text, maximal_step, read_region, run)
 from pgne.harness import run_gne, sample_experiment
+from pgne.pspec import parse_system, serialize_system
 from pgne.symbols import Multiset, sym
+from test_gne import _DATA
 
 A, B, C, D, X, Y = (sym(t) for t in "abcdxy")
 
 
-def one_region(rules, priority=(), contents=None):
+def region_system(rules, priority=(), contents=None):
     tree = MembraneNode("m", contents=Multiset(contents or {}))
-    return compile_system(PSystem(tree, list(rules), list(priority)))
+    return PSystem(tree, list(rules), list(priority))
+
+
+def one_region(rules, priority=(), contents=None):
+    return compile_system(region_system(rules, priority, contents))
 
 
 def rule(rid, **kw):
@@ -539,56 +547,73 @@ def test_partial_share_is_not_flagged():
 # ============================================================
 
 
+def rejected(bad, twin, match):
+    """bad raises on a cold plan cache, and again once twin, a valid system
+    of the same shape, has compiled."""
+    for warm in (False, True):
+        engine._PLANS.clear()
+        if warm:
+            compile_system(twin)
+        with pytest.raises(StructureError, match=match):
+            compile_system(bad)
+
+
 def test_duplicate_membrane_label_rejected():
-    tree = MembraneNode("s", children=[MembraneNode("s")])
-    with pytest.raises(StructureError, match="duplicate membrane"):
-        compile_system(PSystem(tree, []))
+    rejected(PSystem(MembraneNode("s", children=[MembraneNode("s")]), []),
+             PSystem(MembraneNode("s", children=[MembraneNode("t")]), []),
+             "duplicate membrane")
 
 
 def test_env_label_reserved():
-    with pytest.raises(StructureError, match="reserved"):
-        compile_system(PSystem(MembraneNode(ENV_LABEL), []))
+    rejected(PSystem(MembraneNode(ENV_LABEL), []),
+             PSystem(MembraneNode("e"), []), "reserved")
 
 
 def test_duplicate_rule_id_rejected():
-    rules = [rule("r", consume_in={A: 1}), rule("r", consume_in={B: 1})]
-    with pytest.raises(StructureError, match="duplicate rule id"):
-        one_region(rules)
+    rejected(region_system([rule("r", consume_in={A: 1}),
+                            rule("r", consume_in={B: 1})]),
+             region_system([rule("r", consume_in={A: 1}),
+                            rule("q", consume_in={B: 1})]),
+             "duplicate rule id")
 
 
 def test_consume_nothing_rejected():
-    with pytest.raises(StructureError, match="consumes nothing"):
-        one_region([rule("r", produce_in={A: 1})])
+    rejected(region_system([rule("r", produce_in={A: 1})]),
+             region_system([rule("r", consume_in={B: 1}, produce_in={A: 1})]),
+             "consumes nothing")
 
 
 def test_unknown_target_rejected():
-    with pytest.raises(StructureError, match="unknown label"):
-        one_region([RuleSpec(id="r", target="nope", consume_in={A: 1})])
+    rejected(region_system([rule("r", target="nope", consume_in={A: 1})]),
+             region_system([rule("r", consume_in={A: 1})]), "unknown label")
 
 
 def test_child_must_be_direct_child():
-    tree = MembraneNode("p", children=[
-        MembraneNode("q", children=[MembraneNode("r")])])
-    bad = RuleSpec(id="x", target="p", consume_in={A: 1},
-                   child=ChildPattern("r", NEUTRAL, NEUTRAL, {B: 1}, {}))
-    with pytest.raises(StructureError, match="not a child"):
-        compile_system(PSystem(tree, [bad]))
+    # Both trees list p, q, r in the same order; only r's parent differs.
+    def system(*children):
+        return PSystem(MembraneNode("p", children=list(children)), [RuleSpec(
+            id="x", target="p", consume_in={A: 1},
+            child=ChildPattern("r", NEUTRAL, NEUTRAL, {B: 1}, {}))])
+    rejected(system(MembraneNode("q", children=[MembraneNode("r")])),
+             system(MembraneNode("q"), MembraneNode("r")), "not a child")
 
 
 def test_priority_cycle_rejected():
     rules = [rule("a1", consume_in={A: 1}), rule("b1", consume_in={B: 1})]
-    with pytest.raises(StructureError, match="cycle"):
-        one_region(rules, [("a1", "b1"), ("b1", "a1")])
+    rejected(region_system(rules, [("a1", "b1"), ("b1", "a1")]),
+             region_system(rules, [("a1", "b1")]), "cycle")
 
 
 def test_priority_reflexive_rejected():
-    with pytest.raises(StructureError, match="reflexive"):
-        one_region([rule("a1", consume_in={A: 1})], [("a1", "a1")])
+    rules = [rule("a1", consume_in={A: 1}), rule("b1", consume_in={B: 1})]
+    rejected(region_system(rules, [("a1", "a1")]),
+             region_system(rules, [("a1", "b1")]), "reflexive")
 
 
 def test_priority_unknown_rule_rejected():
-    with pytest.raises(StructureError, match="unknown rule"):
-        one_region([rule("a1", consume_in={A: 1})], [("a1", "zz")])
+    rules = [rule("a1", consume_in={A: 1}), rule("b1", consume_in={B: 1})]
+    rejected(region_system(rules, [("a1", "zz")]),
+             region_system(rules, [("a1", "b1")]), "unknown rule")
 
 
 def test_kahn_order_respects_declaration_rank():
@@ -597,3 +622,118 @@ def test_kahn_order_respects_declaration_rank():
     order = [c.id for c in csys.ordered]
     # r3 must precede r0; everything else keeps declaration order.
     assert order == ["r1", "r2", "r3", "r0", "r4"]
+
+
+# ============================================================
+# Plan reuse
+# ============================================================
+
+
+def compiled_view(csys, budget):
+    """The trace of a run on csys, and what compiling decided, by rule id.
+
+    The last field says each rule's higher rules are csys's own rules.
+    """
+    own = set(map(id, csys.rules))
+    return (export_trace_text(run(csys, max_steps=budget)),
+            [cr.id for cr in csys.ordered],
+            [(cr.id, cr.needs, cr.gives, [h.id for h in cr.higher])
+             for cr in csys.rules],
+            list(csys.buckets), [(r, list(w)) for r, w in csys.watchers],
+            all(id(h) in own for cr in csys.rules for h in cr.higher))
+
+
+def cold_view(sysd, budget):
+    engine._PLANS.clear()
+    return compiled_view(compile_system(sysd), budget)
+
+
+def game(spec):
+    budget = loop_steps_bound(spec.r_disc) * (spec.loops + 1)
+    return lambda: build_gne_system(spec), budget
+
+
+def parsed(spec):
+    make, budget = game(spec)
+    return lambda: parse_system(serialize_system(make())), budget
+
+
+def mult(m, n):
+    return lambda: build_mult_system(m, n), mult_steps(m) + 10
+
+
+def ranked(first, second, n):
+    """A rule above another whose products are first^n and second, in
+    that order."""
+    return lambda: region_system(
+        [rule("hi", consume_in={A: 1}, produce_in={first: n, second: 1}),
+         rule("lo", consume_in={A: 1}, produce_in={D: 1})],
+        [("hi", "lo")], {A: 3}), 3
+
+
+def test_a_warm_compile_is_a_cold_one():
+    # Seven plans, more than the cache holds: built default and small
+    # games, a one-loop small game, the slack-fill game, a parsed default
+    # game (its multisets are in canonical order), the multiplier and a
+    # two-rule system whose top rule's products differ in count or only
+    # in order.  Both passes mix compiles that reuse a plan with ones
+    # that build it.
+    cases = {
+        "default/1": game(sample_experiment(1, "default")),
+        "default/27": game(sample_experiment(27, "default")),
+        "small/2": game(sample_experiment(2, "small")),
+        "small/4 one loop": game(sample_experiment(4, "small", loops=1)),
+        "fill": game(load_game(str(_DATA / "fill.json"))),
+        "parsed default/3": parsed(sample_experiment(3, "default")),
+        "mult 5x7": mult(5, 7),
+        "mult 12x3": mult(12, 3),
+        "hi makes b, c": ranked(B, C, 1),
+        "hi makes c, b": ranked(C, B, 1),
+        "hi makes b^2, c": ranked(B, C, 2),
+    }
+    want = {name: cold_view(make(), budget)
+            for name, (make, budget) in cases.items()}
+    engine._PLANS.clear()
+    for name in [*cases, *reversed(cases)]:
+        make, budget = cases[name]
+        assert compiled_view(compile_system(make()), budget) == want[name], name
+    assert len(engine._PLANS) == engine._PLAN_SHAPES
+
+
+def test_games_of_one_shape_share_all_but_their_coefficient_rules():
+    engine._PLANS.clear()
+    one = compile_system(build_gne_system(sample_experiment(1, "default")))
+    other = compile_system(build_gne_system(sample_experiment(27, "default")))
+    # The kickoff and the pricing rules carry the coefficients; a pricing
+    # row the two games happen to share keeps its compiled rule.
+    own = [b.id for a, b in zip(one.rules, other.rules) if a is not b]
+    assert own[0] == "S1R02" and len(own) > 1
+    assert all(rid.startswith("S1R07_") for rid in own[1:])
+    assert len(own) <= 9 and len(other.rules) == 1981
+
+
+def mutate(sysd):
+    """Change every kind of thing a plan or a binding is made from."""
+    rules = {r.id: r for r in sysd.rules}
+    rules["S5R39_k01_i03_n000"].consume_in[sym("iter", 0)] = 2
+    rules["S5R39_k01_i03_n000"].produce_in[sym("stamp", 1)] = 7
+    rules["S2R01_k01_i03"].child.pre = PLUS
+    rules["S2R01_k01_i03"].child.consume[sym("apre")] = 9
+    sysd.tree.children[0].contents.counts[sym("tick")] = 5
+    sysd.tree.children[1].children.pop()
+    sysd.priority.append(("S1R05", "S1R06"))
+
+
+def test_mutating_a_compiled_system_leaves_the_next_compile_alone():
+    make, budget = game(sample_experiment(1, "default"))
+    want = cold_view(make(), budget)
+    engine._PLANS.clear()
+    # The first compile builds the plan from its system, the second
+    # reuses it; each compiled system and the next twin stay as cold.
+    for _ in range(2):
+        csys = compile_system(make())
+        mutate(csys.source)
+        assert compiled_view(csys, budget) == want
+        twin = compile_system(make())
+        assert all(a is b for a, b in zip(csys.rules, twin.rules))
+        assert compiled_view(twin, budget) == want
