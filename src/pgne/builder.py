@@ -585,9 +585,9 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     The game's coefficients set only the products of the pricing
     families S1R02 (`kappa`) and S1R07_k_i (`linear_row`).  Everything
     else depends on the game's shape alone and comes from a cached
-    `_skeleton`, so this copies it, adds those two families and sorts.
-    The copy shares only interned symbols and strings with the cache, so
-    callers may mutate the system they get.
+    `_skeleton`, so this copies it (each rule by `RuleSpec.copy`), adds
+    those two families and sorts.  The copy shares only interned symbols
+    and strings with the cache, so callers may mutate the system they get.
     """
     diags = validate_game(spec)
     if diags:
@@ -596,7 +596,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       tuple(tuple(s) for s in spec.strategies),
                       spec.r_disc, spec.loops))
     co = payoff_coefficients(spec)
-    rules = [_copy_rule(r) for r in skel.rules]
+    rules = [r.copy() for r in skel.rules]
     rules.append(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
                           consume_in={sym("tick"): 1},
                           produce_in={sym("pl", l): c for l, c in
@@ -617,16 +617,6 @@ def build_gne_system(spec: GameSpec) -> PSystem:
 def _copy_node(node: MembraneNode) -> MembraneNode:
     return MembraneNode(node.label, [_copy_node(c) for c in node.children],
                         Multiset(node.contents.counts), node.charge)
-
-
-def _copy_rule(r: RuleSpec) -> RuleSpec:
-    c = r.child
-    return RuleSpec(r.id, r.target, r.pre, r.post, r.consume_out.copy(),
-                    r.produce_out.copy(), r.consume_in.copy(),
-                    r.produce_in.copy(),
-                    None if c is None else
-                    ChildPattern(c.label, c.pre, c.post, c.consume.copy(),
-                                 c.produce.copy()))
 
 
 @functools.lru_cache(maxsize=_SKELETON_SHAPES)

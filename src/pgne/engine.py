@@ -8,8 +8,9 @@ indices, extending the priority order to a total order, precomputing the
 transitive higher-priority sets and the selection index) depends only on
 the tree's labels and the rules' conditions, not on initial contents or
 rule products.  `compile_system` does that part once per such plan and
-shares it among the systems that have it, such as sampled games of one
-shape, which differ only in the products of a few rules.
+shares it whole among the systems that have it, such as sampled games of
+one shape, which differ only in the products of a few rules.  Products
+therefore live apart from the compiled rules, in a per-system list.
 
 Step semantics, fixed here and relied on by every test in the suite:
 
@@ -127,6 +128,16 @@ class RuleSpec:
             return False
         return not (self.child and self.child.consume)
 
+    def copy(self) -> "RuleSpec":
+        """A copy that shares no multiset or child pattern with this rule."""
+        c = self.child
+        return RuleSpec(self.id, self.target, self.pre, self.post,
+                        dict(self.consume_out), dict(self.produce_out),
+                        dict(self.consume_in), dict(self.produce_in),
+                        None if c is None else
+                        ChildPattern(c.label, c.pre, c.post, dict(c.consume),
+                                     dict(c.produce)))
+
 
 @dataclass
 class PSystem:
@@ -156,11 +167,15 @@ class PSystem:
 
 
 class CRule:
-    """A rule resolved against the region table, ready for the hot loop."""
+    """A rule's conditions resolved against the region table, for the hot loop.
+
+    Its products are not here but in `CompiledSystem.gives`, so that the
+    systems of one plan can share every compiled rule.
+    """
 
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
-        "child_post", "needs", "gives", "flips", "locks", "higher",
+        "child_post", "needs", "flips", "locks", "higher",
         "target_label", "rest",
     )
 
@@ -175,24 +190,10 @@ class CRule:
         self.child_pre = spec.child.pre if spec.child else NEUTRAL
         self.child_post = spec.child.post if spec.child else NEUTRAL
         self.target_label = spec.target
-        # Flat (region, symbol, count) triples; order irrelevant.
-        needs: List[Tuple[int, Sym, int]] = []
-        gives: List[Tuple[int, Sym, int]] = []
-        for s, n in spec.consume_out.items():
-            needs.append((parent, s, n))
-        for s, n in spec.consume_in.items():
-            needs.append((target, s, n))
-        for s, n in spec.produce_out.items():
-            gives.append((parent, s, n))
-        for s, n in spec.produce_in.items():
-            gives.append((target, s, n))
-        if spec.child:
-            for s, n in spec.child.consume.items():
-                needs.append((child, s, n))
-            for s, n in spec.child.produce.items():
-                gives.append((child, s, n))
-        self.needs = tuple(needs)
-        self.gives = tuple(gives)
+        c = spec.child
+        self.needs = _triples((parent, spec.consume_out),
+                              (target, spec.consume_in),
+                              (child, c.consume if c else {}))
         # Selection watches the first need; the rest it checks for presence.
         self.rest = self.needs[1:]
         # (region, new charge) per membrane the rule re-charges; each one
@@ -238,6 +239,32 @@ class CRule:
         return f"<rule {self.id} @ {self.target_label}>"
 
 
+def _text_key(triple: Tuple[int, Sym, int]) -> Tuple[int, str]:
+    return triple[0], triple[1].text
+
+
+def _triples(*parts: Tuple[int, Mapping[Sym, int]]
+             ) -> Tuple[Tuple[int, Sym, int], ...]:
+    """(region, symbol, count) for each multiset of parts, in canonical order.
+
+    That is by region index, then symbol text, so multisets that compare
+    equal give equal tuples whatever the order of their keys.
+    """
+    out = [(r, s, n) for r, ms in parts for s, n in ms.items()]
+    if len(out) > 1:
+        out.sort(key=_text_key)
+    return tuple(out)
+
+
+def _gives(spec: RuleSpec, cr: CRule, parents: List[int]
+           ) -> Tuple[Tuple[int, Sym, int], ...]:
+    """The products of spec, compiled as cr, as canonical triples."""
+    c = spec.child
+    return _triples((parents[cr.target], spec.produce_out),
+                    (cr.target, spec.produce_in),
+                    (cr.child, c.produce if c else {}))
+
+
 # Plans kept for reuse, most recent first; a process that compiles games
 # of one preset compiles one plan.
 _PLAN_SHAPES = 4
@@ -250,55 +277,24 @@ _CONDITIONS = attrgetter("id", "target", "pre", "post", "consume_out",
 _PRODUCTS = attrgetter("produce_out", "produce_in")
 
 
-def _frozen(row: tuple) -> tuple:
-    """A _CONDITIONS row copied so that no later change to its rule reaches it."""
-    rid, target, pre, post, co, ci, c = row
-    if c is not None:
-        c = ChildPattern(c.label, c.pre, c.post, dict(c.consume),
-                         dict(c.produce))
-    return rid, target, pre, post, dict(co), dict(ci), c
-
-
-# Dicts compare equal in any key order, but a rule's needs and gives keep
-# the order of its multisets; a plan keeps the order of every multiset
-# with two keys or more.
-def _condition_order(spec: RuleSpec) -> tuple:
-    c = spec.child
-    return (tuple(spec.consume_out), tuple(spec.consume_in),
-            *(() if c is None else (tuple(c.consume), tuple(c.produce))))
-
-
-def _product_order(spec: RuleSpec) -> tuple:
-    return tuple(spec.produce_out), tuple(spec.produce_in)
-
-
-def _orders(specs: List[RuleSpec], order) -> List[Tuple[int, tuple]]:
-    return [(i, keys) for i, keys in enumerate(map(order, specs))
-            if len(max(keys, key=len)) > 1]
-
-
 class _Plan:
     """What compiling derives from a system's conditions alone.
 
     That is the region table, from the tree's labels and parents, and the
     rules resolved from each rule's id, target, charges, consumed
-    multisets and child pattern, with the priority order over them.  The
-    rules carry the products of the system the plan was built from; a
-    binding swaps in fresh rules where its own products differ.  A plan
-    holds no system and no container a caller can reach.
+    multisets and child pattern, with the priority order and the indexes
+    over them.  `gives` holds the products of the system the plan was
+    built from.  A plan keeps copies of what it depends on, and holds no
+    system and no container a caller can reach.
     """
 
     def __init__(self, sys: PSystem, nodes: list) -> None:
-        # The snapshot `matches` compares against: what the plan depends
-        # on, copied, and the products its rules were compiled with.
-        specs = sys.rules
-        self.nodes = nodes
-        self.conditions = [_frozen(row) for row in map(_CONDITIONS, specs)]
-        self.pairs = frozenset(sys.priority)
-        self.condition_orders = _orders(specs, _condition_order)
-        self.products = [(dict(po), dict(pi))
-                         for po, pi in map(_PRODUCTS, specs)]
-        self.product_orders = _orders(specs, _product_order)
+        specs = [spec.copy() for spec in sys.rules]
+        # What compile_system compares to find the plan, and the products
+        # its gives were compiled from.
+        self.key = (nodes, list(map(_CONDITIONS, specs)),
+                    frozenset(sys.priority))
+        self.products = list(map(_PRODUCTS, specs))
 
         self.region_labels: List[str] = [ENV_LABEL]
         self.parents: List[int] = [-1]
@@ -370,11 +366,12 @@ class _Plan:
             cr = self.rules[i]
             cr.order = pos
             self.ordered.append(cr)
+        self.gives = [_gives(specs[i], self.rules[i], self.parents)
+                      for i in order]
 
         # Transitive closure of "strictly higher priority than", for the
         # rules some edge reaches (the rest keep higher == ()): in topological
         # order every rule's set is complete before its edges pass it on.
-        # `below` inverts it: the rules whose `higher` names a rule.
         above: Dict[int, set] = {}
         for a in order:
             ups = above.get(a, ())
@@ -384,11 +381,8 @@ class _Plan:
                     into = above[b] = set()
                 into.add(a)
                 into.update(ups)
-        self.below: Dict[int, List[int]] = {}
         for b, ups in above.items():
             self.rules[b].higher = tuple(self.rules[j] for j in sorted(ups))
-            for a in ups:
-                self.below.setdefault(a, []).append(b)
 
         # Rules by (target region, pre charge): what a charge state arms.
         self.buckets: Dict[Tuple[int, int], List[CRule]] = {}
@@ -403,80 +397,36 @@ class _Plan:
             watchers[r].setdefault(s, []).append(cr)
         self.watchers = [(r, w) for r, w in enumerate(watchers) if w]
 
-    def matches(self, nodes: list, rows: List[tuple], pairs: frozenset,
-                specs: List[RuleSpec]) -> bool:
-        """True if a system with these conditions compiles to this plan."""
-        return (nodes == self.nodes and rows == self.conditions
-                and pairs == self.pairs
-                and all(_condition_order(specs[i]) == keys
-                        for i, keys in self.condition_orders))
-
-    def differ(self, specs: List[RuleSpec]) -> set:
-        """Indices of the rules whose products are not the plan's."""
-        out = set(compress(count(), map(ne, map(_PRODUCTS, specs),
-                                        self.products)))
-        out.update(i for i, keys in self.product_orders
-                   if i not in out and _product_order(specs[i]) != keys)
-        return out
-
-
-def _rebind(index: Dict, keys, swap) -> Dict:
-    """A copy of a dict of rule lists with the lists under keys swapped."""
-    out = dict(index)
-    for key in keys:
-        out[key] = [swap(cr, cr) for cr in index[key]]
-    return out
-
 
 class CompiledSystem:
     """A PSystem lowered to index arrays plus the derived total order.
 
-    All but `source`, the initial contents and charges and each rule's
-    `produce_out` and `produce_in` comes from a plan.  A plan depends only
-    on the tree's labels and parents, on each rule's id, target, charges,
-    consumed multisets and child pattern, and on the set of priority
-    pairs.  Compiled systems are read-only: the systems of one plan share
-    its region table, its indexes and each compiled rule whose products,
-    and whose higher rules' products, are the plan's.  The last
+    All but `source`, the initial contents and charges and `gives` is its
+    plan's own: the region table, the compiled rules, their total order
+    and the selection indexes.  A plan depends only on the tree's labels
+    and parents, on each rule's id, target, charges, consumed multisets
+    and child pattern, and on the set of priority pairs.  `gives[cr.order]`
+    holds rule cr's products as (region, symbol, count) triples; it is the
+    plan's list unless some rule's `produce_out` or `produce_in` differs
+    from the plan's.  Compiled systems are read-only.  The last
     `_PLAN_SHAPES` (4) plans stay cached.
     """
 
     def __init__(self, plan: _Plan, sys: PSystem,
                  initial: List[Dict[Sym, int]], charges: List[int],
-                 differ: set) -> None:
+                 gives: List[Tuple[Tuple[int, Sym, int], ...]]) -> None:
         self.source = sys
         self.region_labels = plan.region_labels
         self.parents = plan.parents
         self.label_index = plan.label_index
         self.n_regions = plan.n_regions
+        self.rules = plan.rules
+        self.ordered = plan.ordered
+        self.buckets = plan.buckets
+        self.watchers = plan.watchers
+        self.gives = gives
         self._initial = initial
         self._initial_charges = charges
-
-        # A rule whose products differ from the plan's (indices in differ)
-        # gets a fresh CRule, and so does every rule whose `higher` names it.
-        changed = set(differ)
-        for i in differ:
-            changed.update(plan.below.get(i, ()))
-        fresh: Dict[CRule, CRule] = {}
-        self.rules = list(plan.rules)
-        self.ordered = list(plan.ordered)
-        for i in changed:
-            old = plan.rules[i]
-            cr = fresh[old] = CRule(sys.rules[i], old.target,
-                                    plan.parents[old.target], old.child)
-            cr.order = old.order
-            self.rules[i] = self.ordered[cr.order] = cr
-        swap = fresh.get
-        for old, cr in fresh.items():
-            cr.higher = tuple(swap(h, h) for h in old.higher)
-        self.buckets = _rebind(plan.buckets,
-                               {(cr.target, cr.pre) for cr in fresh}, swap)
-        watched: Dict[int, set] = {}
-        for cr in fresh:
-            r, s, _ = cr.needs[0]
-            watched.setdefault(r, set()).add(s)
-        self.watchers = [(r, _rebind(w, watched[r], swap) if r in watched else w)
-                         for r, w in plan.watchers]
 
     def comparable(self, a: CRule, b: CRule) -> bool:
         return a in b.higher or b in a.higher
@@ -510,13 +460,14 @@ def compile_system(sys: PSystem) -> CompiledSystem:
 
     The plan is found by an exact snapshot of what it depends on: each
     membrane's label and its parent's, each rule's id, target, charges,
-    consumed multisets (in their order) and child pattern, and the set of
-    priority pairs.  A cached plan keeps copies, so changing sys or its
-    parts later cannot change a plan.  A miss builds the plan and raises
-    StructureError for a malformed system.  Every compile then binds sys
-    to its plan: it keeps sys as `source`, copies the initial contents and
-    charges, and compiles afresh each rule whose products are not the
-    plan's, with the rules below it in priority.
+    consumed multisets and child pattern, and the set of priority pairs.
+    Multisets compare as dicts, in any key order, because a plan lists
+    needs and gives in canonical order.  A cached plan keeps copies, so
+    changing sys or its parts later cannot change a plan.  A miss builds
+    the plan and raises StructureError for a malformed system.  Every
+    compile then binds sys to its plan: it keeps sys as `source`, copies
+    the initial contents and charges, and takes the plan's `gives`, copied
+    and patched where a rule's products are not the plan's.
     """
     nodes: list = []  # each membrane's label and its parent's, in walk order
     initial: List[Dict[Sym, int]] = [{}]
@@ -526,20 +477,23 @@ def compile_system(sys: PSystem) -> CompiledSystem:
         initial.append(dict(node.contents.counts))
         charges.append(node.charge)
     specs = sys.rules
-    rows = list(map(_CONDITIONS, specs))
     # Pair order and repeats change neither the order nor the closure.
-    pairs = frozenset(sys.priority)
+    key = (nodes, list(map(_CONDITIONS, specs)), frozenset(sys.priority))
     for at, plan in enumerate(_PLANS):
-        if plan.matches(nodes, rows, pairs, specs):
+        if plan.key == key:
             _PLANS.insert(0, _PLANS.pop(at))
-            differ = plan.differ(specs)
             break
     else:
         plan = _Plan(sys, nodes)
         _PLANS.insert(0, plan)
         del _PLANS[_PLAN_SHAPES:]
-        differ = set()
-    return CompiledSystem(plan, sys, initial, charges, differ)
+    gives = plan.gives
+    for i in compress(count(), map(ne, map(_PRODUCTS, specs), plan.products)):
+        if gives is plan.gives:
+            gives = list(gives)
+        cr = plan.rules[i]
+        gives[cr.order] = _gives(specs[i], cr, plan.parents)
+    return CompiledSystem(plan, sys, initial, charges, gives)
 
 
 # ============================================================
@@ -713,17 +667,18 @@ def maximal_step(cfg: Configuration, strict: bool = False,
 
     if not record.rules:
         return record
-    _commit_products(avail, record)
+    _commit_products(avail, record, csys.gives)
     if charge_next is not None:
         cfg.charges = charge_next
     cfg.step += 1
     return record
 
 
-def _commit_products(regions: List[Dict[Sym, int]], record: StepRecord) -> None:
+def _commit_products(regions: List[Dict[Sym, int]], record: StepRecord,
+                     gives: List[Tuple[Tuple[int, Sym, int], ...]]) -> None:
     """Add each application's products, n * k per give, after all consumption."""
     for cr, k in record:
-        for r, s, n in cr.gives:
+        for r, s, n in gives[cr.order]:
             into = regions[r]
             into[s] = into.get(s, 0) + n * k
 
@@ -799,7 +754,7 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
                 avail[r].pop(s, None)
         for r, c in cr.flips:
             charge_next[r] = c
-    _commit_products(avail, record)
+    _commit_products(avail, record, cfg.csys.gives)
     cfg.charges = charge_next
     cfg.step += 1
 

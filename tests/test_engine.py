@@ -637,7 +637,7 @@ def compiled_view(csys, budget):
     own = set(map(id, csys.rules))
     return (export_trace_text(run(csys, max_steps=budget)),
             [cr.id for cr in csys.ordered],
-            [(cr.id, cr.needs, cr.gives, [h.id for h in cr.higher])
+            [(cr.id, cr.needs, csys.gives[cr.order], [h.id for h in cr.higher])
              for cr in csys.rules],
             list(csys.buckets), [(r, list(w)) for r, w in csys.watchers],
             all(id(h) in own for cr in csys.rules for h in cr.higher))
@@ -671,13 +671,21 @@ def ranked(first, second, n):
         [("hi", "lo")], {A: 3}), 3
 
 
+def eats(first, second):
+    """A rule above another that consumes first and second, in that order."""
+    return lambda: region_system(
+        [rule("hi", consume_in={first: 1, second: 1}, produce_in={C: 1}),
+         rule("lo", consume_in={A: 1}, produce_in={D: 1})],
+        [("hi", "lo")], {A: 3, B: 2}), 3
+
+
 def test_a_warm_compile_is_a_cold_one():
     # Seven plans, more than the cache holds: built default and small
     # games, a one-loop small game, the slack-fill game, a parsed default
     # game (its multisets are in canonical order), the multiplier and a
     # two-rule system whose top rule's products differ in count or only
-    # in order.  Both passes mix compiles that reuse a plan with ones
-    # that build it.
+    # in order, or whose consumed multiset differs only in order.  Both
+    # passes mix compiles that reuse a plan with ones that build it.
     cases = {
         "default/1": game(sample_experiment(1, "default")),
         "default/27": game(sample_experiment(27, "default")),
@@ -690,6 +698,8 @@ def test_a_warm_compile_is_a_cold_one():
         "hi makes b, c": ranked(B, C, 1),
         "hi makes c, b": ranked(C, B, 1),
         "hi makes b^2, c": ranked(B, C, 2),
+        "hi eats a, b": eats(A, B),
+        "hi eats b, a": eats(B, A),
     }
     want = {name: cold_view(make(), budget)
             for name, (make, budget) in cases.items()}
@@ -704,12 +714,27 @@ def test_games_of_one_shape_share_all_but_their_coefficient_rules():
     engine._PLANS.clear()
     one = compile_system(build_gne_system(sample_experiment(1, "default")))
     other = compile_system(build_gne_system(sample_experiment(27, "default")))
+    assert one.rules is other.rules and len(other.rules) == 1981
     # The kickoff and the pricing rules carry the coefficients; a pricing
-    # row the two games happen to share keeps its compiled rule.
-    own = [b.id for a, b in zip(one.rules, other.rules) if a is not b]
+    # row the two games happen to share keeps the plan's products.
+    own = [cr.id for cr in one.rules
+           if one.gives[cr.order] != other.gives[cr.order]]
     assert own[0] == "S1R02" and len(own) > 1
     assert all(rid.startswith("S1R07_") for rid in own[1:])
-    assert len(own) <= 9 and len(other.rules) == 1981
+    assert len(own) <= 9
+
+
+def test_a_built_game_and_a_parsed_one_share_a_plan():
+    # A parsed system lists its multisets in sorted order and a built one
+    # in emission order; both compile to one plan.
+    make, budget = parsed(sample_experiment(1, "default"))
+    want = cold_view(make(), budget)
+    engine._PLANS.clear()
+    built = compile_system(build_gne_system(sample_experiment(2, "default")))
+    csys = compile_system(make())
+    assert len(engine._PLANS) == 1
+    assert all(a is b for a, b in zip(built.rules, csys.rules))
+    assert compiled_view(csys, budget) == want
 
 
 def mutate(sysd):

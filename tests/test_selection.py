@@ -64,7 +64,7 @@ def reference_step(cfg: Configuration, strict: bool,
             if not avail[r][s]:
                 del avail[r][s]
             consumers.setdefault((r, s), []).append(cr)
-        for r, s, n in cr.gives:
+        for r, s, n in csys.gives[cr.order]:
             deltas[(r, s)] = deltas.get((r, s), 0) + n * k
         for r in cr.locks:
             locked[r] = True
