@@ -167,11 +167,9 @@ class PSystem:
 
 
 class CRule:
-    """A rule's conditions resolved against the region table, for the hot loop.
+    """A rule resolved against the region table, ready for the hot loop.
 
-    Its products are not here but in `CompiledSystem.gives`, so that the
-    systems of one plan can share every compiled rule.
-    """
+    Its products are in `CompiledSystem.gives`, so systems share it."""
 
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
@@ -187,10 +185,10 @@ class CRule:
         self.pre = spec.pre
         self.post = spec.post
         self.child = child
-        self.child_pre = spec.child.pre if spec.child else NEUTRAL
-        self.child_post = spec.child.post if spec.child else NEUTRAL
-        self.target_label = spec.target
         c = spec.child
+        self.child_pre = c.pre if c else NEUTRAL
+        self.child_post = c.post if c else NEUTRAL
+        self.target_label = spec.target
         self.needs = _triples((parent, spec.consume_out),
                               (target, spec.consume_in),
                               (child, c.consume if c else {}))
@@ -239,25 +237,16 @@ class CRule:
         return f"<rule {self.id} @ {self.target_label}>"
 
 
-def _text_key(triple: Tuple[int, Sym, int]) -> Tuple[int, str]:
-    return triple[0], triple[1].text
-
-
-def _triples(*parts: Tuple[int, Mapping[Sym, int]]
-             ) -> Tuple[Tuple[int, Sym, int], ...]:
-    """(region, symbol, count) for each multiset of parts, in canonical order.
-
-    That is by region index, then symbol text, so multisets that compare
-    equal give equal tuples whatever the order of their keys.
-    """
-    out = [(r, s, n) for r, ms in parts for s, n in ms.items()]
+def _triples(*parts: Tuple[int, Mapping[Sym, int]]) -> tuple:
+    """(region, symbol, count) of each multiset in parts, by region index,
+    then symbol text: equal multisets give equal tuples in any key order."""
+    out = [(r, s, n) for r, ms in parts if ms for s, n in ms.items()]
     if len(out) > 1:
-        out.sort(key=_text_key)
+        out.sort(key=lambda t: (t[0], t[1].text))
     return tuple(out)
 
 
-def _gives(spec: RuleSpec, cr: CRule, parents: List[int]
-           ) -> Tuple[Tuple[int, Sym, int], ...]:
+def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
     """The products of spec, compiled as cr, as canonical triples."""
     c = spec.child
     return _triples((parents[cr.target], spec.produce_out),

@@ -681,11 +681,12 @@ def eats(first, second):
 
 def test_a_warm_compile_is_a_cold_one():
     # Seven plans, more than the cache holds: built default and small
-    # games, a one-loop small game, the slack-fill game, a parsed default
-    # game (its multisets are in canonical order), the multiplier and a
-    # two-rule system whose top rule's products differ in count or only
-    # in order, or whose consumed multiset differs only in order.  Both
-    # passes mix compiles that reuse a plan with ones that build it.
+    # games, a one-loop small game, the slack-fill game, the multiplier,
+    # a two-rule system whose top rule's products differ in count or only
+    # in order, and one whose consumed multiset differs only in order.  A
+    # parsed default game (its multisets in canonical order) shares the
+    # built ones' plan.  Both passes mix compiles that reuse a plan with
+    # ones that build it.
     cases = {
         "default/1": game(sample_experiment(1, "default")),
         "default/27": game(sample_experiment(27, "default")),
