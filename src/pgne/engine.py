@@ -62,7 +62,8 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import attrgetter, ne
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .symbols import Multiset, Sym
 
@@ -656,14 +657,15 @@ def maximal_step(cfg: Configuration, strict: bool = False,
 
     if not record.rules:
         return record
-    _commit_products(avail, record, csys.gives)
+    _commit_products(avail, zip(record.rules, record.counts), csys.gives)
     if charge_next is not None:
         cfg.charges = charge_next
     cfg.step += 1
     return record
 
 
-def _commit_products(regions: List[Dict[Sym, int]], record: StepRecord,
+def _commit_products(regions: List[Dict[Sym, int]],
+                     record: Iterable[Tuple[CRule, int]],
                      gives: List[Tuple[Tuple[int, Sym, int], ...]]) -> None:
     """Add each application's products, n * k per give, after all consumption."""
     for cr, k in record:
