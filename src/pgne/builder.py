@@ -552,26 +552,13 @@ class RuleTag(NamedTuple):
 _RID_FIELDS = re.compile(r"S(\d+)R(\d+)(?:_k(\d+))?(?:_i(\d+))?(?:_n(\d+))?")
 
 
-# Distinct rule ids whose tags stay cached: a few game shapes' worth.
-_TAGGED_IDS = 1 << 13
-
-
-@functools.lru_cache(maxsize=_TAGGED_IDS)
 def rule_tag(rule_id: str) -> Optional[RuleTag]:
-    """The fields `_rid` wrote into rule_id, or None if `_rid` did not write it.
-
-    Memoized: a rule id is parsed once per process, not once per run.
-    """
+    """The fields `_rid` wrote into rule_id, or None if `_rid` did not write it."""
     m = _RID_FIELDS.fullmatch(rule_id)
     if m is None:
         return None
     tag = RuleTag(*(None if g is None else int(g) for g in m.groups()))
     return tag if _rid(*tag) == rule_id else None
-
-
-# Game shapes whose skeletons stay cached; a process that samples games
-# from one preset builds one shape.
-_SKELETON_SHAPES = 4
 
 
 def build_gne_system(spec: GameSpec) -> PSystem:
@@ -619,7 +606,9 @@ def _copy_node(node: MembraneNode) -> MembraneNode:
                         Multiset(node.contents.counts), node.charge)
 
 
-@functools.lru_cache(maxsize=_SKELETON_SHAPES)
+# The last shape's skeleton stays cached.  Each benchmark workload and
+# each pgne command builds games of one shape only.
+@functools.lru_cache(maxsize=1)
 def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
               ) -> PSystem:
     """The tree, priorities and every rule but S1R02 and S1R07 of a shape.
@@ -1160,7 +1149,12 @@ def _close_loop(lt: LoopTiming, end: int, first: Dict[Tuple[int, int], int],
     lt.spans.append(StageSpan(lt.loop, 5, cur, end))
 
 
-_UNSEEN = object()
+# The last plan's `rules` list, and per rule its (stage, num) family and
+# its apps key, or None for an untagged rule.  Every system of a plan
+# shares its rules, so a process that reads traces of one plan tags each
+# rule once.
+_TAGS: Tuple[list, Dict[CRule, Optional[Tuple[Tuple[int, int], tuple]]]] = \
+    ([], {})
 
 
 def stage_boundaries(trace: Trace) -> List[LoopTiming]:
@@ -1172,23 +1166,24 @@ def stage_boundaries(trace: Trace) -> List[LoopTiming]:
     its loop is reported in `missing`.  Each loop also sums its rule
     applications per tag in `apps`, so callers never read rule ids.
 
-    Each application costs one dict lookup of its rule; only the steps in
-    which a tagged rule fired (about a fifth of the applications in a
+    Each application costs one dict lookup of its rule in a table of the
+    tags of the trace's rules, kept for the last plan read; only the steps
+    in which a tagged rule fired (about a fifth of the applications in a
     default game are tagged) go on to the loop bookkeeping.
     """
-    # Per distinct rule: its (stage, num) family and its apps key, or None.
-    keyed: Dict[CRule, Optional[Tuple[Tuple[int, int], tuple]]] = {}
+    global _TAGS
+    rules = trace.final.csys.rules
+    if _TAGS[0] is not rules:
+        _TAGS = rules, {cr: None if tag is None else (tag[:2], tag[:4])
+                        for cr in rules for tag in (rule_tag(cr.id),)}
+    tags = _TAGS[1]
     out: List[LoopTiming] = []
     first: Dict[Tuple[int, int], int] = {}
     last: Dict[Tuple[int, int], int] = {}
     for t, rec in enumerate(trace.records, start=1):
         step = None
         for cr, cnt in rec:
-            tagged = keyed.get(cr, _UNSEEN)
-            if tagged is _UNSEEN:
-                tag = rule_tag(cr.id)
-                tagged = keyed[cr] = \
-                    None if tag is None else (tag[:2], tag[:4])
+            tagged = tags[cr]
             if tagged is not None:
                 if step is None:
                     step = []

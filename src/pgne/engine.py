@@ -7,10 +7,11 @@ forward step by step.  Most of compiling (resolving labels to region
 indices, extending the priority order to a total order, precomputing the
 transitive higher-priority sets and the selection index) depends only on
 the tree's labels and the rules' conditions, not on initial contents or
-rule products.  `compile_system` does that part once per such plan and
-shares it whole among the systems that have it, such as sampled games of
-one shape, which differ only in the products of a few rules.  Products
-therefore live apart from the compiled rules, in a per-system list.
+rule products.  `compile_system` does that part once per such plan, keeps
+the last plan, and shares it whole among the systems that have it, such
+as sampled games of one shape, which differ only in the products of a few
+rules.  Products therefore live apart from the compiled rules, in a
+per-system list.
 
 Step semantics, fixed here and relied on by every test in the suite:
 
@@ -255,10 +256,9 @@ def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
                     (cr.child, c.produce if c else {}))
 
 
-# Plans kept for reuse, most recent first; a process that compiles games
-# of one preset compiles one plan.
-_PLAN_SHAPES = 4
-_PLANS: List["_Plan"] = []
+# The plan of the last compile.  Each benchmark workload and each pgne
+# command compiles systems of one plan only.
+_PLAN: Optional["_Plan"] = None
 
 # A rule's fields that its plan depends on, its child pattern with its
 # products included, and the products a binding may change.
@@ -398,8 +398,8 @@ class CompiledSystem:
     and child pattern, and on the set of priority pairs.  `gives[cr.order]`
     holds rule cr's products as (region, symbol, count) triples; it is the
     plan's list unless some rule's `produce_out` or `produce_in` differs
-    from the plan's.  Compiled systems are read-only.  The last
-    `_PLAN_SHAPES` (4) plans stay cached.
+    from the plan's.  Compiled systems are read-only.  The last plan
+    compiled stays cached.
     """
 
     def __init__(self, plan: _Plan, sys: PSystem,
@@ -446,19 +446,21 @@ class CompiledSystem:
 
 
 def compile_system(sys: PSystem) -> CompiledSystem:
-    """Lower sys for stepping, reusing the plan of an earlier system.
+    """Lower sys for stepping, reusing the plan of the last compile.
 
-    The plan is found by an exact snapshot of what it depends on: each
-    membrane's label and its parent's, each rule's id, target, charges,
-    consumed multisets and child pattern, and the set of priority pairs.
-    Multisets compare as dicts, in any key order, because a plan lists
-    needs and gives in canonical order.  A cached plan keeps copies, so
-    changing sys or its parts later cannot change a plan.  A miss builds
-    the plan and raises StructureError for a malformed system.  Every
+    The last plan is reused if an exact snapshot of what it depends on
+    matches sys: each membrane's label and its parent's, each rule's id,
+    target, charges, consumed multisets and child pattern, and the set of
+    priority pairs.  Multisets compare as dicts, in any key order, because
+    a plan lists needs and gives in canonical order.  The cached plan
+    keeps copies, so changing sys or its parts later cannot change it.
+    Otherwise a new plan is built, and replaces the cached one; a malformed
+    system raises StructureError and leaves the cache alone.  Every
     compile then binds sys to its plan: it keeps sys as `source`, copies
     the initial contents and charges, and takes the plan's `gives`, copied
     and patched where a rule's products are not the plan's.
     """
+    global _PLAN
     nodes: list = []  # each membrane's label and its parent's, in walk order
     initial: List[Dict[Sym, int]] = [{}]
     charges = [NEUTRAL]
@@ -469,14 +471,9 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     specs = sys.rules
     # Pair order and repeats change neither the order nor the closure.
     key = (nodes, list(map(_CONDITIONS, specs)), frozenset(sys.priority))
-    for at, plan in enumerate(_PLANS):
-        if plan.key == key:
-            _PLANS.insert(0, _PLANS.pop(at))
-            break
-    else:
-        plan = _Plan(sys, nodes)
-        _PLANS.insert(0, plan)
-        del _PLANS[_PLAN_SHAPES:]
+    plan = _PLAN
+    if plan is None or plan.key != key:
+        plan = _PLAN = _Plan(sys, nodes)
     gives = plan.gives
     for i in compress(count(), map(ne, map(_PRODUCTS, specs), plan.products)):
         if gives is plan.gives:

@@ -551,7 +551,7 @@ def rejected(bad, twin, match):
     """bad raises on a cold plan cache, and again once twin, a valid system
     of the same shape, has compiled."""
     for warm in (False, True):
-        engine._PLANS.clear()
+        engine._PLAN = None
         if warm:
             compile_system(twin)
         with pytest.raises(StructureError, match=match):
@@ -644,7 +644,7 @@ def compiled_view(csys, budget):
 
 
 def cold_view(sysd, budget):
-    engine._PLANS.clear()
+    engine._PLAN = None
     return compiled_view(compile_system(sysd), budget)
 
 
@@ -679,14 +679,26 @@ def eats(first, second):
         [("hi", "lo")], {A: 3, B: 2}), 3
 
 
-def test_a_warm_compile_is_a_cold_one():
-    # Seven plans, more than the cache holds: built default and small
-    # games, a one-loop small game, the slack-fill game, the multiplier,
-    # a two-rule system whose top rule's products differ in count or only
-    # in order, and one whose consumed multiset differs only in order.  A
-    # parsed default game (its multisets in canonical order) shares the
-    # built ones' plan.  Both passes mix compiles that reuse a plan with
-    # ones that build it.
+@pytest.fixture
+def plans(monkeypatch):
+    """The plans compile_system builds from here on, in order."""
+    built = []
+    make = engine._Plan
+
+    def counted(*args):
+        built.append(make(*args))
+        return built[-1]
+    monkeypatch.setattr(engine, "_Plan", counted)
+    return built
+
+
+def test_a_warm_compile_is_a_cold_one(plans):
+    # Built default and small games, a one-loop small game, the slack-fill
+    # game, the multiplier, a two-rule system whose top rule's products
+    # differ in count or only in order, and one whose consumed multiset
+    # differs only in order.  A parsed default game (its multisets in
+    # canonical order) has the built ones' plan.  Both passes mix compiles
+    # that reuse the last plan with ones that build a new one.
     cases = {
         "default/1": game(sample_experiment(1, "default")),
         "default/27": game(sample_experiment(27, "default")),
@@ -704,15 +716,17 @@ def test_a_warm_compile_is_a_cold_one():
     }
     want = {name: cold_view(make(), budget)
             for name, (make, budget) in cases.items()}
-    engine._PLANS.clear()
-    for name in [*cases, *reversed(cases)]:
+    engine._PLAN = None
+    del plans[:]
+    order = [*cases, *reversed(cases)]
+    for name in order:
         make, budget = cases[name]
         assert compiled_view(compile_system(make()), budget) == want[name], name
-    assert len(engine._PLANS) == engine._PLAN_SHAPES
+    assert len(plans) < len(order)
 
 
 def test_games_of_one_shape_share_all_but_their_coefficient_rules():
-    engine._PLANS.clear()
+    engine._PLAN = None
     one = compile_system(build_gne_system(sample_experiment(1, "default")))
     other = compile_system(build_gne_system(sample_experiment(27, "default")))
     assert one.rules is other.rules and len(other.rules) == 1981
@@ -725,15 +739,16 @@ def test_games_of_one_shape_share_all_but_their_coefficient_rules():
     assert len(own) <= 9
 
 
-def test_a_built_game_and_a_parsed_one_share_a_plan():
+def test_a_built_game_and_a_parsed_one_share_a_plan(plans):
     # A parsed system lists its multisets in sorted order and a built one
     # in emission order; both compile to one plan.
     make, budget = parsed(sample_experiment(1, "default"))
     want = cold_view(make(), budget)
-    engine._PLANS.clear()
+    engine._PLAN = None
+    del plans[:]
     built = compile_system(build_gne_system(sample_experiment(2, "default")))
     csys = compile_system(make())
-    assert len(engine._PLANS) == 1
+    assert len(plans) == 1
     assert all(a is b for a, b in zip(built.rules, csys.rules))
     assert compiled_view(csys, budget) == want
 
@@ -753,7 +768,7 @@ def mutate(sysd):
 def test_mutating_a_compiled_system_leaves_the_next_compile_alone():
     make, budget = game(sample_experiment(1, "default"))
     want = cold_view(make(), budget)
-    engine._PLANS.clear()
+    engine._PLAN = None
     # The first compile builds the plan from its system, the second
     # reuses it; each compiled system and the next twin stay as cold.
     for _ in range(2):
