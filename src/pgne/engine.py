@@ -191,7 +191,7 @@ class CRule:
         self.child_pre = c.pre if c else NEUTRAL
         self.child_post = c.post if c else NEUTRAL
         self.target_label = spec.target
-        self.needs = _triples((parent, spec.consume_out),
+        self.needs = _triples(spec.id, (parent, spec.consume_out),
                               (target, spec.consume_in),
                               (child, c.consume if c else {}))
         # Selection watches the first need; the rest it checks for presence.
@@ -239,19 +239,34 @@ class CRule:
         return f"<rule {self.id} @ {self.target_label}>"
 
 
-def _triples(*parts: Tuple[int, Mapping[Sym, int]]) -> tuple:
+def _triples(rid: str, *parts: Tuple[int, Mapping[Sym, int]]) -> tuple:
     """(region, symbol, count) of each multiset in parts, by region index,
     then symbol text: equal multisets give equal tuples in any key order."""
-    out = [(r, s, n) for r, ms in parts if ms for s, n in ms.items()]
+    out = [(r, s, _count(rid, s, n)) for r, ms in parts if ms
+           for s, n in ms.items()]
     if len(out) > 1:
         out.sort(key=lambda t: (t[0], t[1].text))
     return tuple(out)
 
 
+def _count(rid: str, s: Sym, n: object) -> int:
+    """n as an int, or StructureError naming rule rid if n is not a positive
+    integer.  A plan compares multisets as dicts, where 1.0 == 1, so a
+    cold compile reads such a count as the int it equals."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = 0
+    if k < 1 or k != n:
+        raise StructureError(
+            f"rule {rid}: count {n!r} of {s} is not a positive integer")
+    return k
+
+
 def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
     """The products of spec, compiled as cr, as canonical triples."""
     c = spec.child
-    return _triples((parents[cr.target], spec.produce_out),
+    return _triples(spec.id, (parents[cr.target], spec.produce_out),
                     (cr.target, spec.produce_in),
                     (cr.child, c.produce if c else {}))
 
@@ -566,14 +581,16 @@ class StepRecord:
 _ORDER = attrgetter("order")
 
 
-def maximal_step(cfg: Configuration, strict: bool = False,
+def maximal_step(cfg: Configuration,
                  ambiguities: Optional[List[Ambiguity]] = None) -> StepRecord:
     """Advance cfg by one transition in place.
 
     Returns the applications performed, in selection order; an empty
     record means no rule was applicable (cfg unchanged, step counter not
-    advanced).
+    advanced).  Given a list, the step is strict: it appends to
+    ambiguities each rule starved by a priority-incomparable one.
     """
+    strict = ambiguities is not None
     csys = cfg.csys
     charges = cfg.charges
     avail = cfg.contents
@@ -616,7 +633,7 @@ def maximal_step(cfg: Configuration, strict: bool = False,
             (r, s, n), = cr.needs
             k = avail[r].get(s, 0) // n
         if k == 0:
-            if strict and ambiguities is not None and cr.max_count(pre):
+            if strict and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
                 for r, s, n in cr.needs:
                     if avail[r].get(s, 0) < n:
@@ -712,7 +729,7 @@ def run(sys: PSystem | CompiledSystem, max_steps: int,
     ambiguities: List[Ambiguity] = []
     halted = False
     for _ in range(max_steps):
-        rec = maximal_step(cfg, strict=strict, ambiguities=ambiguities)
+        rec = maximal_step(cfg, ambiguities if strict else None)
         if not rec.rules:
             halted = True
             break

@@ -616,6 +616,56 @@ def test_priority_unknown_rule_rejected():
              region_system(rules, [("a1", "b1")]), "unknown rule")
 
 
+def counted(**fields):
+    """Rule r at p consumes a, makes b and, in its child q, turns c into
+    d; fields replace those multisets, child with a (consume, produce)
+    pair."""
+    kw = {"consume_in": {A: 1}, "produce_in": {B: 1}, **fields}
+    consume, produce = kw.pop("child", ({C: 1}, {D: 1}))
+    tree = MembraneNode("p", children=[
+        MembraneNode("q", contents=Multiset({C: 2}))],
+        contents=Multiset({A: 2}))
+    return PSystem(tree, [
+        rule("r", target="p", child=ChildPattern("q", NEUTRAL, NEUTRAL,
+                                                 consume, produce), **kw)])
+
+
+@pytest.mark.parametrize("fields", [
+    {"consume_in": {A: 0}},
+    {"consume_in": {A: -1}},
+    {"consume_out": {A: 2, X: -1}},
+    {"consume_in": {A: 1.5}},
+    {"produce_in": {B: -2}},
+    {"produce_out": {B: 0}},
+    {"produce_in": {B: "1"}},
+    {"produce_in": {B: float("nan")}},
+    {"child": ({C: 0}, {D: 1})},
+    {"child": ({C: 1}, {D: -1})},
+], ids=repr)
+def test_rule_counts_must_be_positive_ints(fields):
+    # Products alone differ from the twin's in a warm compile's patch.
+    rejected(counted(**fields), counted(), "rule r: count")
+
+
+def test_counts_equal_to_ints_compile_as_those_ints():
+    # A plan compares counts by value, so 1.0 and True match a plan built
+    # with 1; a cold compile reads them as 1 too.
+    def view(csys):
+        counts = [n for cr in csys.rules
+                  for _, _, n in (*cr.needs, *csys.gives[cr.order])]
+        return compiled_view(csys, 3), list(map(type, counts))
+    want = view(compile_system(counted()))
+    assert want[1] == [int] * 4
+    for fields in ({"consume_in": {A: 1.0}}, {"produce_in": {B: True}},
+                   {"child": ({C: 1.0}, {D: 1})}):
+        assert cold_view(counted(**fields), 3) == want[0]
+        for warm in (False, True):
+            engine._PLAN = None
+            if warm:
+                compile_system(counted())
+            assert view(compile_system(counted(**fields))) == want
+
+
 def test_kahn_order_respects_declaration_rank():
     rules = [rule(f"r{i}", consume_in={A: 1}) for i in range(5)]
     csys = one_region(rules, [("r3", "r0")])
