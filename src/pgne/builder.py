@@ -182,11 +182,8 @@ def validate_game(spec: GameSpec) -> List[str]:
             out.append("mass entries must be > 0")
             break
     for rows, name in ((spec.alpha, "alpha"), (spec.beta, "beta")):
-        for row in rows:
-            for x in row:
-                if x < 0:
-                    out.append(f"{name} entries must be >= 0")
-                    break
+        if any(x < 0 for row in rows for x in row):
+            out.append(f"{name} entries must be >= 0")
     return out
 
 

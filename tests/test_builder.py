@@ -62,6 +62,14 @@ def test_validation_catches(mutate, needle):
     assert any(needle in msg for msg in validate_game(s))
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_negative_entries_give_one_diagnostic_per_field(name):
+    # A default game has three rows, each with a negative entry here.
+    s = sample_experiment(1, "default")
+    setattr(s, name, [[-1.0] * len(row) for row in getattr(s, name)])
+    assert validate_game(s) == [f"{name} entries must be >= 0"]
+
+
 def test_save_load_round_trip(tmp_path):
     path = str(tmp_path / "game.json")
     s = good_spec()
