@@ -8,7 +8,6 @@ and the multiplier sweep used by the acceptance suite.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -127,7 +126,7 @@ def _mult_report(m: int, n: int, trace: Trace) -> MultReport:
     env = read_region(trace.final, ENV_LABEL)
     product = env.get(sym("unit"))
     steps = trace.steps
-    bound = 1 + 6 * math.ceil(math.log2(m)) if m >= 2 else None
+    bound = 1 + 6 * (m - 1).bit_length() if m >= 2 else None
     return MultReport(
         m=m, n=n, product=product, steps=steps,
         expect_product=m * n, expect_steps=mult_steps(m), bound=bound,

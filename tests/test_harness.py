@@ -10,14 +10,18 @@ import sys
 
 import pytest
 
+import pgne.builder as builder
+import pgne.engine as engine
 import pgne.harness as harness
 import pgne.oracle as oracle_mod
-from pgne.builder import GameSpec, load_game, loop_steps_bound, save_game
+from pgne.builder import (GameSpec, build_gne_system, build_mult_system,
+                          load_game, loop_steps_bound, save_game)
 from pgne.cli import main
+from pgne.engine import compile_system, run
 from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
                           run_gne, run_mult, sample_experiment)
 from pgne.oracle import simulate
-from pgne.pspec import load_system
+from pgne.pspec import load_system, parse_system, serialize_system
 
 
 # ============================================================
@@ -98,6 +102,18 @@ def test_run_mult_reports():
     assert rep.bound == 25
 
 
+def test_doubling_bound_is_exact():
+    # Past 2**53, log2 rounds m - 1 to a power of two and undercounts by
+    # a round; the exact bound meets the step count with equality.
+    rep = run_mult(2**53 + 1, 3)
+    assert rep.bound == rep.steps == 325 and rep.bound_ok and rep.ok
+    # Where the float formula is exact, the two agree.
+    trace = run(build_mult_system(2, 1), max_steps=20)
+    for m in range(2, 4097):
+        assert harness._mult_report(m, 1, trace).bound == \
+            1 + 6 * math.ceil(math.log2(m)), m
+
+
 def test_mult_sweep_small_block():
     failures, elapsed = mult_sweep(6, 6)
     assert failures == []
@@ -114,6 +130,35 @@ def tiny_spec() -> GameSpec:
                     d_diag=[0.0, 0.0], j_bar=[0.0, 0.0],
                     alpha=[[0.0, 0.0]], beta=[[0.01, 0.02]],
                     mass=[3.0], r_disc=100, loops=2)
+
+
+def test_a_workload_process_needs_one_plan_one_skeleton_one_tag_table(
+        monkeypatch):
+    # What a gne-default benchmark op does, on four seeds, and then what a
+    # spec-roundtrip op does: every system has one shape and one plan, so
+    # caches that hold only the last one miss once each.
+    plans, tagged = [], []
+    make_plan, tag = engine._Plan, builder.rule_tag
+    monkeypatch.setattr(engine, "_Plan",
+                        lambda *a: plans.append(make_plan(*a)) or plans[-1])
+    monkeypatch.setattr(builder, "rule_tag",
+                        lambda rid: tagged.append(rid) or tag(rid))
+    engine._PLAN = None
+    builder._skeleton.cache_clear()
+    for seed in (1, 2, 3, 27):
+        spec = sample_experiment(seed, "default")
+        csys = compile_system(build_gne_system(spec))
+        result = run_gne(spec)
+        report = compare_engines(spec, result=result, traj=simulate(spec))
+        assert report.agree and not report.engine_warnings
+    for seed in (4, 5):
+        text = serialize_system(build_gne_system(
+            sample_experiment(seed, "default")))
+        assert compile_system(parse_system(text)).rules is csys.rules
+    assert len(plans) == 1
+    assert builder._skeleton.cache_info().misses == 1
+    assert builder._TAGS[0] is csys.rules
+    assert len(tagged) == len(csys.rules) == 1981
 
 
 def test_run_gne_clean():
