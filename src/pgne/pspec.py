@@ -234,24 +234,35 @@ class _Parser:
     # ---- membranes ----
 
     def membrane(self, seen: Dict[str, int]) -> MembraneNode:
-        self.take("punct", "[")
-        me = self.pos
-        label = self.take("label", what="membrane label")[1]
-        if label in seen:
-            raise self.fail(f"duplicate membrane label '{label}", me)
-        seen[label] = me
-        charge = self.take("charge", what="charge")[2]
-        contents: Dict[Sym, int] = {}
-        if self.at("punct", "{"):
-            self.pos += 1
-            contents = self.multiset()
-            self.take("punct", "}")
-        children: List[MembraneNode] = []
-        while self.at("punct", "["):
-            children.append(self.membrane(seen))
-        self.take("punct", "]")
-        return MembraneNode(label, children=children,
-                            contents=Multiset(contents), charge=charge)
+        """One bracketed membrane and its subtree, at any depth.
+
+        The open membranes wait on a stack, so nesting costs no recursion.
+        """
+        open_: List[MembraneNode] = []
+        while True:
+            self.take("punct", "[")
+            me = self.pos
+            label = self.take("label", what="membrane label")[1]
+            if label in seen:
+                raise self.fail(f"duplicate membrane label '{label}", me)
+            seen[label] = me
+            charge = self.take("charge", what="charge")[2]
+            contents: Dict[Sym, int] = {}
+            if self.at("punct", "{"):
+                self.pos += 1
+                contents = self.multiset()
+                self.take("punct", "}")
+            node = MembraneNode(label, contents=Multiset(contents),
+                                charge=charge)
+            if open_:
+                open_[-1].children.append(node)
+            open_.append(node)
+            # Close membranes until one opens a next child.
+            while not self.at("punct", "["):
+                self.take("punct", "]")
+                node = open_.pop()
+                if not open_:
+                    return node
 
     # ---- rules ----
 

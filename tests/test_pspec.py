@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from pgne.builder import build_gne_system, build_mult_system
 from pgne.engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
-                        PSystem, RuleSpec, compile_system, run)
+                        PSystem, RuleSpec, compile_system, read_region,
+                        run)
 from pgne.harness import sample_experiment
 from pgne.pspec import (PSpecError, parse_system, serialize_system,
                         systems_equal)
@@ -302,6 +303,26 @@ def test_order_of_rules_is_preserved():
     # Rank is declaration order, so reordering changes the system.
     t = parse_system(serialize_system(s))
     assert [r.id for r in t.rules] == ["zz", "aa"]
+
+
+def test_deep_membrane_chain_round_trips_and_runs():
+    # Parsing keeps open membranes on a stack, so depth costs no recursion.
+    # Compared by walk, since systems_equal's dataclass == recurses.
+    n = 5000
+    tree = MembraneNode(f"m{n - 1}", contents=Multiset({sym("a"): 1}))
+    for i in range(n - 2, -1, -1):
+        tree = MembraneNode(f"m{i}", children=[tree], charge=i % 3 - 1)
+    sysd = PSystem(tree, [RuleSpec("r", f"m{n - 1}", consume_in={sym("a"): 1},
+                                   produce_out={sym("b"): 1})])
+    back = parse_system(serialize_system(sysd))
+
+    def view(s):
+        return [(node.label, parent and parent.label, node.charge,
+                 node.contents.counts) for node, parent in s.walk()]
+    assert view(back) == view(sysd)
+    trace = run(back, max_steps=5)
+    assert trace.halted and trace.steps == 1
+    assert read_region(trace.final, f"m{n - 2}").counts == {sym("b"): 1}
 
 
 def test_systems_equal_detects_differences():
