@@ -735,10 +735,10 @@ def plans(monkeypatch):
     built = []
     make = engine._Plan
 
-    def counted(*args):
+    def build(*args):
         built.append(make(*args))
         return built[-1]
-    monkeypatch.setattr(engine, "_Plan", counted)
+    monkeypatch.setattr(engine, "_Plan", build)
     return built
 
 

@@ -22,6 +22,7 @@ from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
                           run_gne, run_mult, sample_experiment)
 from pgne.oracle import simulate
 from pgne.pspec import load_system, parse_system, serialize_system
+from test_engine import plans  # a fixture
 
 
 # ============================================================
@@ -133,14 +134,12 @@ def tiny_spec() -> GameSpec:
 
 
 def test_a_workload_process_needs_one_plan_one_skeleton_one_tag_table(
-        monkeypatch):
+        plans, monkeypatch):
     # What a gne-default benchmark op does, on four seeds, and then what a
     # spec-roundtrip op does: every system has one shape and one plan, so
     # caches that hold only the last one miss once each.
-    plans, tagged = [], []
-    make_plan, tag = engine._Plan, builder.rule_tag
-    monkeypatch.setattr(engine, "_Plan",
-                        lambda *a: plans.append(make_plan(*a)) or plans[-1])
+    tagged = []
+    tag = builder.rule_tag
     monkeypatch.setattr(builder, "rule_tag",
                         lambda rid: tagged.append(rid) or tag(rid))
     engine._PLAN = None
