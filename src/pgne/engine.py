@@ -10,8 +10,8 @@ the tree's labels and the rules' conditions, not on initial contents or
 rule products.  `compile_system` does that part once per such plan, keeps
 the last plan, and shares it whole among the systems that have it, such
 as sampled games of one shape, which differ only in the products of a few
-rules.  Products therefore live apart from the compiled rules, in a
-per-system list.
+rules.  Products therefore live apart from the compiled rules, in
+per-system lists.
 
 Step semantics, fixed here and relied on by every test in the suite:
 
@@ -30,15 +30,23 @@ Step semantics, fixed here and relied on by every test in the suite:
     rule application per step.
   * Objects produced during a step become visible only at the next step.
 
-Selection is index driven.  Compilation files each rule under one
-watched key, the (region, symbol) of its first need.  A step visits the
-rules watching the symbols present at its start, and a visited rule is a
-candidate if its charges match and its other needed symbols are present
-(zero counts are never stored).  Any other rule lacks a need or a charge
-for the whole step, so it could neither apply nor be starved.  Candidates
-go through every check in the total order, and the count against the
-residual resources is the final judge: a threshold need can be present
-but short.  Most rules have one need, and count it inline.
+Objects sit in one of two stores.  Compilation gives each (region,
+symbol) that some rule consumes a dense integer slot, and a configuration
+keeps those objects in one dict, `live`, from slot to count.  Every other
+object, such as a loop's exported results or waste that no collector
+takes, goes into a per-region `inert` dict that selection never reads.
+Exports pile up loop by loop, so the live store, and with it the cost of
+a step, stays the same size over a long run.
+
+Selection is index driven.  Compilation files each rule under one slot,
+that of its first need.  A step walks the live store once and visits the
+rules filed under each present slot; a visited rule is a candidate if its
+charges match and its other needed slots are present (zero counts are
+never stored).  Any other rule lacks a need or a charge for the whole
+step, so it could neither apply nor be starved.  Candidates go through
+every check in the total order, and the count against the residual
+resources is the final judge: a threshold need can be present but short.
+Most rules have one need, and count it inline.
 
 A step's record is a `StepRecord`: the applied rules and their counts in
 two parallel lists, read as a sequence of (rule, count) pairs.  A trace
@@ -47,10 +55,11 @@ more object per application for CPython's cyclic collector to track and
 walk on every collection; two lists keep that at three objects a step.
 
 A step works in place: applied rules consume straight from the live
-region dicts, and after selection the step commits products by walking
-its own record.  A step that applies nothing leaves the configuration
-untouched.  Only strict mode reads start-of-step counts once consumption
-begins, so only it snapshots them.
+store, and after selection the step commits products by walking its own
+record, each product into the store compilation chose for it.  A step
+that applies nothing leaves the configuration untouched.  Only strict
+mode reads start-of-step counts once consumption begins, so only it
+snapshots the live store.
 
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
@@ -63,6 +72,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import attrgetter, ne
+from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -175,7 +185,7 @@ class CRule:
 
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
-        "child_post", "needs", "flips", "locks", "higher",
+        "child_post", "needs", "takes", "flips", "locks", "higher",
         "target_label", "rest",
     )
 
@@ -194,8 +204,10 @@ class CRule:
         self.needs = _triples(spec.id, (parent, spec.consume_out),
                               (target, spec.consume_in),
                               (child, c.consume if c else {}))
-        # Selection watches the first need; the rest it checks for presence.
-        self.rest = self.needs[1:]
+        # The needs as (slot, count) pairs, and the slots of all but the
+        # first, which selection checks for presence; set by the plan.
+        self.takes: Tuple[Tuple[int, int], ...] = ()
+        self.rest: Tuple[int, ...] = ()
         # (region, new charge) per membrane the rule re-charges; each one
         # is locked for the rest of the step once the rule fires.
         flips = [(target, self.post)] if self.post != self.pre else []
@@ -205,30 +217,31 @@ class CRule:
         self.locks = tuple([r for r, _ in flips])
         self.higher: Tuple["CRule", ...] = ()
 
-    def fireable(self, avail: List[Dict[Sym, int]], charges: Sequence[int],
+    def fireable(self, live: Dict[int, int], charges: Sequence[int],
                  locked: List[bool]) -> bool:
         """True if one application could fire right now.
 
-        Resource test runs against `avail` (residual start-of-step
-        resources); charge test against start-of-step charges; a rule
-        whose charge change hits an already locked membrane cannot fire.
+        Resource test runs against `live` (residual start-of-step
+        resources by slot); charge test against start-of-step charges; a
+        rule whose charge change hits an already locked membrane cannot
+        fire.
         """
         if charges[self.target] != self.pre:
             return False
         if self.child >= 0 and charges[self.child] != self.child_pre:
             return False
-        for r, s, n in self.needs:
-            if avail[r].get(s, 0) < n:
+        for slot, n in self.takes:
+            if live.get(slot, 0) < n:
                 return False
         for r in self.locks:
             if locked[r]:
                 return False
         return True
 
-    def max_count(self, avail: List[Dict[Sym, int]]) -> int:
+    def max_count(self, live: Dict[int, int]) -> int:
         k = None
-        for r, s, n in self.needs:
-            fit = avail[r].get(s, 0) // n
+        for slot, n in self.takes:
+            fit = live.get(slot, 0) // n
             if k is None or fit < k:
                 if fit == 0:
                     return 0
@@ -269,6 +282,15 @@ def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
     return _triples(spec.id, (parents[cr.target], spec.produce_out),
                     (cr.target, spec.produce_in),
                     (cr.child, c.produce if c else {}))
+
+
+def _split(gives: tuple, slot_of: Dict[Tuple[int, Sym], int]
+           ) -> Tuple[tuple, tuple]:
+    """gives as (slot, count) pairs for the keys some rule consumes, and
+    as (region, symbol, count) triples for the rest."""
+    live = tuple([(slot_of[r, s], n) for r, s, n in gives if (r, s) in slot_of])
+    inert = tuple([g for g in gives if (g[0], g[1]) not in slot_of])
+    return live, inert
 
 
 # The plan of the last compile.  Each benchmark workload and each pgne
@@ -394,32 +416,56 @@ class _Plan:
         for cr in self.ordered:
             self.buckets.setdefault((cr.target, cr.pre), []).append(cr)
 
-        # Selection index: per region, symbol -> the rules whose first need
-        # it is.  A step checks their other needs only when it is present.
-        watchers: List[Dict[Sym, List[CRule]]] = [{} for _ in self.parents]
+        # Slots: a dense number for each (region, symbol) some rule consumes.
+        self.slot_of: Dict[Tuple[int, Sym], int] = {}
         for cr in self.rules:
-            r, s, _ = cr.needs[0]
-            watchers[r].setdefault(s, []).append(cr)
-        self.watchers = [(r, w) for r, w in enumerate(watchers) if w]
+            for r, s, _ in cr.needs:
+                self.slot_of.setdefault((r, s), len(self.slot_of))
+        self.slot_key: List[Tuple[int, Sym]] = list(self.slot_of)
+        self.region_slots: List[List[Tuple[int, Sym]]] = [
+            [] for _ in self.parents]
+        for slot, (r, s) in enumerate(self.slot_key):
+            self.region_slots[r].append((slot, s))
+
+        # Selection index: per slot, the rules whose first need it is.  A
+        # step checks their other needs only when it is present.
+        watch: List[List[CRule]] = [[] for _ in self.slot_key]
+        for cr in self.rules:
+            cr.takes = tuple([(self.slot_of[r, s], n) for r, s, n in cr.needs])
+            cr.rest = tuple([slot for slot, _ in cr.takes[1:]])
+            watch[cr.takes[0][0]].append(cr)
+        self.watch = [tuple(w) for w in watch]
+        split = [_split(g, self.slot_of) for g in self.gives]
+        self.live_gives = [live for live, _ in split]
+        self.inert_gives = [inert for _, inert in split]
 
 
 class CompiledSystem:
     """A PSystem lowered to index arrays plus the derived total order.
 
-    All but `source`, the initial contents and charges and `gives` is its
-    plan's own: the region table, the compiled rules, their total order
-    and the selection indexes.  A plan depends only on the tree's labels
-    and parents, on each rule's id, target, charges, consumed multisets
-    and child pattern, and on the set of priority pairs.  `gives[cr.order]`
-    holds rule cr's products as (region, symbol, count) triples; it is the
-    plan's list unless some rule's `produce_out` or `produce_in` differs
-    from the plan's.  Compiled systems are read-only.  The last plan
-    compiled stays cached.
+    All but `source`, the initial contents and charges and the three
+    product lists is its plan's own: the region table, the compiled rules,
+    their total order, the slots and the selection index.  A plan depends
+    only on the tree's labels and parents, on each rule's id, target,
+    charges, consumed multisets and child pattern, and on the set of
+    priority pairs.
+
+    Every (region, symbol) that some rule consumes has a slot, a dense
+    int: `slot_of` maps the pair to it, `slot_key` maps it back, and
+    `region_slots[r]` lists region r's (slot, symbol) pairs.  `watch[slot]`
+    holds the rules whose first need is that slot; a rule's `takes` are
+    its needs as (slot, count) pairs.  `gives[cr.order]` holds rule cr's
+    products as (region, symbol, count) triples, and `live_gives` and
+    `inert_gives` split them into (slot, count) pairs and the triples of
+    keys no rule consumes.  The three are the plan's lists unless some
+    rule's `produce_out` or `produce_in` differs from the plan's.
+    Compiled systems are read-only.  The last plan compiled stays cached.
     """
 
-    def __init__(self, plan: _Plan, sys: PSystem,
-                 initial: List[Dict[Sym, int]], charges: List[int],
-                 gives: List[Tuple[Tuple[int, Sym, int], ...]]) -> None:
+    def __init__(self, plan: _Plan, sys: PSystem, live: Dict[int, int],
+                 inert: List[Dict[Sym, int]], charges: List[int],
+                 gives: List[tuple], live_gives: List[tuple],
+                 inert_gives: List[tuple]) -> None:
         self.source = sys
         self.region_labels = plan.region_labels
         self.parents = plan.parents
@@ -428,9 +474,15 @@ class CompiledSystem:
         self.rules = plan.rules
         self.ordered = plan.ordered
         self.buckets = plan.buckets
-        self.watchers = plan.watchers
+        self.slot_of = plan.slot_of
+        self.slot_key = plan.slot_key
+        self.region_slots = plan.region_slots
+        self.watch = plan.watch
         self.gives = gives
-        self._initial = initial
+        self.live_gives = live_gives
+        self.inert_gives = inert_gives
+        self._live = live
+        self._inert = inert
         self._initial_charges = charges
 
     def comparable(self, a: CRule, b: CRule) -> bool:
@@ -442,22 +494,39 @@ class CompiledSystem:
     ) -> "Configuration":
         """Fresh start state; `contents` overrides initial region multisets.
 
+        An override replaces its region's live slots and its inert dict.
         Zero counts are dropped and negative ones refused.
         """
-        cont = [dict(c) for c in self._initial]
+        live = dict(self._live)
+        inert = [dict(c) for c in self._inert]
         if contents is not None:
             for label, ms in contents.items():
                 idx = self.label_index.get(label)
                 if idx is None:
                     raise StructureError(f"unknown label {label!r}")
-                cont[idx] = {}
-                for s, n in ms.items():
-                    if n < 0:
-                        raise StructureError(
-                            f"initial {label!r}: negative count {n} for {s}")
-                    if n:
-                        cont[idx][s] = n
-        return Configuration(self, cont, list(self._initial_charges), 0)
+                for slot, _ in self.region_slots[idx]:
+                    live.pop(slot, None)
+                inert[idx] = {}
+                _place(self.slot_of, idx, label, ms, live, inert[idx])
+        return Configuration(self, live, inert, list(self._initial_charges), 0)
+
+
+def _place(slot_of: Dict[Tuple[int, Sym], int], r: int, label: str,
+           ms: Mapping[Sym, int] | Multiset, live: Dict[int, int],
+           inert: Dict[Sym, int]) -> None:
+    """Put region r's contents ms into live by slot, or else into inert.
+
+    Zero counts are dropped and negative ones refused.
+    """
+    for s, n in ms.items():
+        if n < 0:
+            raise StructureError(f"initial {label!r}: negative count {n} for {s}")
+        if n:
+            slot = slot_of.get((r, s))
+            if slot is None:
+                inert[s] = n
+            else:
+                live[slot] = n
 
 
 def compile_system(sys: PSystem) -> CompiledSystem:
@@ -472,16 +541,17 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     Otherwise a new plan is built, and replaces the cached one; a malformed
     system raises StructureError and leaves the cache alone.  Every
     compile then binds sys to its plan: it keeps sys as `source`, copies
-    the initial contents and charges, and takes the plan's `gives`, copied
-    and patched where a rule's products are not the plan's.
+    the initial contents into the two stores and the charges, and takes
+    the plan's product lists, copied and patched where a rule's products
+    are not the plan's.
     """
     global _PLAN
     nodes: list = []  # each membrane's label and its parent's, in walk order
-    initial: List[Dict[Sym, int]] = [{}]
+    contents = []
     charges = [NEUTRAL]
     for node, parent in sys.walk():
         nodes += node.label, None if parent is None else parent.label
-        initial.append(dict(node.contents.counts))
+        contents.append(node.contents)
         charges.append(node.charge)
     specs = sys.rules
     # Pair order and repeats change neither the order nor the closure.
@@ -489,13 +559,20 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     plan = _PLAN
     if plan is None or plan.key != key:
         plan = _PLAN = _Plan(sys, nodes)
-    gives = plan.gives
+    live: Dict[int, int] = {}
+    inert: List[Dict[Sym, int]] = [{} for _ in plan.parents]
+    for r, ms in enumerate(contents, start=1):
+        _place(plan.slot_of, r, plan.region_labels[r], ms, live, inert[r])
+    gives, live_gives, inert_gives = plan.gives, plan.live_gives, plan.inert_gives
     for i in compress(count(), map(ne, map(_PRODUCTS, specs), plan.products)):
         if gives is plan.gives:
-            gives = list(gives)
+            gives, live_gives, inert_gives = (
+                list(gives), list(live_gives), list(inert_gives))
         cr = plan.rules[i]
-        gives[cr.order] = _gives(specs[i], cr, plan.parents)
-    return CompiledSystem(plan, sys, initial, charges, gives)
+        g = gives[cr.order] = _gives(specs[i], cr, plan.parents)
+        live_gives[cr.order], inert_gives[cr.order] = _split(g, plan.slot_of)
+    return CompiledSystem(plan, sys, live, inert, charges, gives, live_gives,
+                          inert_gives)
 
 
 # ============================================================
@@ -504,19 +581,40 @@ def compile_system(sys: PSystem) -> CompiledSystem:
 
 
 class Configuration:
-    """Instantaneous state: per-region contents and charges, plus a step count."""
+    """Instantaneous state: region contents in two stores, charges and a
+    step count.
 
-    __slots__ = ("csys", "contents", "charges", "step")
+    `live` maps each slot of the compiled system to its count, the objects
+    some rule consumes; `inert[r]` holds region r's other objects, such as
+    exports and waste no collector takes, by symbol.  A step reads and
+    writes `live` and only adds to `inert`.  No store keeps a zero count.
+    """
 
-    def __init__(self, csys: CompiledSystem, contents: List[Dict[Sym, int]],
-                 charges: List[int], step: int) -> None:
+    __slots__ = ("csys", "live", "inert", "charges", "step")
+
+    def __init__(self, csys: CompiledSystem, live: Dict[int, int],
+                 inert: List[Dict[Sym, int]], charges: List[int],
+                 step: int) -> None:
         self.csys = csys
-        self.contents = contents
+        self.live = live
+        self.inert = inert
         self.charges = charges
         self.step = step
 
+    @property
+    def contents(self) -> List[Mapping[Sym, int]]:
+        """Each region's contents, both stores joined: a read-only view
+        built on each call, which later steps do not change."""
+        out = [dict(c) for c in self.inert]
+        key = self.csys.slot_key
+        for slot, n in self.live.items():
+            r, s = key[slot]
+            out[r][s] = n
+        return [MappingProxyType(c) for c in out]
+
     def copy(self) -> "Configuration":
-        return Configuration(self.csys, [dict(c) for c in self.contents],
+        return Configuration(self.csys, dict(self.live),
+                             [dict(c) for c in self.inert],
                              list(self.charges), self.step)
 
 
@@ -527,7 +625,12 @@ def read_region(cfg: Configuration, label: str,
     if idx is None:
         raise StructureError(f"unknown label {label!r}")
     out = Multiset()
-    for s, n in cfg.contents[idx].items():
+    live = cfg.live
+    for slot, s in cfg.csys.region_slots[idx]:
+        n = live.get(slot)
+        if n and (base is None or s.base == base):
+            out.counts[s] = n
+    for s, n in cfg.inert[idx].items():
         if base is None or s.base == base:
             out.counts[s] = n
     return out
@@ -593,31 +696,31 @@ def maximal_step(cfg: Configuration,
     strict = ambiguities is not None
     csys = cfg.csys
     charges = cfg.charges
-    avail = cfg.contents
+    live = cfg.live
+    watch = csys.watch
 
-    # Candidates: rules with every consumed key present and matching
+    # Candidates: rules with every consumed slot present and matching
     # target and child charges.  Any other rule has k = 0 for the whole step.
     cand: List[CRule] = []
     add = cand.append
-    for r, watch in csys.watchers:
-        for s in avail[r]:
-            for cr in watch.get(s, ()):
-                if charges[cr.target] != cr.pre or (
-                        cr.child >= 0 and charges[cr.child] != cr.child_pre):
-                    continue
-                if cr.rest:
-                    for q, t, _ in cr.rest:
-                        if t not in avail[q]:
-                            break
-                    else:
-                        add(cr)
+    for slot in live:
+        for cr in watch[slot]:
+            if charges[cr.target] != cr.pre or (
+                    cr.child >= 0 and charges[cr.child] != cr.child_pre):
+                continue
+            if cr.rest:
+                for t in cr.rest:
+                    if t not in live:
+                        break
                 else:
                     add(cr)
+            else:
+                add(cr)
     cand.sort(key=_ORDER)
 
     if strict:
-        pre = [dict(c) for c in avail]
-        consumers: Dict[Tuple[int, Sym], List[CRule]] = {}
+        pre = dict(live)
+        consumers: Dict[int, List[CRule]] = {}
     locked = [False] * csys.n_regions
     charge_next: Optional[List[int]] = None
     record = StepRecord([], [])
@@ -628,16 +731,17 @@ def maximal_step(cfg: Configuration,
         if cr.locks and (locked[cr.locks[0]] or locked[cr.locks[-1]]):
             continue
         if cr.rest:
-            k = cr.max_count(avail)
+            k = cr.max_count(live)
         else:
-            (r, s, n), = cr.needs
-            k = avail[r].get(s, 0) // n
+            (slot, n), = cr.takes
+            k = live.get(slot, 0) // n
         if k == 0:
             if strict and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
-                for r, s, n in cr.needs:
-                    if avail[r].get(s, 0) < n:
-                        for culprit in consumers.get((r, s), ()):
+                for slot, n in cr.takes:
+                    if live.get(slot, 0) < n:
+                        r, s = csys.slot_key[slot]
+                        for culprit in consumers.get(slot, ()):
                             if culprit is not cr and not csys.comparable(culprit, cr):
                                 ambiguities.append(Ambiguity(
                                     cfg.step, csys.region_labels[r], s,
@@ -645,7 +749,7 @@ def maximal_step(cfg: Configuration,
             continue
         blocked = False
         for h in cr.higher:
-            if h.fireable(avail, charges, locked):
+            if h.fireable(live, charges, locked):
                 blocked = True
                 break
         if blocked:
@@ -657,34 +761,37 @@ def maximal_step(cfg: Configuration,
             for r, c in cr.flips:
                 charge_next[r] = c
                 locked[r] = True
-        for r, s, n in cr.needs:
-            into = avail[r]
-            left = into[s] - n * k
+        for slot, n in cr.takes:
+            left = live[slot] - n * k
             if left:
-                into[s] = left
+                live[slot] = left
             else:
-                del into[s]
+                del live[slot]
             if strict:
-                consumers.setdefault((r, s), []).append(cr)
+                consumers.setdefault(slot, []).append(cr)
         applied(cr)
         counts(k)
 
     if not record.rules:
         return record
-    _commit_products(avail, zip(record.rules, record.counts), csys.gives)
+    _commit_products(cfg, zip(record.rules, record.counts))
     if charge_next is not None:
         cfg.charges = charge_next
     cfg.step += 1
     return record
 
 
-def _commit_products(regions: List[Dict[Sym, int]],
-                     record: Iterable[Tuple[CRule, int]],
-                     gives: List[Tuple[Tuple[int, Sym, int], ...]]) -> None:
+def _commit_products(cfg: Configuration,
+                     record: Iterable[Tuple[CRule, int]]) -> None:
     """Add each application's products, n * k per give, after all consumption."""
+    live, inert = cfg.live, cfg.inert
+    live_gives, inert_gives = cfg.csys.live_gives, cfg.csys.inert_gives
+    get = live.get
     for cr, k in record:
-        for r, s, n in gives[cr.order]:
-            into = regions[r]
+        for slot, n in live_gives[cr.order]:
+            live[slot] = get(slot, 0) + n * k
+        for r, s, n in inert_gives[cr.order]:
+            into = inert[r]
             into[s] = into.get(s, 0) + n * k
 
 
@@ -744,22 +851,23 @@ def run(sys: PSystem | CompiledSystem, max_steps: int,
 
 def apply_record(cfg: Configuration, record: StepRecord) -> None:
     """Replay one recorded step onto cfg without any selection logic."""
-    avail = cfg.contents
+    live = cfg.live
     charge_next = list(cfg.charges)
     for cr, k in record:
-        for r, s, n in cr.needs:
-            left = avail[r].get(s, 0) - n * k
+        for slot, n in cr.takes:
+            left = live.get(slot, 0) - n * k
             if left < 0:
+                r, s = cfg.csys.slot_key[slot]
                 raise StructureError(
                     f"replay of {cr.id} x{k}: insufficient {s} in "
                     f"{cfg.csys.region_labels[r]}")
             if left:
-                avail[r][s] = left
+                live[slot] = left
             else:
-                avail[r].pop(s, None)
+                live.pop(slot, None)
         for r, c in cr.flips:
             charge_next[r] = c
-    _commit_products(avail, record, cfg.csys.gives)
+    _commit_products(cfg, record)
     cfg.charges = charge_next
     cfg.step += 1
 

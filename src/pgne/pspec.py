@@ -421,6 +421,16 @@ def _mset_text(ms: Dict[Sym, int]) -> str:
     return " ".join(parts)
 
 
+# Nesting levels that indent further; deeper membranes line up with the
+# last of them, so the text stays linear in the depth.  Built systems are
+# at most 4 levels deep, and the parser ignores whitespace.
+_INDENT_LEVELS = 8
+
+
+def _indent(depth: int) -> str:
+    return "  " * min(depth, _INDENT_LEVELS)
+
+
 def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
     # Membranes with children whose "]" line is still due, innermost last.
     opened: List[MembraneNode] = []
@@ -428,11 +438,11 @@ def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
     def close_until(parent: Optional[MembraneNode]) -> None:
         while opened and opened[-1] is not parent:
             opened.pop()
-            out.append("  " * (len(opened) + 1) + "]")
+            out.append(_indent(len(opened) + 1) + "]")
 
     for node, parent in sysd.walk():
         close_until(parent)
-        head = (f"{'  ' * (len(opened) + 1)}[ "
+        head = (f"{_indent(len(opened) + 1)}[ "
                 f"'{_check_ident('label', node.label)} "
                 f"{_CHARGE_TEXT[node.charge]}")
         if node.contents.counts:
@@ -506,10 +516,27 @@ def serialize_system(sysd: PSystem) -> str:
 # ============================================================
 
 
+def _same_tree(a: MembraneNode, b: MembraneNode) -> bool:
+    """Membranes compared pairwise in preorder: label, charge, contents and
+    number of children.  An explicit stack, not recursion, holds the pairs
+    still due, so depth costs no stack frames."""
+    due = [(a, b)]
+    while due:
+        x, y = due.pop()
+        if (x.label != y.label or x.charge != y.charge
+                or x.contents.counts != y.contents.counts
+                or len(x.children) != len(y.children)):
+            return False
+        due += zip(x.children, y.children)
+    return True
+
+
 def systems_equal(a: PSystem, b: PSystem) -> bool:
     """Same tree, same rules in the same order, same priority relation."""
-    return (a.name == b.name and a.tree == b.tree and a.rules == b.rules
-            and sorted(a.priority) == sorted(b.priority))
+    return (a.name == b.name and _same_tree(a.tree, b.tree)
+            and a.rules == b.rules
+            and (a.priority == b.priority
+                 or sorted(a.priority) == sorted(b.priority)))
 
 
 def load_system(path: str) -> PSystem:

@@ -400,19 +400,20 @@ def default_27():
 
 
 def test_steps_mutate_the_live_regions():
-    # A non-strict step consumes from and commits into the region dicts
-    # cfg already holds; a step that applies nothing leaves them as they
-    # were.  Strict mode snapshots the start of each step and must select
-    # the same applications.
+    # A non-strict step consumes from and commits into the live store and
+    # the inert dicts cfg already holds; a step that applies nothing leaves
+    # them as they were.  Strict mode snapshots the start of each step and
+    # must select the same applications.
     csys, budget = default_27()
     cfg = csys.initial_configuration()
-    regions = list(cfg.contents)
+    live, inert = cfg.live, list(cfg.inert)
     records = []
     for _ in range(budget):
         before = cfg.copy()
         rec = maximal_step(cfg)
-        assert len(cfg.contents) == len(regions)
-        assert all(now is held for now, held in zip(cfg.contents, regions))
+        assert cfg.live is live
+        assert len(cfg.inert) == len(inert) == csys.n_regions
+        assert all(now is held for now, held in zip(cfg.inert, inert))
         if not rec:
             assert cfg.contents == before.contents
             assert cfg.charges == before.charges and cfg.step == before.step
@@ -422,6 +423,34 @@ def test_steps_mutate_the_live_regions():
         pytest.fail("default/27 did not halt within its budget")
     strict = run(csys, max_steps=budget, strict=True)
     assert strict.halted and strict.records == records
+
+
+def test_exports_stay_out_of_the_live_store():
+    # Only objects some rule consumes are live, so the live store of a
+    # long run peaks no higher than a short one's; each loop's `result`
+    # exports pile up in the skin's inert dict instead.
+    def peak(loops):
+        spec = sample_experiment(27, "default", loops=loops)
+        csys = compile_system(build_gne_system(spec))
+        cfg = csys.initial_configuration()
+        most = len(cfg.live)
+        for _ in range(loop_steps_bound(spec.r_disc) * (loops + 1)):
+            if not maximal_step(cfg):
+                break
+            most = max(most, len(cfg.live))
+        else:
+            pytest.fail(f"default/27 at {loops} loops did not halt")
+        skin = csys.label_index["0"]
+        results = read_region(cfg, "0", base="result").counts
+        assert results and all(s.base == "result" for s in results)
+        assert {s: n for s, n in cfg.inert[skin].items()
+                if s.base == "result"} == results
+        assert all(s.base != "result" for _, s in csys.region_slots[skin])
+        return most, len(results)
+
+    (short, exported_short), (long, exported_long) = peak(10), peak(30)
+    assert short == long
+    assert exported_long > exported_short
 
 
 def test_budget_stop_leaves_a_resumable_final_state():
@@ -492,6 +521,22 @@ def test_initial_override_refuses_negative_counts():
     assert read_region(tr.final, "m").counts == {B: 2}
     with pytest.raises(StructureError, match=r"'m'.*-3 for x"):
         run(csys, max_steps=1, initial={"m": {A: 1, X: -3}})
+
+
+def test_initial_override_reads_back_through_both_stores():
+    # a is consumed, so it is live; x and b are not, so they are inert.
+    # An override replaces both stores' share of its region.
+    csys = one_region([rule("r", consume_in={A: 1}, produce_in={B: 1})],
+                      contents={A: 5, X: 2})
+    cfg = csys.initial_configuration({"m": {A: 3, X: 4, B: 0}})
+    assert read_region(cfg, "m").counts == {A: 3, X: 4}
+    assert cfg.live == {csys.slot_of[csys.label_index["m"], A]: 3}
+    assert cfg.inert[csys.label_index["m"]] == {X: 4}
+    assert read_region(csys.initial_configuration({"m": {}}), "m").counts == {}
+    assert read_region(csys.initial_configuration(), "m").counts == {A: 5, X: 2}
+    for bad in ({A: -1}, {X: -1}):
+        with pytest.raises(StructureError, match="negative count -1"):
+            csys.initial_configuration({"m": bad})
 
 
 def test_read_region_base_filter():
@@ -687,9 +732,12 @@ def compiled_view(csys, budget):
     own = set(map(id, csys.rules))
     return (export_trace_text(run(csys, max_steps=budget)),
             [cr.id for cr in csys.ordered],
-            [(cr.id, cr.needs, csys.gives[cr.order], [h.id for h in cr.higher])
+            [(cr.id, cr.needs, csys.gives[cr.order], [h.id for h in cr.higher],
+              cr.takes, cr.rest, csys.live_gives[cr.order],
+              csys.inert_gives[cr.order])
              for cr in csys.rules],
-            list(csys.buckets), [(r, list(w)) for r, w in csys.watchers],
+            list(csys.buckets), csys.slot_key,
+            [[cr.id for cr in w] for w in csys.watch],
             all(id(h) in own for cr in csys.rules for h in cr.higher))
 
 

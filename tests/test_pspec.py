@@ -306,20 +306,30 @@ def test_order_of_rules_is_preserved():
 
 
 def test_deep_membrane_chain_round_trips_and_runs():
-    # Parsing keeps open membranes on a stack, so depth costs no recursion.
-    # Compared by walk, since systems_equal's dataclass == recurses.
+    # Parsing keeps open membranes on a stack, and systems_equal compares
+    # walk rows, so depth costs no recursion.  The indent stops growing
+    # after a few levels, so the text is linear in the depth.
     n = 5000
     tree = MembraneNode(f"m{n - 1}", contents=Multiset({sym("a"): 1}))
     for i in range(n - 2, -1, -1):
         tree = MembraneNode(f"m{i}", children=[tree], charge=i % 3 - 1)
     sysd = PSystem(tree, [RuleSpec("r", f"m{n - 1}", consume_in={sym("a"): 1},
                                    produce_out={sym("b"): 1})])
-    back = parse_system(serialize_system(sysd))
+    text = serialize_system(sysd)
+    assert len(text) < 64 * n
+    assert max(len(line) - len(line.lstrip()) for line in text.splitlines()) == 16
+    back = parse_system(text)
 
     def view(s):
         return [(node.label, parent and parent.label, node.charge,
                  node.contents.counts) for node, parent in s.walk()]
     assert view(back) == view(sysd)
+    assert systems_equal(back, sysd)
+    changed = parse_system(text)
+    at_4000 = [node for node, _ in changed.walk()][4000]
+    assert at_4000.label == "m4000"
+    at_4000.contents.counts[sym("a")] = 1
+    assert not systems_equal(changed, sysd)
     trace = run(back, max_steps=5)
     assert trace.halted and trace.steps == 1
     assert read_region(trace.final, f"m{n - 2}").counts == {sym("b"): 1}

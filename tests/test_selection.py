@@ -1,10 +1,10 @@
 """Indexed candidate selection against a naive full-scan reference step.
 
-`maximal_step` examines only rules whose consumed (region, symbol) keys
-are all present at the start of the step.  The reference below walks
-every rule of the total order instead, with the same per-rule checks, and
-the property test requires identical records, ambiguities and final
-states on small random systems.
+`maximal_step` examines only rules whose consumed slots are all present
+in the live store at the start of the step.  The reference below keeps a
+dict per region instead and walks every rule of the total order, with
+the same per-rule checks, and the property test requires identical
+records, ambiguities and final states on small random systems.
 """
 
 from __future__ import annotations
@@ -15,15 +15,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgne.engine import (CHARGES, NEUTRAL, Ambiguity, ChildPattern,
-                         Configuration, MembraneNode, PSystem, RuleSpec,
-                         StepRecord, compile_system, run)
+                         CompiledSystem, CRule, MembraneNode, PSystem,
+                         RuleSpec, StepRecord, compile_system, run)
 from pgne.symbols import Multiset, Sym, sym
 
 _SYMS = [sym(t) for t in "abc"]
 _LABELS = ["m1", "m2", "m3"]
 
 
-def reference_step(cfg: Configuration, strict: bool,
+class RefState:
+    """The reference's own state: a dict per region, charges, a step count."""
+
+    def __init__(self, csys: CompiledSystem) -> None:
+        # Region 0 is the environment; the rest follow the tree's walk.
+        nodes = [node for node, _ in csys.source.walk()]
+        self.csys = csys
+        self.contents = [{}] + [dict(node.contents.counts) for node in nodes]
+        self.charges = [NEUTRAL] + [node.charge for node in nodes]
+        self.step = 0
+
+
+def fireable(cr: CRule, avail: List[Dict[Sym, int]], charges: List[int],
+             locked: List[bool]) -> bool:
+    """One application of cr could fire against avail, charges and locks."""
+    if charges[cr.target] != cr.pre:
+        return False
+    if cr.child >= 0 and charges[cr.child] != cr.child_pre:
+        return False
+    if any(avail[r].get(s, 0) < n for r, s, n in cr.needs):
+        return False
+    return not any(locked[r] for r in cr.locks)
+
+
+def reference_step(cfg: RefState, strict: bool,
                    ambiguities: List[Ambiguity]) -> StepRecord:
     """One maximal step that scans every rule in the total order."""
     csys = cfg.csys
@@ -43,8 +67,8 @@ def reference_step(cfg: Configuration, strict: bool,
         if any(locked[r] for r in cr.locks):
             continue
         k = min(avail[r].get(s, 0) // n for r, s, n in cr.needs)
-        if strict and k == 0 and cr.fireable(
-                start, charges, [False] * csys.n_regions):
+        if strict and k == 0 and fireable(
+                cr, start, charges, [False] * csys.n_regions):
             for r, s, n in cr.needs:
                 if avail[r].get(s, 0) >= n:
                     continue
@@ -55,7 +79,7 @@ def reference_step(cfg: Configuration, strict: bool,
                             culprit.id, cr.id))
         if k == 0:
             continue
-        if any(h.fireable(avail, charges, locked) for h in cr.higher):
+        if any(fireable(h, avail, charges, locked) for h in cr.higher):
             continue
         if cr.locks:
             k = 1
@@ -125,7 +149,7 @@ def test_indexed_selection_matches_full_scan(sysd: PSystem, strict: bool):
     csys = compile_system(sysd)
     tr = run(csys, max_steps=6, strict=strict)
 
-    cfg = csys.initial_configuration()
+    cfg = RefState(csys)
     records: List[StepRecord] = []
     ambiguities: List[Ambiguity] = []
     for _ in range(6):
