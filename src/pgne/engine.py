@@ -284,13 +284,18 @@ def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
                     (cr.child, c.produce if c else {}))
 
 
-def _split(gives: tuple, slot_of: Dict[Tuple[int, Sym], int]
+def _split(gives: tuple, region_slots: List[Dict[Sym, int]]
            ) -> Tuple[tuple, tuple]:
     """gives as (slot, count) pairs for the keys some rule consumes, and
     as (region, symbol, count) triples for the rest."""
-    live = tuple([(slot_of[r, s], n) for r, s, n in gives if (r, s) in slot_of])
-    inert = tuple([g for g in gives if (g[0], g[1]) not in slot_of])
-    return live, inert
+    live, inert = [], []
+    for g in gives:
+        slot = region_slots[g[0]].get(g[1])
+        if slot is None:
+            inert.append(g)
+        else:
+            live.append((slot, g[2]))
+    return tuple(live), tuple(inert)
 
 
 # The plan of the last compile.  Each benchmark workload and each pgne
@@ -416,26 +421,27 @@ class _Plan:
         for cr in self.ordered:
             self.buckets.setdefault((cr.target, cr.pre), []).append(cr)
 
-        # Slots: a dense number for each (region, symbol) some rule consumes.
-        self.slot_of: Dict[Tuple[int, Sym], int] = {}
+        # Slots: a dense number for each (region, symbol) some rule consumes,
+        # in the order rules first need them.
+        self.region_slots: List[Dict[Sym, int]] = [{} for _ in self.parents]
+        self.slot_key: List[Tuple[int, Sym]] = []
         for cr in self.rules:
-            for r, s, _ in cr.needs:
-                self.slot_of.setdefault((r, s), len(self.slot_of))
-        self.slot_key: List[Tuple[int, Sym]] = list(self.slot_of)
-        self.region_slots: List[List[Tuple[int, Sym]]] = [
-            [] for _ in self.parents]
-        for slot, (r, s) in enumerate(self.slot_key):
-            self.region_slots[r].append((slot, s))
+            takes = []
+            for r, s, n in cr.needs:
+                slot = self.region_slots[r].get(s)
+                if slot is None:
+                    slot = self.region_slots[r][s] = len(self.slot_key)
+                    self.slot_key.append((r, s))
+                takes.append((slot, n))
+            cr.takes = tuple(takes)
+            cr.rest = tuple([slot for slot, _ in takes[1:]])
 
         # Selection index: per slot, the rules whose first need it is.  A
         # step checks their other needs only when it is present.
-        watch: List[List[CRule]] = [[] for _ in self.slot_key]
+        self.watch: List[List[CRule]] = [[] for _ in self.slot_key]
         for cr in self.rules:
-            cr.takes = tuple([(self.slot_of[r, s], n) for r, s, n in cr.needs])
-            cr.rest = tuple([slot for slot, _ in cr.takes[1:]])
-            watch[cr.takes[0][0]].append(cr)
-        self.watch = [tuple(w) for w in watch]
-        split = [_split(g, self.slot_of) for g in self.gives]
+            self.watch[cr.takes[0][0]].append(cr)
+        split = [_split(g, self.region_slots) for g in self.gives]
         self.live_gives = [live for live, _ in split]
         self.inert_gives = [inert for _, inert in split]
 
@@ -451,8 +457,8 @@ class CompiledSystem:
     priority pairs.
 
     Every (region, symbol) that some rule consumes has a slot, a dense
-    int: `slot_of` maps the pair to it, `slot_key` maps it back, and
-    `region_slots[r]` lists region r's (slot, symbol) pairs.  `watch[slot]`
+    int: `region_slots[r]` maps each such symbol of region r to its slot,
+    and `slot_key` maps a slot back to its (region, symbol).  `watch[slot]`
     holds the rules whose first need is that slot; a rule's `takes` are
     its needs as (slot, count) pairs.  `gives[cr.order]` holds rule cr's
     products as (region, symbol, count) triples, and `live_gives` and
@@ -474,7 +480,6 @@ class CompiledSystem:
         self.rules = plan.rules
         self.ordered = plan.ordered
         self.buckets = plan.buckets
-        self.slot_of = plan.slot_of
         self.slot_key = plan.slot_key
         self.region_slots = plan.region_slots
         self.watch = plan.watch
@@ -504,17 +509,17 @@ class CompiledSystem:
                 idx = self.label_index.get(label)
                 if idx is None:
                     raise StructureError(f"unknown label {label!r}")
-                for slot, _ in self.region_slots[idx]:
+                for slot in self.region_slots[idx].values():
                     live.pop(slot, None)
                 inert[idx] = {}
-                _place(self.slot_of, idx, label, ms, live, inert[idx])
+                _place(self.region_slots[idx], label, ms, live, inert[idx])
         return Configuration(self, live, inert, list(self._initial_charges), 0)
 
 
-def _place(slot_of: Dict[Tuple[int, Sym], int], r: int, label: str,
+def _place(slots: Dict[Sym, int], label: str,
            ms: Mapping[Sym, int] | Multiset, live: Dict[int, int],
            inert: Dict[Sym, int]) -> None:
-    """Put region r's contents ms into live by slot, or else into inert.
+    """Put a region's contents ms into live by its slots, or else into inert.
 
     Zero counts are dropped and negative ones refused.
     """
@@ -522,7 +527,7 @@ def _place(slot_of: Dict[Tuple[int, Sym], int], r: int, label: str,
         if n < 0:
             raise StructureError(f"initial {label!r}: negative count {n} for {s}")
         if n:
-            slot = slot_of.get((r, s))
+            slot = slots.get(s)
             if slot is None:
                 inert[s] = n
             else:
@@ -562,7 +567,7 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     live: Dict[int, int] = {}
     inert: List[Dict[Sym, int]] = [{} for _ in plan.parents]
     for r, ms in enumerate(contents, start=1):
-        _place(plan.slot_of, r, plan.region_labels[r], ms, live, inert[r])
+        _place(plan.region_slots[r], plan.region_labels[r], ms, live, inert[r])
     gives, live_gives, inert_gives = plan.gives, plan.live_gives, plan.inert_gives
     for i in compress(count(), map(ne, map(_PRODUCTS, specs), plan.products)):
         if gives is plan.gives:
@@ -570,7 +575,7 @@ def compile_system(sys: PSystem) -> CompiledSystem:
                 list(gives), list(live_gives), list(inert_gives))
         cr = plan.rules[i]
         g = gives[cr.order] = _gives(specs[i], cr, plan.parents)
-        live_gives[cr.order], inert_gives[cr.order] = _split(g, plan.slot_of)
+        live_gives[cr.order], inert_gives[cr.order] = _split(g, plan.region_slots)
     return CompiledSystem(plan, sys, live, inert, charges, gives, live_gives,
                           inert_gives)
 
@@ -626,7 +631,7 @@ def read_region(cfg: Configuration, label: str,
         raise StructureError(f"unknown label {label!r}")
     out = Multiset()
     live = cfg.live
-    for slot, s in cfg.csys.region_slots[idx]:
+    for s, slot in cfg.csys.region_slots[idx].items():
         n = live.get(slot)
         if n and (base is None or s.base == base):
             out.counts[s] = n

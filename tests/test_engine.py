@@ -445,7 +445,7 @@ def test_exports_stay_out_of_the_live_store():
         assert results and all(s.base == "result" for s in results)
         assert {s: n for s, n in cfg.inert[skin].items()
                 if s.base == "result"} == results
-        assert all(s.base != "result" for _, s in csys.region_slots[skin])
+        assert all(s.base != "result" for s in csys.region_slots[skin])
         return most, len(results)
 
     (short, exported_short), (long, exported_long) = peak(10), peak(30)
@@ -530,7 +530,7 @@ def test_initial_override_reads_back_through_both_stores():
                       contents={A: 5, X: 2})
     cfg = csys.initial_configuration({"m": {A: 3, X: 4, B: 0}})
     assert read_region(cfg, "m").counts == {A: 3, X: 4}
-    assert cfg.live == {csys.slot_of[csys.label_index["m"], A]: 3}
+    assert cfg.live == {csys.region_slots[csys.label_index["m"]][A]: 3}
     assert cfg.inert[csys.label_index["m"]] == {X: 4}
     assert read_region(csys.initial_configuration({"m": {}}), "m").counts == {}
     assert read_region(csys.initial_configuration(), "m").counts == {A: 5, X: 2}
