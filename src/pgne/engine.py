@@ -35,8 +35,8 @@ symbol) that some rule consumes a dense integer slot, and a configuration
 keeps those objects in one dict, `live`, from slot to count.  Every other
 object, such as a loop's exported results or waste that no collector
 takes, goes into a per-region `inert` dict that selection never reads.
-Exports pile up loop by loop, so the live store, and with it the cost of
-a step, stays the same size over a long run.
+Exports pile up loop by loop in `inert`, so the live store, which every
+step walks, stays the same size over a long run.
 
 Selection is index driven.  Compilation files each rule under one slot,
 that of its first need.  A step walks the live store once and visits the
