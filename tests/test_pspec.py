@@ -276,6 +276,63 @@ def test_duplicate_clause():
     check_error(text, "duplicate clause")
 
 
+# One rule line broken at a single point: each header token, each clause
+# token, an empty multiset, a duplicate clause, and text that ends inside
+# the header or a clause.  Message, line and column are pinned.
+@pytest.mark.parametrize("rule,message,line,col", [
+    ("rule r at 'm ^0 -> ^+", "expected rule label, found 'r'", 4, 8),
+    ("rule 'r on 'm ^0 -> ^+", "expected 'at', found 'on'", 4, 11),
+    ("rule 'r 'at 'm ^0 -> ^+", "expected 'at', found 'at'", 4, 11),
+    ("rule 'r at m ^0 -> ^+", "expected target label, found 'm'", 4, 14),
+    ("rule 'r at at ^0 -> ^+", "expected target label, found 'at'", 4, 14),
+    ("rule 'r at 'm -> ^+", "expected charge, found '->'", 4, 17),
+    ("rule 'r at 'm ^0 > ^+", "expected '->', found '>'", 4, 20),
+    ("rule 'r at 'm ^0 -> in( a -> b )", "expected charge, found 'in'",
+     4, 23),
+    ("rule 'r at 'm ^0 -> ^+ in [ a -> b )", "expected '(', found '['",
+     4, 29),
+    ("rule 'r at 'm ^0 -> ^+ in( a b )", "expected '->', found ')'", 4, 34),
+    ("rule 'r at 'm ^0 -> ^+ in( a -> b ]", "expected ')', found ']'",
+     4, 37),
+    ("rule 'r at 'm ^0 -> ^+ child( c ^0 -> ^- : x -> y )",
+     "expected child label, found 'c'", 4, 33),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c : -> ^- : x -> y )",
+     "expected charge, found ':'", 4, 36),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 ^- : x -> y )",
+     "expected '->', found '^-'", 4, 39),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 -> : x -> y )",
+     "expected charge, found ':'", 4, 42),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 -> ^- x -> y )",
+     "expected ':', found 'x'", 4, 45),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 -> ^- : x -> y",
+     "expected ')', found ''", 4, 53),
+    ("rule 'r at 'm ^0 -> ^+ in( -> b )", "expected a multiset or 'none'",
+     4, 30),
+    ("rule 'r at 'm ^0 -> ^+ out( a -> )", "expected a multiset or 'none'",
+     4, 36),
+    ("rule 'r at 'm ^0 -> ^+ out( a -> b ) out( c -> d )",
+     "duplicate clause 'out'", 4, 40),
+    ("rule", "expected rule label, found ''", 4, 7),
+    ("rule 'r", "expected 'at', found ''", 4, 10),
+    ("rule 'r at", "expected target label, found ''", 4, 13),
+    ("rule 'r at 'm", "expected charge, found ''", 4, 16),
+    ("rule 'r at 'm ^0", "expected '->', found ''", 4, 19),
+    ("rule 'r at 'm ^0 ->", "expected charge, found ''", 4, 22),
+    ("rule 'r at 'm ^0 -> ^+ in(", "expected a multiset or 'none'", 4, 29),
+    ("rule 'r at 'm ^0 -> ^+ in( a", "expected '->', found ''", 4, 31),
+    ("rule 'r at 'm ^0 -> ^+ in( a -> b", "expected ')', found ''", 4, 36),
+    ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 -> ^- :",
+     "expected a multiset or 'none'", 4, 46)])
+def test_rule_grammar_errors(rule, message, line, col):
+    head = "membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  "
+    parse_system(head + "rule 'r at 'm ^0 -> ^+ in( a -> b ) "
+                 "child( 'c ^0 -> ^- : x -> y )")
+    with pytest.raises(PSpecError) as info:
+        parse_system(head + rule)
+    assert str(info.value) == f"{message} (line {line}, col {col})"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 def test_unserializable_label():
     s = PSystem(MembraneNode("has space"), [])
     with pytest.raises(PSpecError, match="not serializable"):
