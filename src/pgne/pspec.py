@@ -21,25 +21,31 @@ notation `base{p1,p2}^count`; `none` denotes the empty multiset and
 stands alone, without a count, parameters or other symbols.
 Serialization is canonical: declaration order for rules, tree order for
 membranes, sorted symbol text inside every multiset, sorted priority
-pairs, two-space indent per tree depth.  parse(serialize(s)) is
-structurally equal to s: the serializer refuses a symbol the lexer would
-read back differently (base `none`, or a parameter that is not an int or a
-non-numeric identifier).  Parse errors give the line and column of the
-offending token where there is one.
+pairs, a two-space indent per tree depth down to depth 8, below which
+membranes line up with depth 8.  parse(serialize(s)) is structurally
+equal to s: the serializer refuses a symbol the lexer would read back
+differently (base `none`, or a parameter that is not an int or a
+non-numeric identifier) and a count that is not a positive integer; a
+count equal to a positive int, such as 2.0, is written as that int.  Parse errors
+give the line and column of the offending token where there is one.
 
 The lexer is one `findall` pass that returns the token texts as plain
-strings.  A memo local to the parse reads each distinct text, so each
-distinct symbol, once, into a plain tuple shared by all its occurrences.
-Token offsets are not kept; an error finds them with one more scan.
+strings.  Each match tries a token, with the whitespace after it, before
+a whitespace run or a comment; a character that starts none of these is
+a one-character 'bad' token.  A memo local to the parse reads each
+distinct text, so each distinct symbol, once, into a plain tuple shared
+by all its occurrences.  Token offsets are not kept; an error finds them
+with one more scan.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
-                     PSystem, RuleSpec)
+                     PSystem, RuleSpec, StructureError, _count)
 from .symbols import Multiset, Sym, sym
 
 _ID = r"[A-Za-z0-9_@.]+"
@@ -47,6 +53,8 @@ _IDENT = re.compile(_ID)
 _CHARGE_TEXT = {NEUTRAL: "^0", PLUS: "^+", MINUS: "^-"}
 _CHARGE_VAL = {"0": NEUTRAL, "+": PLUS, "-": MINUS}
 _SECTIONS = ("alphabet", "membranes", "rules", "priority")
+_CLAUSES = ("in", "out", "child")
+_TEXT = attrgetter("_text")
 
 
 class PSpecError(Exception):
@@ -78,7 +86,8 @@ def _error(text: str, msg: str, pos: int) -> PSpecError:
 
 
 # One token.  Parameter lists run to the next '}', newlines included; an
-# empty 'close' means there is none.  Any other character is 'bad'.
+# empty 'close' means there is none.  Any other character that does not
+# start a whitespace run or a comment is 'bad'.
 _TOKEN = re.compile(r"""
       (?P<punct>->|[\[\](){}>:])
     | (?P<label>'%(id)s)
@@ -86,12 +95,12 @@ _TOKEN = re.compile(r"""
     | (?P<symbol>(?P<atom>%(id)s)
           (?:\{(?P<params>[^}]*)(?P<close>\}?))?
           (?:\^(?P<count>[0-9]+))?)
-    | (?P<bad>.)""" % {"id": _ID}, re.VERBOSE | re.DOTALL)
-# The scan: a whitespace run or a comment, each with an empty group, or a
-# token (the same grammar, its groups made one) and the whitespace after
-# it.  Skipping is never a prefix of the token: at the end of the text
-# that would backtrack and hand a space or a '#' to 'bad'.
-_SCAN = re.compile(r"[ \t\r\n]+|\#[^\n]*|(%s)[ \t\r\n]*"
+    | (?P<bad>[^ \t\r\n\#])""" % {"id": _ID}, re.VERBOSE | re.DOTALL)
+# The scan: a token (the same grammar, its groups made one) and the
+# whitespace after it, or else a whitespace run or a comment, each with an
+# empty group.  Tokens are tried first, as most matches are tokens; no
+# token starts with a character that a skip can match.
+_SCAN = re.compile(r"(%s)[ \t\r\n]*|[ \t\r\n]+|\#[^\n]*"
                    % re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern),
                    re.VERBOSE | re.DOTALL)
 _NUMBER = re.compile(r"-?[0-9]+")
@@ -209,26 +218,30 @@ class _Parser:
 
     # ---- multisets ----
 
-    def multiset(self) -> Dict[Sym, int]:
+    def multiset(self, end: str) -> Dict[Sym, int]:
+        """A multiset or 'none', then the punctuation end."""
         out: Dict[Sym, int] = {}
-        if self.at("word", "none"):
-            self.pos += 1
-            return out
         toks, i, bases = self.tokens, self.pos, self.bases
         t = toks[i]
-        while t[0] == "word" or t[0] == "symbol":
-            s, count = t[2], t[3]
-            if s.base == "none":
-                raise self.fail("'none' must stand alone", i)
-            if count < 1:
-                raise self.fail("zero count is not allowed", i)
-            bases.setdefault(s.base, i)
-            out[s] = out.get(s, 0) + count
+        if t[1] == "none" and t[0] == "word":
             i += 1
-            t = toks[i]
+        else:
+            while t[0] == "word" or t[0] == "symbol":
+                s, count = t[2], t[3]
+                if s.base == "none":
+                    raise self.fail("'none' must stand alone", i)
+                if count < 1:
+                    raise self.fail("zero count is not allowed", i)
+                bases.setdefault(s.base, i)
+                out[s] = out.get(s, 0) + count
+                i += 1
+                t = toks[i]
+            if not out:
+                raise self.fail("expected a multiset or 'none'")
         self.pos = i
-        if not out:
-            raise self.fail("expected a multiset or 'none'")
+        if toks[i][1] != end:
+            self.take("punct", end)
+        self.pos = i + 1
         return out
 
     # ---- membranes ----
@@ -250,8 +263,7 @@ class _Parser:
             contents: Dict[Sym, int] = {}
             if self.at("punct", "{"):
                 self.pos += 1
-                contents = self.multiset()
-                self.take("punct", "}")
+                contents = self.multiset("}")
             node = MembraneNode(label, contents=Multiset(contents),
                                 charge=charge)
             if open_:
@@ -271,39 +283,41 @@ class _Parser:
         self.take("punct", "->")
         return pre, self.take("charge", what="charge")[2]
 
-    def mset_pair(self) -> Tuple[Dict[Sym, int], Dict[Sym, int]]:
-        consume = self.multiset()
-        self.take("punct", "->")
-        produce = self.multiset()
-        self.take("punct", ")")
-        return consume, produce
-
     def rule(self) -> RuleSpec:
-        self.take("word", "rule")
-        rid = self.take("label", what="rule label")[1]
-        self.take("word", "at")
-        target = self.take("label", what="target label")[1]
-        pre, post = self.charge_pair()
+        # The header, rule 'id at 'target ^pre -> ^post, in one check; the
+        # eof token fails it before the check runs past the last token.
+        toks, i = self.tokens, self.pos
+        if not (toks[i + 1][0] == "label" and toks[i + 2][:2] == ("word", "at")
+                and toks[i + 3][0] == "label" and toks[i + 4][0] == "charge"
+                and toks[i + 5][1] == "->" and toks[i + 6][0] == "charge"):
+            # Raise the error of the first bad token.
+            self.take("word", "rule")
+            self.take("label", what="rule label")
+            self.take("word", "at")
+            self.take("label", what="target label")
+            self.charge_pair()
+        self.pos = i + 7
         clauses: Dict[str, object] = {}
-        while self.at("word", "in", "out", "child"):
-            word = self.next()[1]
+        t = toks[i + 7]
+        while t[0] == "word" and t[1] in _CLAUSES:
+            word = t[1]
             if word in clauses:
-                raise self.fail(f"duplicate clause {word!r}", self.pos - 1)
+                raise self.fail(f"duplicate clause {word!r}")
+            self.pos += 1
             self.take("punct", "(")
             if word == "child":
                 clabel = self.take("label", what="child label")[1]
                 cpre, cpost = self.charge_pair()
                 self.take("punct", ":")
                 clauses["child"] = ChildPattern(clabel, cpre, cpost,
-                                                *self.mset_pair())
+                                                self.multiset("->"),
+                                                self.multiset(")"))
             else:
-                clauses[word] = self.mset_pair()
-        cin = clauses.get("in", ({}, {}))
-        cout = clauses.get("out", ({}, {}))
-        return RuleSpec(id=rid, target=target, pre=pre, post=post,
-                        consume_out=cout[0], produce_out=cout[1],
-                        consume_in=cin[0], produce_in=cin[1],
-                        child=clauses.get("child"))
+                clauses[word] = self.multiset("->"), self.multiset(")")
+            t = toks[self.pos]
+        return RuleSpec(toks[i + 1][1], toks[i + 3][1], toks[i + 4][2],
+                        toks[i + 6][2], *clauses.get("out", ({}, {})),
+                        *clauses.get("in", ({}, {})), clauses.get("child"))
 
     # ---- whole file ----
 
@@ -356,14 +370,6 @@ class _Parser:
         return sysd
 
 
-def _rule_syms(r: RuleSpec) -> Iterator[Sym]:
-    for ms in (r.consume_out, r.produce_out, r.consume_in, r.produce_in):
-        yield from ms
-    if r.child:
-        yield from r.child.consume
-        yield from r.child.produce
-
-
 def _check_refs(sysd: PSystem, rule_ids: Dict[str, int],
                 named: List[Tuple[str, int]], alphabet: Optional[List[str]],
                 bases: Dict[str, int],
@@ -411,14 +417,21 @@ def _param_ok(p: object) -> bool:
                               and not _NUMBER.fullmatch(p))
 
 
+def _power(s: Sym, n: object) -> str:
+    """s^n, n written as the positive int it equals, as compile reads it."""
+    try:
+        k = _count("", s, n)
+    except StructureError:
+        raise PSpecError(f"count {n!r} of symbol {s.text!r} is not "
+                         f"serializable") from None
+    return f"{s._text}^{k}"
+
+
 def _mset_text(ms: Dict[Sym, int]) -> str:
     if not ms:
         return "none"
-    parts = []
-    for s in sorted(ms, key=lambda s: s.text):
-        cnt = ms[s]
-        parts.append(s.text if cnt == 1 else f"{s.text}^{cnt}")
-    return " ".join(parts)
+    return " ".join([s._text if (n := ms[s]) == 1 else _power(s, n)
+                     for s in sorted(ms, key=_TEXT)])
 
 
 # Nesting levels that indent further; deeper membranes line up with the
@@ -456,21 +469,21 @@ def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
 
 
 def _rule_text(r: RuleSpec) -> str:
-    parts = [f"rule '{_check_ident('rule id', r.id)} "
-             f"at '{_check_ident('label', r.target)} "
-             f"{_CHARGE_TEXT[r.pre]} -> {_CHARGE_TEXT[r.post]}"]
+    text = (f"  rule '{_check_ident('rule id', r.id)} "
+            f"at '{_check_ident('label', r.target)} "
+            f"{_CHARGE_TEXT[r.pre]} -> {_CHARGE_TEXT[r.post]}")
     if r.consume_in or r.produce_in:
-        parts.append(f"in( {_mset_text(r.consume_in)} -> "
-                     f"{_mset_text(r.produce_in)} )")
+        text += (f" in( {_mset_text(r.consume_in)} -> "
+                 f"{_mset_text(r.produce_in)} )")
     if r.consume_out or r.produce_out:
-        parts.append(f"out( {_mset_text(r.consume_out)} -> "
-                     f"{_mset_text(r.produce_out)} )")
+        text += (f" out( {_mset_text(r.consume_out)} -> "
+                 f"{_mset_text(r.produce_out)} )")
     if r.child:
         c = r.child
-        parts.append(f"child( '{_check_ident('label', c.label)} "
-                     f"{_CHARGE_TEXT[c.pre]} -> {_CHARGE_TEXT[c.post]} : "
-                     f"{_mset_text(c.consume)} -> {_mset_text(c.produce)} )")
-    return "  " + " ".join(parts)
+        text += (f" child( '{_check_ident('label', c.label)} "
+                 f"{_CHARGE_TEXT[c.pre]} -> {_CHARGE_TEXT[c.post]} : "
+                 f"{_mset_text(c.consume)} -> {_mset_text(c.produce)} )")
+    return text
 
 
 def serialize_system(sysd: PSystem) -> str:
@@ -485,7 +498,11 @@ def serialize_system(sysd: PSystem) -> str:
     for node, _ in sysd.walk():
         syms.update(node.contents.counts)
     for r in sysd.rules:
-        syms.update(dict.fromkeys(_rule_syms(r)))
+        for ms in (r.consume_out, r.produce_out, r.consume_in, r.produce_in):
+            syms.update(ms)
+        if r.child:
+            syms.update(r.child.consume)
+            syms.update(r.child.produce)
     for s in syms:
         if (s.base == "none" or not _IDENT.fullmatch(s.base)
                 or not all(map(_param_ok, s.params))):
@@ -500,8 +517,7 @@ def serialize_system(sysd: PSystem) -> str:
     _membrane_lines(sysd, lines)
     lines.append("")
     lines.append("rules:")
-    for r in sysd.rules:
-        lines.append(_rule_text(r))
+    lines += map(_rule_text, sysd.rules)
     if sysd.priority:
         lines.append("")
         lines.append("priority:")

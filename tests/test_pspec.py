@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,32 @@ def test_unserializable_symbols_refused(s):
         serialize_system(sysd)
 
 
+# A count is written as the positive int it equals, as compile_system
+# reads it; any other count is refused by symbol, wherever it sits.
+@pytest.mark.parametrize("n,written", [
+    (2.5, None), (2.0, "a^2"), (True, "a"), (0, None), (-1, None),
+    (False, None)], ids=repr)
+@pytest.mark.parametrize("where", ["contents", "rule", "child"])
+def test_counts_serialize_as_positive_ints(n, written, where):
+    sysd = PSystem(MembraneNode("m", children=[MembraneNode("c")]),
+                   [RuleSpec("r", "m", consume_in={sym("b"): 1},
+                             child=ChildPattern("c", produce={sym("b"): 1}))])
+    ms = {"contents": sysd.tree.contents.counts,
+          "rule": sysd.rules[0].produce_in,
+          "child": sysd.rules[0].child.consume}[where]
+    ms[sym("a")] = n
+    if written is None:
+        with pytest.raises(PSpecError, match=re.escape(
+                f"count {n!r} of symbol 'a' is not serializable")):
+            serialize_system(sysd)
+        return
+    text = serialize_system(sysd)
+    assert re.search(rf"[{{( ]{re.escape(written)} ", text)
+    back = parse_system(text)
+    assert systems_equal(back, sysd)
+    assert serialize_system(back) == text
+
+
 # Bases include section and clause keywords and a digit string, all of
 # which the format must carry as plain symbols.
 _BASES = ["a", "b2", "x.y", "q@1", "_", "12", "rule", "in", "membranes"]
@@ -475,6 +502,25 @@ def random_systems(draw):
 def test_fuzz_round_trip(sysd):
     text = serialize_system(sysd)
     back = parse_system(text)
+    assert systems_equal(back, sysd)
+    assert serialize_system(back) == text
+
+
+# Every space and newline of the canonical text becomes a run of one to
+# three spaces, tabs, newlines, CRLFs and comments, and one such run comes
+# before the first token; the parse is the same.
+_GAPS = [" ", "\t", "\n", "\r\n", " # note\n"]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_systems(), st.integers(0, 2**32 - 1))
+def test_fuzz_non_canonical_spacing(sysd, seed):
+    rng = random.Random(seed)
+
+    def gap(_=None):
+        return "".join(rng.choice(_GAPS) for _ in range(rng.randint(1, 3)))
+    text = serialize_system(sysd)
+    back = parse_system(gap() + re.sub(r"[ \n]", gap, text))
     assert systems_equal(back, sysd)
     assert serialize_system(back) == text
 
