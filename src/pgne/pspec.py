@@ -21,13 +21,14 @@ notation `base{p1,p2}^count`; `none` denotes the empty multiset and
 stands alone, without a count, parameters or other symbols.
 Serialization is canonical: declaration order for rules, tree order for
 membranes, sorted symbol text inside every multiset, sorted priority
-pairs, a two-space indent per tree depth down to depth 8, below which
-membranes line up with depth 8.  parse(serialize(s)) is structurally
-equal to s: the serializer refuses a symbol the lexer would read back
-differently (base `none`, or a parameter that is not an int or a
-non-numeric identifier) and a count that is not a positive integer; a
-count equal to a positive int, such as 2.0, is written as that int.  Parse errors
-give the line and column of the offending token where there is one.
+pairs, and a two-space indent per tree depth for the first 8 levels, with
+deeper membranes lined up with the eighth.  parse(serialize(s)) is
+structurally equal to s: the serializer refuses a symbol the lexer would
+read back differently (base `none`, or a parameter that is not an int or
+a non-numeric identifier) and a count that is not a positive integer; a
+count equal to a positive int, such as 2.0, is written as that int.
+Parse errors give the line and column of the offending token where there
+is one.
 
 The lexer is one `findall` pass that returns the token texts as plain
 strings.  Each match tries a token, with the whitespace after it, before
@@ -134,12 +135,14 @@ def _params(inner: str) -> List[object]:
 
 def _read(tok: str) -> Tok:
     """The token for text tok; its error carries no position."""
+    if tok[0] == "'" and tok != "'":
+        # Most distinct texts are rule labels.  A scanned text that opens
+        # with a quote and goes on is a label, so it needs no match.
+        return "label", tok[1:], None, 1
     m = _TOKEN.fullmatch(tok)
     kind = m.lastgroup
     if kind == "punct":
         return kind, tok, None, 1
-    if kind == "label":
-        return kind, tok[1:], None, 1
     if kind == "charge":
         return kind, tok, _CHARGE_VAL[tok[1]], 1
     if kind == "bad":
@@ -316,8 +319,9 @@ class _Parser:
                 clauses[word] = self.multiset("->"), self.multiset(")")
             t = toks[self.pos]
         return RuleSpec(toks[i + 1][1], toks[i + 3][1], toks[i + 4][2],
-                        toks[i + 6][2], *clauses.get("out", ({}, {})),
-                        *clauses.get("in", ({}, {})), clauses.get("child"))
+                        toks[i + 6][2], *(clauses.get("out") or ({}, {})),
+                        *(clauses.get("in") or ({}, {})),
+                        clauses.get("child"))
 
     # ---- whole file ----
 
@@ -430,8 +434,9 @@ def _power(s: Sym, n: object) -> str:
 def _mset_text(ms: Dict[Sym, int]) -> str:
     if not ms:
         return "none"
+    # Most multisets hold one symbol, which needs no sort.
     return " ".join([s._text if (n := ms[s]) == 1 else _power(s, n)
-                     for s in sorted(ms, key=_TEXT)])
+                     for s in (sorted(ms, key=_TEXT) if len(ms) > 1 else ms)])
 
 
 # Nesting levels that indent further; deeper membranes line up with the
