@@ -569,9 +569,11 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     The game's coefficients set only the products of the pricing
     families S1R02 (`kappa`) and S1R07_k_i (`linear_row`).  Everything
     else depends on the game's shape alone and comes from a cached
-    `_skeleton`, so this copies it (each rule by `RuleSpec.copy`), adds
-    those two families and sorts.  The copy shares only interned symbols
-    and strings with the cache, so callers may mutate the system they get.
+    `_skeleton`.  Rules are immutable values, so the system's fresh rule
+    list holds the skeleton's own rules plus the nine coefficient rules,
+    sorted by id: games of one shape share all but those nine.  The tree
+    and the priority list are the system's own copies, so a caller may
+    edit them, and may swap rules in and out of its list.
     """
     diags = validate_game(spec)
     if diags:
@@ -580,7 +582,7 @@ def build_gne_system(spec: GameSpec) -> PSystem:
                       tuple(tuple(s) for s in spec.strategies),
                       spec.r_disc, spec.loops))
     co = payoff_coefficients(spec)
-    rules = [r.copy() for r in skel.rules]
+    rules = list(skel.rules)
     rules.append(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
                           consume_in={sym("tick"): 1},
                           produce_in={sym("pl", l): c for l, c in
@@ -611,7 +613,8 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
     """The tree, priorities and every rule but S1R02 and S1R07 of a shape.
 
     shape is (players, slots, strategies, r_disc, loops) of a valid game.
-    Its rules are sorted by id; `build_gne_system` only ever copies it.
+    Its rules are sorted by id; `build_gne_system` shares them and copies
+    the rest.
     """
     N, _, strategies, R, L = shape
     thr = R // 2 + 1

@@ -73,8 +73,8 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import attrgetter, ne
 from types import MappingProxyType
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .symbols import Multiset, Sym
 
@@ -104,51 +104,109 @@ class MembraneNode:
     charge: int = NEUTRAL
 
 
-@dataclass
-class ChildPattern:
-    """Nested bracket of a two-level rule: one named child of the target."""
+class _Frozen(dict):
+    """A rule's multiset, symbol to count: a dict that refuses in-place edits.
 
+    Rules are shared, by the games of one shape and by compiled plans, so a
+    rule's multisets never change; a changed rule is a new rule.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a rule's multisets are read-only; make a new rule "
+                        "(its _replace method copies the rest)")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = clear = setdefault = _refuse
+
+
+_EMPTY = _Frozen()
+
+
+def _frozen(ms: Mapping[Sym, int]) -> _Frozen:
+    """ms itself if read-only already, else a read-only copy of it."""
+    if type(ms) is _Frozen:
+        return ms
+    return _Frozen(ms) if ms else _EMPTY
+
+
+class _ChildFields(NamedTuple):
     label: str
-    pre: int = NEUTRAL
-    post: int = NEUTRAL
-    consume: Dict[Sym, int] = field(default_factory=dict)
-    produce: Dict[Sym, int] = field(default_factory=dict)
+    pre: int
+    post: int
+    consume: Mapping[Sym, int]
+    produce: Mapping[Sym, int]
 
 
-@dataclass
-class RuleSpec:
-    """One evolution rule.
+class ChildPattern(_ChildFields):
+    """Nested bracket of a two-level rule: one named child of the target.
+
+    An immutable value, like `RuleSpec`: its multisets are read-only.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, pre: int = NEUTRAL, post: int = NEUTRAL,
+                consume: Mapping[Sym, int] = _EMPTY,
+                produce: Mapping[Sym, int] = _EMPTY) -> "ChildPattern":
+        return tuple.__new__(cls, (label, pre, post, _frozen(consume),
+                                   _frozen(produce)))
+
+    # _replace builds through _make, which would skip __new__.
+    @classmethod
+    def _make(cls, fields: Iterable) -> "ChildPattern":
+        return cls(*fields)
+
+
+class _RuleFields(NamedTuple):
+    id: str
+    target: str
+    pre: int
+    post: int
+    consume_out: Mapping[Sym, int]
+    produce_out: Mapping[Sym, int]
+    consume_in: Mapping[Sym, int]
+    produce_in: Mapping[Sym, int]
+    child: Optional[ChildPattern]
+
+
+class RuleSpec(_RuleFields):
+    """One evolution rule, an immutable value.
 
     The target membrane is named by label (labels are unique, so a rule
     addresses exactly one membrane).  `consume_out`/`produce_out` act on
     the region surrounding the target, `consume_in`/`produce_in` on the
     target's own region, and `child` optionally on one named child.
+
+    Every way of making a rule (positional or keyword arguments, `_make`
+    and `_replace`) keeps a read-only copy of each multiset given, so games
+    of one shape and compiled plans can share rule objects.  To change a
+    rule, make a new one, for example with `_replace`, and put it in the
+    system's list.
     """
 
-    id: str
-    target: str
-    pre: int = NEUTRAL
-    post: int = NEUTRAL
-    consume_out: Dict[Sym, int] = field(default_factory=dict)
-    produce_out: Dict[Sym, int] = field(default_factory=dict)
-    consume_in: Dict[Sym, int] = field(default_factory=dict)
-    produce_in: Dict[Sym, int] = field(default_factory=dict)
-    child: Optional[ChildPattern] = None
+    __slots__ = ()
+
+    def __new__(cls, id: str, target: str, pre: int = NEUTRAL,
+                post: int = NEUTRAL, consume_out: Mapping[Sym, int] = _EMPTY,
+                produce_out: Mapping[Sym, int] = _EMPTY,
+                consume_in: Mapping[Sym, int] = _EMPTY,
+                produce_in: Mapping[Sym, int] = _EMPTY,
+                child: Optional[ChildPattern] = None) -> "RuleSpec":
+        return tuple.__new__(cls, (id, target, pre, post,
+                                   _frozen(consume_out), _frozen(produce_out),
+                                   _frozen(consume_in), _frozen(produce_in),
+                                   child))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "RuleSpec":
+        return cls(*fields)
 
     def consumes_nothing(self) -> bool:
         if self.consume_out or self.consume_in:
             return False
         return not (self.child and self.child.consume)
-
-    def copy(self) -> "RuleSpec":
-        """A copy that shares no multiset or child pattern with this rule."""
-        c = self.child
-        return RuleSpec(self.id, self.target, self.pre, self.post,
-                        dict(self.consume_out), dict(self.produce_out),
-                        dict(self.consume_in), dict(self.produce_in),
-                        None if c is None else
-                        ChildPattern(c.label, c.pre, c.post, dict(c.consume),
-                                     dict(c.produce)))
 
 
 @dataclass
@@ -316,12 +374,13 @@ class _Plan:
     rules resolved from each rule's id, target, charges, consumed
     multisets and child pattern, with the priority order and the indexes
     over them.  `gives` holds the products of the system the plan was
-    built from.  A plan keeps copies of what it depends on, and holds no
-    system and no container a caller can reach.
+    built from.  A plan holds no system and no container a caller can
+    reach: it keeps the system's rules, which are immutable, by reference,
+    and the labels in lists of its own.
     """
 
     def __init__(self, sys: PSystem, nodes: list) -> None:
-        specs = [spec.copy() for spec in sys.rules]
+        specs = sys.rules
         # What compile_system compares to find the plan, and the products
         # its gives were compiled from.
         self.key = (nodes, list(map(_CONDITIONS, specs)),
@@ -500,7 +559,7 @@ class CompiledSystem:
         """Fresh start state; `contents` overrides initial region multisets.
 
         An override replaces its region's live slots and its inert dict.
-        Zero counts are dropped and negative ones refused.
+        Counts are read as `_place` reads them.
         """
         live = dict(self._live)
         inert = [dict(c) for c in self._inert]
@@ -521,9 +580,20 @@ def _place(slots: Dict[Sym, int], label: str,
            inert: Dict[Sym, int]) -> None:
     """Put a region's contents ms into live by its slots, or else into inert.
 
-    Zero counts are dropped and negative ones refused.
+    A count equal to a non-negative int is that int, as `_count` reads a
+    rule's counts, and zero counts are dropped; any other count raises
+    StructureError naming the membrane and the symbol.
     """
     for s, n in ms.items():
+        if type(n) is not int:
+            try:
+                k = int(n)
+            except (TypeError, ValueError, OverflowError):
+                k = None
+            if k is None or k != n:
+                raise StructureError(
+                    f"initial {label!r}: count {n!r} of {s} is not an integer")
+            n = k
         if n < 0:
             raise StructureError(f"initial {label!r}: negative count {n} for {s}")
         if n:
@@ -541,8 +611,9 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     matches sys: each membrane's label and its parent's, each rule's id,
     target, charges, consumed multisets and child pattern, and the set of
     priority pairs.  Multisets compare as dicts, in any key order, because
-    a plan lists needs and gives in canonical order.  The cached plan
-    keeps copies, so changing sys or its parts later cannot change it.
+    a plan lists needs and gives in canonical order.  Rules are immutable
+    and the plan keeps the labels in lists of its own, so a later change to
+    sys (its rule list, its priority list or its tree) cannot change it.
     Otherwise a new plan is built, and replaces the cached one; a malformed
     system raises StructureError and leaves the cache alone.  Every
     compile then binds sys to its plan: it keeps sys as `source`, copies

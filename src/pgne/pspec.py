@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
                      PSystem, RuleSpec, StructureError, _count)
@@ -431,12 +431,15 @@ def _power(s: Sym, n: object) -> str:
     return f"{s._text}^{k}"
 
 
-def _mset_text(ms: Dict[Sym, int]) -> str:
+def _mset_text(ms: Mapping[Sym, int]) -> str:
     if not ms:
         return "none"
-    # Most multisets hold one symbol, which needs no sort.
+    # Most multisets hold one symbol, which needs no sort and no join.
+    if len(ms) == 1:
+        (s, n), = ms.items()
+        return s._text if n == 1 else _power(s, n)
     return " ".join([s._text if (n := ms[s]) == 1 else _power(s, n)
-                     for s in (sorted(ms, key=_TEXT) if len(ms) > 1 else ms)])
+                     for s in sorted(ms, key=_TEXT)])
 
 
 # Nesting levels that indent further; deeper membranes line up with the
@@ -474,17 +477,15 @@ def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
 
 
 def _rule_text(r: RuleSpec) -> str:
-    text = (f"  rule '{_check_ident('rule id', r.id)} "
-            f"at '{_check_ident('label', r.target)} "
-            f"{_CHARGE_TEXT[r.pre]} -> {_CHARGE_TEXT[r.post]}")
-    if r.consume_in or r.produce_in:
-        text += (f" in( {_mset_text(r.consume_in)} -> "
-                 f"{_mset_text(r.produce_in)} )")
-    if r.consume_out or r.produce_out:
-        text += (f" out( {_mset_text(r.consume_out)} -> "
-                 f"{_mset_text(r.produce_out)} )")
-    if r.child:
-        c = r.child
+    rid, target, pre, post, cout, pout, cin, pin, c = r
+    text = (f"  rule '{_check_ident('rule id', rid)} "
+            f"at '{_check_ident('label', target)} "
+            f"{_CHARGE_TEXT[pre]} -> {_CHARGE_TEXT[post]}")
+    if cin or pin:
+        text += f" in( {_mset_text(cin)} -> {_mset_text(pin)} )"
+    if cout or pout:
+        text += f" out( {_mset_text(cout)} -> {_mset_text(pout)} )"
+    if c:
         text += (f" child( '{_check_ident('label', c.label)} "
                  f"{_CHARGE_TEXT[c.pre]} -> {_CHARGE_TEXT[c.post]} : "
                  f"{_mset_text(c.consume)} -> {_mset_text(c.produce)} )")
@@ -503,8 +504,11 @@ def serialize_system(sysd: PSystem) -> str:
     for node, _ in sysd.walk():
         syms.update(node.contents.counts)
     for r in sysd.rules:
+        # Most are the shared empty multiset; update on a dict subclass
+        # first looks up its keys method, so skip those.
         for ms in (r.consume_out, r.produce_out, r.consume_in, r.produce_in):
-            syms.update(ms)
+            if ms:
+                syms.update(ms)
         if r.child:
             syms.update(r.child.consume)
             syms.update(r.child.produce)

@@ -252,14 +252,37 @@ def test_mutating_a_built_system_leaves_the_next_build_alone():
     spec = sample_experiment(1, "default")
     want = _cold_text(spec)
     sysd = build_gne_system(spec)
-    rules = {r.id: r for r in sysd.rules}
-    rules["S5R39_k01_i03_n000"].produce_in[sym("stamp", 1)] = 7
-    rules["S2R01_k01_i03"].child.produce[sym("apre")] = 9
+    at = {r.id: n for n, r in enumerate(sysd.rules)}
+    # A rule refuses in-place edits; an edited rule goes into the list.
+    stamp = sysd.rules[at["S5R39_k01_i03_n000"]]
+    with pytest.raises(TypeError, match="read-only"):
+        stamp.produce_in[sym("stamp", 1)] = 7
+    sysd.rules[at["S5R39_k01_i03_n000"]] = stamp._replace(
+        produce_in={**stamp.produce_in, sym("stamp", 1): 7})
+    load = sysd.rules[at["S2R01_k01_i03"]]
+    with pytest.raises(TypeError, match="read-only"):
+        load.child.produce[sym("apre")] = 9
+    sysd.rules[at["S2R01_k01_i03"]] = load._replace(child=load.child._replace(
+        produce={**load.child.produce, sym("apre"): 9}))
     sysd.tree.children[0].contents.counts[sym("tick")] = 5
     sysd.tree.children[1].children.pop()
     sysd.priority.append(("S1R05", "S1R06"))
     sysd.rules.pop()
     assert serialize_system(build_gne_system(spec)) == want
+
+
+@pytest.mark.parametrize("preset,seeds,pricing", [
+    ("default", (1, 27), 8), ("small", (2, 3), 4)])
+def test_games_of_one_shape_share_rule_objects(preset, seeds, pricing):
+    # Rules are immutable, so two builds share every rule object but the
+    # kickoff and the pricing rules, which carry the coefficients.
+    one, other = (build_gne_system(sample_experiment(s, preset)).rules
+                  for s in seeds)
+    assert one is not other
+    assert [r.id for r in one] == [r.id for r in other]
+    own = [a.id for a, b in zip(one, other) if a is not b]
+    assert own[0] == "S1R02" and len(own) == 1 + pricing
+    assert own[1:] == [r.id for r in one if r.id.startswith("S1R07_")]
 
 
 def test_mass_must_be_positive_to_build():

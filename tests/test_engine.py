@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import math
+import re
 from types import ModuleType
 
 import pytest
@@ -523,6 +525,29 @@ def test_initial_override_refuses_negative_counts():
         run(csys, max_steps=1, initial={"m": {A: 1, X: -3}})
 
 
+@pytest.mark.parametrize("n,k", [(2.5, None), (math.nan, None), ("3", None),
+                                 (2.0, 2), (True, 1)], ids=repr)
+@pytest.mark.parametrize("s", [A, X], ids=["live", "inert"])
+@pytest.mark.parametrize("path", ["compile", "override"])
+def test_initial_counts_must_equal_ints(path, s, n, k):
+    # As with a rule's counts, a count equal to an int is that int; any
+    # other count is refused by membrane and symbol, in either store.
+    sysd = region_system([rule("r", consume_in={A: 1}, produce_in={B: 1})])
+    initial = None
+    if path == "compile":
+        sysd.tree.contents.counts[s] = n
+    else:
+        initial = {"m": {s: n}}
+    if k is None:
+        with pytest.raises(StructureError, match=re.escape(
+                f"initial 'm': count {n!r} of {s} is not an integer")):
+            run(sysd, max_steps=3, initial=initial)
+        return
+    final = read_region(run(sysd, max_steps=3, initial=initial).final, "m")
+    assert final.counts == ({B: k} if s is A else {s: k})
+    assert [type(c) for c in final.counts.values()] == [int]
+
+
 def test_initial_override_reads_back_through_both_stores():
     # a is consumed, so it is live; x and b are not, so they are inert.
     # An override replaces both stores' share of its region.
@@ -851,13 +876,79 @@ def test_a_built_game_and_a_parsed_one_share_a_plan(plans):
     assert compiled_view(csys, budget) == want
 
 
+def _setitem(ms):
+    ms[A] = 1
+
+
+def _delitem(ms):
+    del ms[next(iter(ms), A)]
+
+
+def _ior(ms):
+    ms |= {A: 1}
+
+
+_EDITS = {"[]=": _setitem, "del": _delitem, "|=": _ior,
+          "update": lambda ms: ms.update({A: 1}),
+          "pop": lambda ms: ms.pop(next(iter(ms), A)),
+          "popitem": lambda ms: ms.popitem(), "clear": lambda ms: ms.clear(),
+          "setdefault": lambda ms: ms.setdefault(A, 1)}
+_FULL = ("r", "p", NEUTRAL, PLUS, {A: 1}, {B: 2}, {C: 1}, {D: 1},
+         ChildPattern("q", NEUTRAL, MINUS, {X: 1}, {Y: 3}))
+_MADE = {
+    "positional": lambda: [RuleSpec(*_FULL)],
+    "keywords": lambda: [RuleSpec(
+        id="r", target="p", consume_out={A: 1}, produce_out={B: 2},
+        consume_in={C: 1}, produce_in={D: 1},
+        child=ChildPattern(label="q", consume={X: 1}, produce={Y: 3}))],
+    "defaults": lambda: [RuleSpec("r", "p", child=ChildPattern("q"))],
+    "_make": lambda: [RuleSpec._make(_FULL[:-1] + (ChildPattern._make(
+        ("q", NEUTRAL, MINUS, {X: 1}, {Y: 3})),))],
+    "_replace": lambda: [RuleSpec(*_FULL)._replace(
+        consume_in={A: 2}, produce_out={}, child=_FULL[-1]._replace(
+            consume={B: 1}))],
+    "parse": lambda: parse_system(serialize_system(PSystem(
+        MembraneNode("p", children=[MembraneNode("q")]),
+        [RuleSpec(*_FULL)]))).rules,
+    "build": lambda: build_gne_system(sample_experiment(1, "small")).rules,
+}
+
+
+@pytest.mark.parametrize("made", list(_MADE))
+def test_rule_multisets_refuse_in_place_edits(made):
+    # Games of one shape and compiled plans share rule objects, so no
+    # multiset of a rule, however it was made, may change in place.
+    for r in _MADE[made]():
+        c = r.child
+        for ms in (r.consume_out, r.produce_out, r.consume_in, r.produce_in,
+                   *((c.consume, c.produce) if c else ())):
+            was = dict(ms)
+            for name, edit in _EDITS.items():
+                with pytest.raises(TypeError, match="read-only"):
+                    edit(ms)
+                assert ms == was, name
+    assert RuleSpec("r", "p").consume_in == {}
+
+
 def mutate(sysd):
-    """Change every kind of thing a plan or a binding is made from."""
-    rules = {r.id: r for r in sysd.rules}
-    rules["S5R39_k01_i03_n000"].consume_in[sym("iter", 0)] = 2
-    rules["S5R39_k01_i03_n000"].produce_in[sym("stamp", 1)] = 7
-    rules["S2R01_k01_i03"].child.pre = PLUS
-    rules["S2R01_k01_i03"].child.consume[sym("apre")] = 9
+    """Change every kind of thing a plan or a binding is made from.
+
+    Rules refuse in-place edits, so edited rules replace them in the list.
+    """
+    at = {r.id: n for n, r in enumerate(sysd.rules)}
+    stamp = sysd.rules[at["S5R39_k01_i03_n000"]]
+    with pytest.raises(TypeError, match="read-only"):
+        stamp.consume_in[sym("iter", 0)] = 2
+    sysd.rules[at["S5R39_k01_i03_n000"]] = stamp._replace(
+        consume_in={**stamp.consume_in, sym("iter", 0): 2},
+        produce_in={**stamp.produce_in, sym("stamp", 1): 7})
+    load = sysd.rules[at["S2R01_k01_i03"]]
+    with pytest.raises(AttributeError):
+        load.child.pre = PLUS
+    with pytest.raises(TypeError, match="read-only"):
+        load.child.consume[sym("apre")] = 9
+    sysd.rules[at["S2R01_k01_i03"]] = load._replace(child=load.child._replace(
+        pre=PLUS, consume={**load.child.consume, sym("apre"): 9}))
     sysd.tree.children[0].contents.counts[sym("tick")] = 5
     sysd.tree.children[1].children.pop()
     sysd.priority.append(("S1R05", "S1R06"))

@@ -397,7 +397,8 @@ def test_systems_equal_detects_differences():
     s = parse_system(SMALL)
     t = parse_system(SMALL)
     assert systems_equal(s, t)
-    t.rules[0].produce_in[sym("done")] = 2
+    t.rules[0] = t.rules[0]._replace(
+        produce_in={**t.rules[0].produce_in, sym("done"): 2})
     assert not systems_equal(s, t)
     u = parse_system(SMALL)
     u.tree.children[0].charge = MINUS
@@ -432,13 +433,15 @@ def test_unserializable_symbols_refused(s):
     ("contents", "[ 'm ^0 {{ {} }}"), ("rule", "in( b -> {} )"),
     ("child", "^0 : {} -> b )")])
 def test_counts_serialize_as_positive_ints(n, written, where, around):
+    ms = {sym("a"): n}
     sysd = PSystem(MembraneNode("m", children=[MembraneNode("c")]),
                    [RuleSpec("r", "m", consume_in={sym("b"): 1},
-                             child=ChildPattern("c", produce={sym("b"): 1}))])
-    ms = {"contents": sysd.tree.contents.counts,
-          "rule": sysd.rules[0].produce_in,
-          "child": sysd.rules[0].child.consume}[where]
-    ms[sym("a")] = n
+                             produce_in=ms if where == "rule" else {},
+                             child=ChildPattern(
+                                 "c", consume=ms if where == "child" else {},
+                                 produce={sym("b"): 1}))])
+    if where == "contents":
+        sysd.tree.contents.counts.update(ms)
     if written is None:
         with pytest.raises(PSpecError, match=re.escape(
                 f"count {n!r} of symbol 'a' is not serializable")):
@@ -481,16 +484,16 @@ def random_systems(draw):
     rules = []
     for n in range(draw(st.integers(0, 4))):
         target = draw(st.sampled_from(nodes))
-        r = RuleSpec(f"r{n}", target.label, draw(_CHARGE), draw(_CHARGE))
-        if draw(st.booleans()):
-            r.consume_in, r.produce_in = draw(_MSET), draw(_MSET)
-        if draw(st.booleans()):
-            r.consume_out, r.produce_out = draw(_MSET), draw(_MSET)
+        pre, post = draw(_CHARGE), draw(_CHARGE)
+        ins = (draw(_MSET), draw(_MSET)) if draw(st.booleans()) else ({}, {})
+        outs = (draw(_MSET), draw(_MSET)) if draw(st.booleans()) else ({}, {})
+        child = None
         if target.children and draw(st.booleans()):
-            child = draw(st.sampled_from(target.children))
-            r.child = ChildPattern(child.label, draw(_CHARGE), draw(_CHARGE),
-                                   draw(_MSET), draw(_MSET))
-        rules.append(r)
+            below = draw(st.sampled_from(target.children))
+            child = ChildPattern(below.label, draw(_CHARGE), draw(_CHARGE),
+                                 draw(_MSET), draw(_MSET))
+        rules.append(RuleSpec(f"r{n}", target.label, pre, post, *outs, *ins,
+                              child))
     # Pairs point down the declaration order, so the relation is acyclic.
     pairs = [(a.id, b.id) for i, a in enumerate(rules) for b in rules[i + 1:]]
     priority = draw(st.lists(st.sampled_from(pairs), unique=True)

@@ -131,7 +131,7 @@ def systems(draw) -> PSystem:
         spec = RuleSpec(f"r{n}", _LABELS[at], draw(_CHARGE), draw(_CHARGE),
                         draw(_ONE), draw(_ONE), draw(_TWO), draw(_TWO), child)
         if spec.consumes_nothing():
-            spec.consume_in[draw(st.sampled_from(_SYMS))] = 1
+            spec = spec._replace(consume_in={draw(st.sampled_from(_SYMS)): 1})
         rules.append(spec)
     # Pairs that agree with one random ranking are acyclic by construction.
     rank = draw(st.permutations(range(len(rules))))
