@@ -107,8 +107,8 @@ class MembraneNode:
 class _Frozen(dict):
     """A rule's multiset, symbol to count: a dict that refuses in-place edits.
 
-    Rules are shared, by the games of one shape and by compiled plans, so a
-    rule's multisets never change; a changed rule is a new rule.
+    Games of one shape and compiled plans share rules, so a rule's
+    multisets never change; a changed rule is a new rule.
     """
 
     __slots__ = ()
@@ -119,6 +119,10 @@ class _Frozen(dict):
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     update = pop = popitem = clear = setdefault = _refuse
+
+    # copy and pickle rebuild a dict subclass item by item; build it whole.
+    def __reduce__(self):
+        return _Frozen, (dict(self),)
 
 
 _EMPTY = _Frozen()
@@ -180,10 +184,10 @@ class RuleSpec(_RuleFields):
     target's own region, and `child` optionally on one named child.
 
     Every way of making a rule (positional or keyword arguments, `_make`
-    and `_replace`) keeps a read-only copy of each multiset given, so games
-    of one shape and compiled plans can share rule objects.  To change a
-    rule, make a new one, for example with `_replace`, and put it in the
-    system's list.
+    and `_replace`) keeps each multiset given read-only, copying any that
+    is not, so games of one shape and compiled plans can share rule
+    objects.  To change a rule, make a new one, for example with
+    `_replace`, and put it in the system's list.
     """
 
     __slots__ = ()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import re
 from types import ModuleType
 
@@ -928,6 +930,18 @@ def test_rule_multisets_refuse_in_place_edits(made):
                     edit(ms)
                 assert ms == was, name
     assert RuleSpec("r", "p").consume_in == {}
+
+
+def test_copied_and_pickled_systems_run_like_their_original():
+    q = MembraneNode("q", contents=Multiset({X: 1}))
+    p = MembraneNode("p", children=[q], contents=Multiset({C: 1}))
+    sysd = PSystem(MembraneNode("s", children=[p], contents=Multiset({A: 1})),
+                   [RuleSpec(*_FULL)])
+    want = export_trace_text(run(sysd, 5))
+    assert want == "1 r@px1\n"
+    for twin in (copy.deepcopy(sysd), pickle.loads(pickle.dumps(sysd))):
+        assert export_trace_text(run(twin, 5)) == want
+        assert type(twin.rules[0].child.produce) is type(_FULL[-1].produce)
 
 
 def mutate(sysd):
