@@ -470,49 +470,6 @@ def loop_steps_bound(r_disc: int) -> int:
 # Equilibrium-seeking system
 # ============================================================
 
-# Region label helpers.  Labels must be globally unique, so per-strategy
-# membranes carry both the slot and the player in their label.
-
-
-def _lbl_strat(i: int, k: int) -> str:
-    return f"S_{i}_{k}"
-
-
-def _lbl_res(i: int, k: int) -> str:
-    return f"RES_{i}_{k}"
-
-
-def _lbl_mult(i: int, k: int) -> str:
-    return f"MULT_{i}_{k}"
-
-
-def _lbl_m1(i: int, k: int) -> str:
-    return f"M1_{i}_{k}"
-
-
-def _lbl_m2(i: int, k: int) -> str:
-    return f"M2_{i}_{k}"
-
-
-def _lbl_mult2(i: int, k: int) -> str:
-    return f"MULT2_{i}_{k}"
-
-
-def _lbl_m1p(i: int, k: int) -> str:
-    return f"M1p_{i}_{k}"
-
-
-def _lbl_m2p(i: int, k: int) -> str:
-    return f"M2p_{i}_{k}"
-
-
-def _lbl_upd(i: int, k: int) -> str:
-    return f"UPD_{i}_{k}"
-
-
-def _lbl_acum(k: int) -> str:
-    return f"ACUM_{k}"
-
 
 def _rid(stage: int, num: int, k: Optional[int] = None, i: Optional[int] = None,
          n: Optional[int] = None) -> str:
@@ -578,9 +535,8 @@ def build_gne_system(spec: GameSpec) -> PSystem:
     diags = validate_game(spec)
     if diags:
         raise GameError("; ".join(diags))
-    skel = _skeleton((spec.players, spec.slots,
-                      tuple(tuple(s) for s in spec.strategies),
-                      spec.r_disc, spec.loops))
+    skel = _skeleton(tuple(tuple(s) for s in spec.strategies), spec.r_disc,
+                     spec.loops)
     co = payoff_coefficients(spec)
     rules = list(skel.rules)
     rules.append(RuleSpec(_rid(1, 2), "P", NEUTRAL, NEUTRAL,
@@ -608,96 +564,135 @@ def _copy_node(node: MembraneNode) -> MembraneNode:
 # The last shape's skeleton stays cached.  Each benchmark workload and
 # each pgne command builds games of one shape only.
 @functools.lru_cache(maxsize=1)
-def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
-              ) -> PSystem:
+def _skeleton(strategies: Tuple[Tuple[int, ...], ...], r_disc: int,
+              loops: int) -> PSystem:
     """The tree, priorities and every rule but S1R02 and S1R07 of a shape.
 
-    shape is (players, slots, strategies, r_disc, loops) of a valid game.
+    The arguments are a valid game's; no other field reaches the skeleton
+    (players is len(strategies), and no rule or membrane reads slots).
     Its rules are sorted by id; `build_gne_system` shares them and copies
     the rest.
     """
-    N, _, strategies, R, L = shape
-    thr = R // 2 + 1
-    players = list(range(1, N + 1))
-    l_of = {ki: l for l, ki in enumerate(
-        ((k, i) for k in players for i in strategies[k - 1]), start=1)}
+    sh = _shape(strategies, r_disc, loops)
+    sysd = PSystem(_tree(sh), [], [], name="gne")
+    for stage in _STAGES:
+        stage(sh, sysd.rules, sysd.priority)
+    _waste_collectors(sh, sysd.labels(), sysd.rules)
+    # Each stage emits its families in whatever order reads best.
+    sysd.rules.sort(key=lambda r: r.id)
+    sysd.priority.sort()
+    return sysd
 
-    def strat(k: int) -> Tuple[int, ...]:
-        return strategies[k - 1]
 
-    # ---- membrane tree ----
-    tree_children: List[MembraneNode] = [
-        MembraneNode("P", contents=Multiset.of((sym("tick"), 1)))]
-    for k in players:
-        init = initial_distribution(len(strat(k)), R)
-        kids: List[MembraneNode] = []
-        for pos, i in enumerate(strat(k)):
-            l = l_of[(k, i)]
-            res = MembraneNode(_lbl_res(i, k),
-                               contents=Multiset.of((sym("iter", 0), 1)))
-            kids.append(MembraneNode(
-                _lbl_strat(i, k), children=[res],
-                contents=Multiset.of((sym("share", k, i, l), init[pos]))))
-        for i in strat(k):
-            kids.append(MembraneNode(_lbl_mult(i, k), children=[
-                MembraneNode(_lbl_m1(i, k)), MembraneNode(_lbl_m2(i, k))]))
-        for i in strat(k):
-            kids.append(MembraneNode(_lbl_mult2(i, k), children=[
-                MembraneNode(_lbl_m1p(i, k)), MembraneNode(_lbl_m2p(i, k))]))
-        for i in strat(k):
-            kids.append(MembraneNode(_lbl_upd(i, k)))
-        kids.append(MembraneNode(_lbl_acum(k)))
-        tree_children.append(MembraneNode(str(k), children=kids))
-    tree = MembraneNode("0", children=tree_children)
+class _Shape(NamedTuple):
+    """What a skeleton reads of its game.
 
-    # Rules and priority pairs are sorted by id at the end, so each stage
-    # emits its families in whatever order reads best.
-    rules: List[RuleSpec] = []
-    priority: List[Tuple[str, str]] = []
+    players is 1..len(strategies), strategies[k-1] player k's ascending
+    slots, R the population granularity, thr the rounding threshold
+    R // 2 + 1, L the number of loops, and cells every (player k, slot i,
+    global strategy index l) in index order.
+    """
+
+    players: range
+    strategies: Tuple[Tuple[int, ...], ...]
+    R: int
+    thr: int
+    L: int
+    cells: Tuple[Tuple[int, int, int], ...]
+
+
+def _shape(strategies: Tuple[Tuple[int, ...], ...], R: int, L: int) -> _Shape:
+    players = range(1, len(strategies) + 1)
+    pairs = [(k, i) for k in players for i in strategies[k - 1]]
+    return _Shape(players, strategies, R, R // 2 + 1, L,
+                  tuple((k, i, l) for l, (k, i) in enumerate(pairs, start=1)))
+
+
+_Pairs = List[Tuple[str, str]]
+
+
+def _lbl(kind: str, *ids: int) -> str:
+    """Region label ``kind_id_id``.  Labels must be globally unique, so a
+    per-strategy membrane carries both its slot and its player."""
+    return "_".join((kind, *map(str, ids)))
+
+
+def _count_round(sh: _Shape, rules: List[RuleSpec], priority: _Pairs,
+                 ids: List[str], label: str, charge: int, x: Sym,
+                 **product: Dict[Sym, int]) -> None:
+    """The rule form of `oracle.count_round`: x^R, then x^thr, each make
+    one product, and a leftover x is dropped, in that priority order."""
+    up, half, drop = ids
+    rules.append(RuleSpec(up, label, charge, charge, consume_in={x: sh.R},
+                          **product))
+    rules.append(RuleSpec(half, label, charge, charge,
+                          consume_in={x: sh.thr}, **product))
+    rules.append(RuleSpec(drop, label, charge, charge, consume_in={x: 1}))
+    priority.extend([(up, half), (half, drop)])
+
+
+# The membranes of each stage's multipliers: the outer one, where the
+# multiplier doubles, and inside it the halving and the store membranes.
+_MULT_KINDS = {2: ("MULT", "M1", "M2"), 4: ("MULT2", "M1p", "M2p")}
+
+
+def _embedded_mult(rules: List[RuleSpec], priority: _Pairs, stage: int,
+                   num: int, k: int, i: int, unit_out: Sym, fin_out: Sym) -> None:
+    """Load and wire the stage's multiplier of player k's slot i.
+
+    While its outer membrane is positive, rules num..num+2 load one
+    multiplicand unit per apre and one multiplier unit per bpre, and
+    mstart starts the work cycle; the 44 multiplier rules get S<stage>X_
+    ids.
+    """
+    outer, m1, m2 = (_lbl(kind, i, k) for kind in _MULT_KINDS[stage])
+    rules.append(RuleSpec(_rid(stage, num, k, i), outer, PLUS, PLUS,
+                          consume_in={sym("apre"): 1},
+                          child=ChildPattern(m1, NEUTRAL, NEUTRAL, {},
+                                             {_MC: 1})))
+    rules.append(RuleSpec(_rid(stage, num + 1, k, i), outer, PLUS, PLUS,
+                          consume_in={sym("bpre"): 1}, produce_in={_MP: 1}))
+    rules.append(RuleSpec(_rid(stage, num + 2, k, i), outer, PLUS, NEUTRAL,
+                          consume_in={sym("mstart"): 1},
+                          produce_out={_WASTE: 1},
+                          child=ChildPattern(m1, NEUTRAL, NEUTRAL, {},
+                                             {_CYC[0]: 1})))
+    blk, bprio = _mult_rules(
+        outer, m1, m2, unit_out, fin_out,
+        lambda nn: f"S{stage}X_k{k:02d}_i{i:02d}_R{nn:02d}")
+    rules.extend(blk)
+    priority.extend(bprio)
+
+
+def _tree(sh: _Shape) -> MembraneNode:
+    """Skin "0" around the pricing membrane P and one membrane per player,
+    whose strategy membranes start with the even split of R."""
+    players = []
+    for k, ks in enumerate(sh.strategies, start=1):
+        init = dict(zip(ks, initial_distribution(len(ks), sh.R)))
+        kids = [MembraneNode(_lbl("S", i, k), children=[MembraneNode(
+                    _lbl("RES", i, k),
+                    contents=Multiset.of((sym("iter", 0), 1)))],
+                    contents=Multiset.of((sym("share", k, i, l), init[i])))
+                for k2, i, l in sh.cells if k2 == k]
+        for mult, m1, m2 in _MULT_KINDS.values():
+            kids += [MembraneNode(_lbl(mult, i, k), children=[
+                MembraneNode(_lbl(m1, i, k)), MembraneNode(_lbl(m2, i, k))])
+                for i in ks]
+        kids += [MembraneNode(_lbl("UPD", i, k)) for i in ks]
+        kids.append(MembraneNode(_lbl("ACUM", k)))
+        players.append(MembraneNode(str(k), children=kids))
+    return MembraneNode("0", children=[
+        MembraneNode("P", contents=Multiset.of((sym("tick"), 1))), *players])
+
+
+def _stage1(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 1, price the current profile.  The kickoff S1R02 and the
+    pricing S1R07 carry the game's coefficients; `build_gne_system` adds
+    them."""
     add = rules.append
-
-    def each_ki():
-        for k in players:
-            for i in strat(k):
-                yield k, i, l_of[(k, i)]
-
-    def count_round(ids: List[str], label: str, charge: int, x: Sym,
-                    **product: Dict[Sym, int]) -> None:
-        # The rule form of `oracle.count_round`: x^R, then x^thr, each make
-        # one product, and a leftover x is dropped, in that priority order.
-        up, half, drop = ids
-        add(RuleSpec(up, label, charge, charge, consume_in={x: R}, **product))
-        add(RuleSpec(half, label, charge, charge, consume_in={x: thr},
-                     **product))
-        add(RuleSpec(drop, label, charge, charge, consume_in={x: 1}))
-        priority.extend([(up, half), (half, drop)])
-
-    def embedded_mult(stage: int, num: int, k: int, i: int, outer: str,
-                      m1: str, m2: str, unit_out: Sym, fin_out: Sym) -> None:
-        # While outer is positive, rules num..num+2 load one multiplicand
-        # unit per apre and one multiplier unit per bpre, and mstart starts
-        # the work cycle; the 44 multiplier rules get S<stage>X_ ids.
-        add(RuleSpec(_rid(stage, num, k, i), outer, PLUS, PLUS,
-                     consume_in={sym("apre"): 1},
-                     child=ChildPattern(m1, NEUTRAL, NEUTRAL, {}, {_MC: 1})))
-        add(RuleSpec(_rid(stage, num + 1, k, i), outer, PLUS, PLUS,
-                     consume_in={sym("bpre"): 1}, produce_in={_MP: 1}))
-        add(RuleSpec(_rid(stage, num + 2, k, i), outer, PLUS, NEUTRAL,
-                     consume_in={sym("mstart"): 1},
-                     produce_out={_WASTE: 1},
-                     child=ChildPattern(m1, NEUTRAL, NEUTRAL, {},
-                                        {_CYC[0]: 1})))
-        blk, bprio = _mult_rules(
-            outer, m1, m2, unit_out, fin_out,
-            lambda nn: f"S{stage}X_k{k:02d}_i{i:02d}_R{nn:02d}")
-        rules.extend(blk)
-        priority.extend(bprio)
-
-    # -------- stage 1: price the current profile --------
-    # The kickoff S1R02 and the pricing S1R07 carry the game's coefficients;
-    # `build_gne_system` adds them.
     add(RuleSpec(_rid(1, 5), "0", NEUTRAL, NEUTRAL,
-                 consume_in={sym("reg", k): R for k in players},
+                 consume_in={sym("reg", k): sh.R for k in sh.players},
                  produce_in={sym("gate"): 1}))
     add(RuleSpec(_rid(1, 6), "0", NEUTRAL, NEUTRAL,
                  consume_in={sym("gate"): 1},
@@ -713,15 +708,15 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                  consume_in={sym("ph5"): 1}, produce_in={sym("ph6"): 1}))
     add(RuleSpec(_rid(1, 14), "P", MINUS, NEUTRAL,
                  consume_in={sym("ph6"): 1},
-                 produce_out={sym("go", k): 1 for k in players}))
-    for k in players:
+                 produce_out={sym("go", k): 1 for k in sh.players}))
+    for k, ks in enumerate(sh.strategies, start=1):
         add(RuleSpec(_rid(1, 15, k), "0", NEUTRAL, NEUTRAL,
                      consume_in={sym("go", k): 1},
                      child=ChildPattern(str(k), NEUTRAL, MINUS, {},
-                                        {sym("mstart"): len(strat(k))})))
-    for k, i, l in each_ki():
+                                        {sym("mstart"): len(ks)})))
+    for k, i, l in sh.cells:
         share = sym("share", k, i, l)
-        add(RuleSpec(_rid(1, 1, k, i), _lbl_strat(i, k), NEUTRAL, NEUTRAL,
+        add(RuleSpec(_rid(1, 1, k, i), _lbl("S", i, k), NEUTRAL, NEUTRAL,
                      consume_in={share: 1}, produce_in={sym("agent"): 1},
                      produce_out={share: 1}))
         add(RuleSpec(_rid(1, 3, k, i), str(k), NEUTRAL, NEUTRAL,
@@ -738,19 +733,22 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      child=ChildPattern(str(k), NEUTRAL, NEUTRAL, {},
                                         {sym("pay", k, i, l): 1})))
 
-    # -------- stage 2: average payoff of each population --------
-    for k in players:
-        acum = _lbl_acum(k)
+
+def _stage2(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 2, the average payoff of each population."""
+    add = rules.append
+    for k, ks in enumerate(sh.strategies, start=1):
+        acum = _lbl("ACUM", k)
         add(RuleSpec(_rid(2, 8, k), str(k), MINUS, MINUS,
-                     consume_in={sym("fin"): len(strat(k))},
+                     consume_in={sym("fin"): len(ks)},
                      child=ChildPattern(acum, NEUTRAL, PLUS,
                                         {}, {sym("acc0"): 1})))
         add(RuleSpec(_rid(2, 9, k), str(k), MINUS, MINUS,
                      consume_in={sym("unit"): 1},
                      child=ChildPattern(acum, NEUTRAL, NEUTRAL,
                                         {}, {sym("pos"): 1})))
-        count_round([_rid(2, n, k) for n in (10, 11, 12)], acum, PLUS,
-                    sym("pos"), produce_out={sym("pos"): 1})
+        _count_round(sh, rules, priority, [_rid(2, n, k) for n in (10, 11, 12)],
+                     acum, PLUS, sym("pos"), produce_out={sym("pos"): 1})
         add(RuleSpec(_rid(2, 13, k), acum, PLUS, PLUS,
                      consume_in={sym("acc0"): 1}, produce_in={sym("acc1"): 1}))
         add(RuleSpec(_rid(2, 14, k), acum, PLUS, NEUTRAL,
@@ -758,8 +756,8 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
         add(RuleSpec(_rid(2, 15, k), str(k), MINUS, NEUTRAL,
                      consume_in={sym("acc2"): 1}, produce_in={sym("cmp0"): 1},
                      produce_out={sym("waste"): 1}))
-    for k, i, l in each_ki():
-        mult = _lbl_mult(i, k)
+    for k, i, l in sh.cells:
+        mult = _lbl("MULT", i, k)
         add(RuleSpec(_rid(2, 1, k, i), str(k), MINUS, MINUS,
                      consume_in={sym("job1", k, i, l): 1},
                      produce_in={sym("job2", k, i, l): 1},
@@ -775,23 +773,26 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      child=ChildPattern(mult, NEUTRAL, PLUS,
                                         {}, {sym("mstart"): 1})))
         # Embedded multiplier: population count times average payoff.
-        embedded_mult(2, 4, k, i, mult, _lbl_m1(i, k), _lbl_m2(i, k),
-                      sym("unit"), sym("fin"))
+        _embedded_mult(rules, priority, 2, 4, k, i, sym("unit"), sym("fin"))
         add(RuleSpec(_rid(2, 7, k, i), str(k), MINUS, MINUS,
                      consume_in={sym("neg", i): 1},
-                     child=ChildPattern(_lbl_upd(i, k), NEUTRAL, NEUTRAL,
+                     child=ChildPattern(_lbl("UPD", i, k), NEUTRAL, NEUTRAL,
                                         {}, {sym("neg", i): 1})))
 
-    # -------- stage 3: per-strategy excess payoff --------
-    for k in players:
+
+def _stage3(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 3, the excess payoff of each strategy over its player's
+    mean."""
+    add = rules.append
+    for k, ks in enumerate(sh.strategies, start=1):
         add(RuleSpec(_rid(3, 1, k), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("cmp0"): 1},
-                     produce_in={sym("cmp", 1, i): 1 for i in strat(k)}))
+                     produce_in={sym("cmp", 1, i): 1 for i in ks}))
         add(RuleSpec(_rid(3, 3, k), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("pos"): 1},
-                     produce_in={sym("posb", i): 1 for i in strat(k)}))
-    for k, i, l in each_ki():
-        upd = _lbl_upd(i, k)
+                     produce_in={sym("posb", i): 1 for i in ks}))
+    for k, i, _ in sh.cells:
+        upd = _lbl("UPD", i, k)
         add(RuleSpec(_rid(3, 2, k, i), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("cmp", 1, i): 1},
                      produce_in={sym("cmp", 2, i): 1},
@@ -831,19 +832,22 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      consume_in={sym("cmp", 6, i): 1},
                      produce_out={sym("cmp", 7, i): 1}))
 
-    # -------- stage 4: rate counts via a second multiplication --------
-    for k in players:
+
+def _stage4(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 4, the rate counts, by a second multiplication."""
+    add = rules.append
+    for k, ks in enumerate(sh.strategies, start=1):
         add(RuleSpec(_rid(4, 1, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("cmp", 7, i): 1 for i in strat(k)},
-                     produce_in={sym("mz", i, 0): 1 for i in strat(k)}))
+                     consume_in={sym("cmp", 7, i): 1 for i in ks},
+                     produce_in={sym("mz", i, 0): 1 for i in ks}))
         add(RuleSpec(_rid(4, 3, k), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("qsum"): 1},
-                     produce_in={sym("qin", i): 1 for i in strat(k)}))
+                     produce_in={sym("qin", i): 1 for i in ks}))
         add(RuleSpec(_rid(4, 10, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("fin1"): len(strat(k))},
-                     produce_in={sym("rz0"): len(strat(k))}))
-    for k, i, l in each_ki():
-        s, mult2 = _lbl_strat(i, k), _lbl_mult2(i, k)
+                     consume_in={sym("fin1"): len(ks)},
+                     produce_in={sym("rz0"): len(ks)}))
+    for k, i, l in sh.cells:
+        s, mult2 = _lbl("S", i, k), _lbl("MULT2", i, k)
         add(RuleSpec(_rid(4, 2, k, i), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("mz", i, 0): 1},
                      produce_in={sym("mz", i, 1): 1}))
@@ -859,8 +863,7 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      consume_in={sym("mz", i, 1): 1},
                      child=ChildPattern(mult2, NEUTRAL, PLUS,
                                         {}, {sym("mstart"): 1})))
-        embedded_mult(4, 7, k, i, mult2, _lbl_m1p(i, k), _lbl_m2p(i, k),
-                      sym("zq", i), sym("fin1"))
+        _embedded_mult(rules, priority, 4, 7, k, i, sym("zq", i), sym("fin1"))
         add(RuleSpec(_rid(4, 11, k, i), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("rz0"): 1},
                      child=ChildPattern(s, NEUTRAL, PLUS,
@@ -875,8 +878,8 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                                         {}, {sym("zq", i): 1})))
         add(RuleSpec(_rid(4, 14, k, i), s, PLUS, PLUS,
                      consume_in={sym("ex0"): 1}, produce_in={sym("ex1"): 1}))
-        count_round([_rid(4, n, k, i) for n in (15, 16, 17)], s, PLUS,
-                    sym("zq", i), produce_in={sym("zqr"): 1})
+        _count_round(sh, rules, priority, [_rid(4, n, k, i) for n in (15, 16, 17)],
+                     s, PLUS, sym("zq", i), produce_in={sym("zqr"): 1})
         add(RuleSpec(_rid(4, 18, k, i), s, PLUS, PLUS,
                      consume_in={sym("ex1"): 1, sym("zqr"): 1}))
         priority.append((_rid(4, 18, k, i), _rid(4, 19, k, i)))
@@ -893,23 +896,12 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      consume_in={sym("rz3"): 1}, produce_in={sym("up0"): 1},
                      produce_out={sym("waste"): 1}))
 
-    # -------- stage 5: Euler step, renormalization, restart --------
-    add(RuleSpec(_rid(5, 49), "0", NEUTRAL, NEUTRAL,
-                 consume_in={sym("donek", k): 1 for k in players},
-                 produce_in={sym("tick"): 1}))
-    wake = {sym("wkP"): 1}
-    wake.update({sym("wkp", k): 1 for k in players})
-    add(RuleSpec(_rid(5, 51), "0", NEUTRAL, NEUTRAL,
-                 consume_in={sym("tick"): 1}, produce_in=wake))
-    add(RuleSpec(_rid(5, 52), "P", NEUTRAL, NEUTRAL,
-                 consume_out={sym("wkP"): 1}, produce_in={sym("wkP0"): 1}))
-    add(RuleSpec(_rid(5, 54), "P", NEUTRAL, NEUTRAL,
-                 consume_in={sym("wkP0"): 1}, produce_in={sym("wkP1"): 1}))
-    add(RuleSpec(_rid(5, 56), "P", NEUTRAL, NEUTRAL,
-                 consume_in={sym("wkP1"): 1}, produce_in={sym("wkP2"): 1}))
-    add(RuleSpec(_rid(5, 58), "P", NEUTRAL, NEUTRAL,
-                 consume_in={sym("wkP2"): 1}, produce_in={sym("tick"): 1}))
-    for k in players:
+
+def _stage5_update(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 5 up to S5R35: the Euler step of each count, rounded, then
+    renormalized so each player's counts again sum to R."""
+    add, R = rules.append, sh.R
+    for k, ks in enumerate(sh.strategies, start=1):
         add(RuleSpec(_rid(5, 20, k), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("cand"): 1, sym("defc"): 1}))
         add(RuleSpec(_rid(5, 23, k), str(k), NEUTRAL, NEUTRAL,
@@ -917,7 +909,7 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
         add(RuleSpec(_rid(5, 24, k), str(k), NEUTRAL, NEUTRAL,
                      consume_in={sym("defc"): 1}, produce_in={sym("err"): 1}))
         add(RuleSpec(_rid(5, 28, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("updone", i): 1 for i in strat(k)},
+                     consume_in={sym("updone", i): 1 for i in ks},
                      produce_in={sym("pool0"): 1}))
         add(RuleSpec(_rid(5, 29, k), str(k), NEUTRAL, PLUS,
                      consume_in={sym("pool0"): 1},
@@ -926,34 +918,23 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
         add(RuleSpec(_rid(5, 34, k), str(k), PLUS, NEUTRAL,
                      consume_in={sym("pool1"): 1},
                      produce_out={sym("waste"): 1}))
-        add(RuleSpec(_rid(5, 48, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("done", i): 1 for i in strat(k)},
-                     produce_out={sym("donek", k): 1}))
-        add(RuleSpec(_rid(5, 50, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("err"): 1}, produce_out={sym("err"): 1}))
-        add(RuleSpec(_rid(5, 53, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_out={sym("wkp", k): 1},
-                     produce_in={sym("wk0"): 1}))
-        add(RuleSpec(_rid(5, 55, k), str(k), NEUTRAL, NEUTRAL,
-                     consume_in={sym("wk0"): 1},
-                     produce_in={sym("wks", i): 1 for i in strat(k)}))
-    for k, i, l in each_ki():
-        s, res = _lbl_strat(i, k), _lbl_res(i, k)
+    for k, i, _ in sh.cells:
+        s = _lbl("S", i, k)
         add(RuleSpec(_rid(5, 1, k, i), s, MINUS, MINUS,
                      consume_in={sym("up0"): 1}, produce_in={sym("up1"): 1}))
         add(RuleSpec(_rid(5, 2, k, i), s, MINUS, MINUS,
                      consume_in={sym("dzn"): R, sym("agent"): 1}))
         add(RuleSpec(_rid(5, 3, k, i), s, MINUS, MINUS,
-                     consume_in={sym("dzn"): thr, sym("agent"): 1}))
+                     consume_in={sym("dzn"): sh.thr, sym("agent"): 1}))
         priority.append((_rid(5, 2, k, i), _rid(5, 3, k, i)))
         priority.append((_rid(5, 3, k, i), _rid(5, 5, k, i)))
         priority.append((_rid(5, 3, k, i), _rid(5, 6, k, i)))
-        count_round([_rid(5, n, k, i) for n in (4, 9, 10)], s, MINUS,
-                    sym("dzp"), produce_in={sym("cand"): 1})
+        _count_round(sh, rules, priority, [_rid(5, n, k, i) for n in (4, 9, 10)],
+                     s, MINUS, sym("dzp"), produce_in={sym("cand"): 1})
         add(RuleSpec(_rid(5, 5, k, i), s, MINUS, MINUS,
                      consume_in={sym("agent"): 1}, produce_in={sym("cand"): 1}))
-        count_round([_rid(5, n, k, i) for n in (6, 7, 8)], s, MINUS,
-                    sym("dzn"), produce_in={sym("defc"): 1})
+        _count_round(sh, rules, priority, [_rid(5, n, k, i) for n in (6, 7, 8)],
+                     s, MINUS, sym("dzn"), produce_in={sym("defc"): 1})
         add(RuleSpec(_rid(5, 11, k, i), s, MINUS, MINUS,
                      consume_in={sym("up1"): 1},
                      produce_in={sym("up2"): 1, sym("slack"): R}))
@@ -999,7 +980,7 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
                      produce_in={sym("znew", i): 1}))
         priority.append((_rid(5, 30, k, i), _rid(5, 31, k, i)))
         priority.extend((_rid(5, 30, k, i), _rid(5, 33, k, j))
-                        for j in strat(k))
+                        for j in sh.strategies[k - 1])
         add(RuleSpec(_rid(5, 31, k, i), str(k), PLUS, PLUS,
                      consume_in={sym("nz", i): 1}))
         add(RuleSpec(_rid(5, 32, k, i), str(k), PLUS, PLUS,
@@ -1010,6 +991,41 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
         add(RuleSpec(_rid(5, 35, k, i), s, PLUS, PLUS,
                      consume_out={sym("znew", i): 1},
                      produce_in={sym("znew", i): 1}))
+
+
+def _stage5_export(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
+    """Stage 5 from S5R36: stamp and export the new counts, then restart
+    the loop, or end the run after loop L."""
+    add, R, L = rules.append, sh.R, sh.L
+    add(RuleSpec(_rid(5, 49), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("donek", k): 1 for k in sh.players},
+                 produce_in={sym("tick"): 1}))
+    wake = {sym("wkP"): 1}
+    wake.update({sym("wkp", k): 1 for k in sh.players})
+    add(RuleSpec(_rid(5, 51), "0", NEUTRAL, NEUTRAL,
+                 consume_in={sym("tick"): 1}, produce_in=wake))
+    add(RuleSpec(_rid(5, 52), "P", NEUTRAL, NEUTRAL,
+                 consume_out={sym("wkP"): 1}, produce_in={sym("wkP0"): 1}))
+    add(RuleSpec(_rid(5, 54), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP0"): 1}, produce_in={sym("wkP1"): 1}))
+    add(RuleSpec(_rid(5, 56), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP1"): 1}, produce_in={sym("wkP2"): 1}))
+    add(RuleSpec(_rid(5, 58), "P", NEUTRAL, NEUTRAL,
+                 consume_in={sym("wkP2"): 1}, produce_in={sym("tick"): 1}))
+    for k, ks in enumerate(sh.strategies, start=1):
+        add(RuleSpec(_rid(5, 48, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("done", i): 1 for i in ks},
+                     produce_out={sym("donek", k): 1}))
+        add(RuleSpec(_rid(5, 50, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("err"): 1}, produce_out={sym("err"): 1}))
+        add(RuleSpec(_rid(5, 53, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_out={sym("wkp", k): 1},
+                     produce_in={sym("wk0"): 1}))
+        add(RuleSpec(_rid(5, 55, k), str(k), NEUTRAL, NEUTRAL,
+                     consume_in={sym("wk0"): 1},
+                     produce_in={sym("wks", i): 1 for i in ks}))
+    for k, i, l in sh.cells:
+        s, res = _lbl("S", i, k), _lbl("RES", i, k)
         add(RuleSpec(_rid(5, 36, k, i), s, PLUS, NEUTRAL,
                      consume_out={sym("up6"): 1}, produce_in={sym("up7"): 1}))
         add(RuleSpec(_rid(5, 37, k, i), res, NEUTRAL, PLUS,
@@ -1066,31 +1082,36 @@ def _skeleton(shape: Tuple[int, int, Tuple[Tuple[int, ...], ...], int, int]
         add(RuleSpec(_rid(5, 61, k, i), res, MINUS, MINUS,
                      consume_in={sym("iternext", L): 1, sym("up9"): 1}))
 
-    # Waste collectors only in the (region, charge) cells waste lands in.
-    # ridx numbers every region of the tree walk, so a region without
-    # collectors renames none.
+
+# The stage functions in loop order; each fills the rule and priority
+# lists it is given.
+_STAGES = (_stage1, _stage2, _stage3, _stage4, _stage5_update, _stage5_export)
+
+
+def _waste_collectors(sh: _Shape, labels: List[str],
+                      rules: List[RuleSpec]) -> None:
+    """Waste collectors only in the (region, charge) cells waste lands in.
+
+    labels lists the tree's regions in walk order, and a collector's id
+    numbers its region by that walk, so a region without collectors
+    renames none.
+    """
     sinks = {"0": (NEUTRAL,)}  # nothing ever changes the skin's charge
-    for k in players:
-        # Stage 2 runs at -; stages 3-5 send waste while it is neutral.
-        sinks[str(k)] = (NEUTRAL, MINUS)
-        for i in strat(k):
-            # Multiplier R33 lands while R34 flips the region to -, and
-            # R38 lands while R39 flips it back to 0.
-            sinks[_lbl_mult(i, k)] = sinks[_lbl_mult2(i, k)] = (NEUTRAL, MINUS)
-            # S5R40 fires after S5R36 has neutralised S_.
-            sinks[_lbl_strat(i, k)] = (NEUTRAL,)
-            # Its only feeder, S3R02, sets it to + and locks it.
-            sinks[_lbl_upd(i, k)] = (PLUS,)
-    sysd = PSystem(tree, rules, priority, name="gne")
-    for ridx, label in enumerate(sysd.labels(), start=1):
+    for k, i, _ in sh.cells:
+        # Stage 2 runs the player at -; stages 3-5 send waste while it is
+        # neutral.  Multiplier R33 lands while R34 flips the region to -,
+        # and R38 lands while R39 flips it back to 0.
+        for label in (str(k), _lbl("MULT", i, k), _lbl("MULT2", i, k)):
+            sinks[label] = (NEUTRAL, MINUS)
+        # S5R40 fires after S5R36 has neutralised S_.
+        sinks[_lbl("S", i, k)] = (NEUTRAL,)
+        # Its only feeder, S3R02, sets it to + and locks it.
+        sinks[_lbl("UPD", i, k)] = (PLUS,)
+    for ridx, label in enumerate(labels, start=1):
         for charge in sinks.get(label, ()):
             suffix = {NEUTRAL: "c0", MINUS: "cm", PLUS: "cp"}[charge]
-            add(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label, charge,
-                         charge, consume_in={_WASTE: 1}))
-
-    rules.sort(key=lambda r: r.id)
-    priority.sort()
-    return sysd
+            rules.append(RuleSpec(f"S1R16_r{ridx:03d}_{suffix}", label,
+                                  charge, charge, consume_in={_WASTE: 1}))
 
 
 # ============================================================

@@ -32,6 +32,11 @@ class Sym:
     def __repr__(self) -> str:
         return self._text
 
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through `sym`, so they give back
+        # the interned symbol: a fresh Sym would equal no other.
+        return sym, (self.base, *self.params)
+
     @property
     def text(self) -> str:
         return self._text

@@ -15,7 +15,7 @@ from pgne.builder import (MICRO, GameError, GameSpec, RuleTag, _rid, build_gne_s
                           build_mult_system, coefficient_matrices,
                           initial_distribution, load_game, payoff_coefficients,
                           quantize, rule_tag, save_game, validate_game)
-from pgne.engine import MINUS, NEUTRAL, PLUS
+from pgne.engine import MINUS, NEUTRAL, PLUS, PSystem
 from pgne.harness import sample_experiment
 from pgne.pspec import serialize_system
 from pgne.symbols import sym
@@ -269,6 +269,61 @@ def test_mutating_a_built_system_leaves_the_next_build_alone():
     sysd.priority.append(("S1R05", "S1R06"))
     sysd.rules.pop()
     assert serialize_system(build_gne_system(spec)) == want
+
+
+def test_an_unused_slot_keeps_the_shape():
+    # No rule or membrane reads the slot count, so one more slot that no
+    # player uses reuses the skeleton and builds the same bytes.
+    game, wide = sample_experiment(27, "default"), sample_experiment(27, "default")
+    wide.slots += 1
+    wide.d_diag.append(0.5)
+    wide.j_bar.append(1.0)
+    builder._skeleton.cache_clear()
+    want = serialize_system(build_gne_system(game))
+    assert serialize_system(build_gne_system(wide)) == want
+    assert builder._skeleton.cache_info().misses == 1
+
+
+def _stage_outputs(spec: GameSpec):
+    """(stage function, its rules, its priority pairs) for spec's shape."""
+    sh = builder._shape(tuple(map(tuple, spec.strategies)), spec.r_disc,
+                        spec.loops)
+    out = []
+    for fill in builder._STAGES:
+        rules, priority = [], []
+        fill(sh, rules, priority)
+        out.append((fill, rules, priority))
+    rules = []
+    labels = PSystem(builder._tree(sh), []).labels()
+    builder._waste_collectors(sh, labels, rules)
+    return out + [(builder._waste_collectors, rules, [])]
+
+
+@pytest.mark.parametrize("seed, preset", [(1, "default"), (2, "small")])
+def test_each_stage_function_emits_its_own_stage(seed, preset):
+    spec = sample_experiment(seed, preset)
+    stages = dict(zip(builder._STAGES, (1, 2, 3, 4, 5, 5)))
+    ids, rules, priority = [], [], []
+    for fill, own, pairs in _stage_outputs(spec):
+        for r in own:
+            tag = rule_tag(r.id)
+            if fill is builder._waste_collectors:
+                assert r.id.startswith("S1R16_"), r.id
+            elif tag is None:
+                assert r.id.startswith(f"S{stages[fill]}X_"), r.id
+            else:
+                assert tag.stage == stages[fill], r.id
+        ids += [r.id for r in own]
+        rules += own
+        priority += pairs
+    assert len(ids) == len(set(ids))
+    # With the coefficient rules, the stages make up the whole system.
+    sysd = build_gne_system(spec)
+    coef = ["S1R02", *(_rid(1, 7, k, i) for k, i in spec.pairs())]
+    assert sorted(ids + coef) == [r.id for r in sysd.rules]
+    assert sorted(rules, key=lambda r: r.id) == [
+        r for r in sysd.rules if r.id not in coef]
+    assert sorted(priority) == sysd.priority
 
 
 @pytest.mark.parametrize("preset,seeds,pricing", [

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
+from pgne import ENV_LABEL, build_mult_system, read_region, run
+from pgne.engine import RuleSpec
 from pgne.symbols import Multiset, sym
 
 
@@ -21,6 +26,22 @@ def test_sym_refuses_bool_and_float(base, param):
     with pytest.raises(TypeError, match="ints or strs"):
         sym(base, param)
     assert sym(base, int(param)).text == f"{base}{{{int(param)}}}"
+
+
+@pytest.mark.parametrize("s", [sym("a"), sym("share", 1, 2, 3)])
+def test_copies_give_back_the_interned_symbol(s):
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+
+
+def test_copied_rules_and_systems_keep_their_symbols():
+    rule = RuleSpec("r", "m", consume_in={sym("a"): 1})
+    assert copy.deepcopy(rule) == rule
+    # An unpickled system's symbols are the ones its rules and a reader
+    # look up, so it still multiplies.
+    final = run(pickle.loads(pickle.dumps(build_mult_system(7, 8))), 100).final
+    assert read_region(final, ENV_LABEL).get(sym("unit")) == 56
 
 
 def test_text_forms():
