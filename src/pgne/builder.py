@@ -1149,17 +1149,24 @@ class LoopTiming:
         return self.end - self.start + 1
 
 
+# The marker families, the (stage, num) families whose steps `_close_loop`
+# reads.  The payoff step is the first of (1, 12).  Stage 1 ends at the
+# first multiplication kickoff (1, 15), stage 2 at the last population
+# flip back to neutral (2, 15), stage 3 at the last excess-payoff export
+# (3, 13) and stage 4 at the last rate handoff (4, 23); stage 5 runs to
+# the end of the loop.
+_PAYOFF, _STAGE1_END = (1, 12), (1, 15)
+_LATER_ENDS = ((2, 15), (3, 13), (4, 23))
+_MARKERS = frozenset({_PAYOFF, _STAGE1_END, *_LATER_ENDS})
+
+
 def _close_loop(lt: LoopTiming, end: int, first: Dict[Tuple[int, int], int],
                 last: Dict[Tuple[int, int], int]) -> None:
-    """Cut a loop's window into stages from its families' first/last steps."""
-    # Stage 1 ends at the first multiplication kickoff (1, 15), stage 2 at
-    # the last population flip back to neutral (2, 15), stage 3 at the
-    # last excess-payoff export (3, 13) and stage 4 at the last rate
-    # handoff (4, 23); stage 5 runs to the end of the loop.
-    marks = (first.get((1, 15), 0), last.get((2, 15), 0),
-             last.get((3, 13), 0), last.get((4, 23), 0))
+    """Cut a loop's window into stages from its markers' first/last steps."""
+    marks = (first.get(_STAGE1_END, 0),
+             *[last.get(fam, 0) for fam in _LATER_ENDS])
     lt.end = end
-    lt.payoff_step = first.get((1, 12), 0)
+    lt.payoff_step = first.get(_PAYOFF, 0)
     cur = lt.start
     for stage, mark in enumerate(marks, start=1):
         if mark:
@@ -1170,12 +1177,12 @@ def _close_loop(lt: LoopTiming, end: int, first: Dict[Tuple[int, int], int],
     lt.spans.append(StageSpan(lt.loop, 5, cur, end))
 
 
-# The last plan's `rules` list, and per rule its (stage, num) family and
-# its apps key, or None for an untagged rule.  Every system of a plan
-# shares its rules, so a process that reads traces of one plan tags each
-# rule once.
-_TAGS: Tuple[list, Dict[CRule, Optional[Tuple[Tuple[int, int], tuple]]]] = \
-    ([], {})
+# The last plan's `rules` list; per tagged rule its apps key and its
+# marker family, or None if its family is no marker; and the kickoff
+# (1, 2) rules.  Every system of a plan shares its rules, so a process
+# that reads traces of one plan tags each rule once.
+_TAGS: Tuple[list, Dict[CRule, Tuple[tuple, Optional[Tuple[int, int]]]],
+             set] = ([], {}, set())
 
 
 def stage_boundaries(trace: Trace) -> List[LoopTiming]:
@@ -1187,31 +1194,32 @@ def stage_boundaries(trace: Trace) -> List[LoopTiming]:
     its loop is reported in `missing`.  Each loop also sums its rule
     applications per tag in `apps`, so callers never read rule ids.
 
-    Each application costs one dict lookup of its rule in a table of the
-    tags of the trace's rules, kept for the last plan read; only the steps
-    in which a tagged rule fired (about a fifth of the applications in a
-    default game are tagged) go on to the loop bookkeeping.
+    A step in which no tagged rule fired (more than half the steps of a
+    default game) costs one disjointness test of its rules against the
+    table of tagged rules, kept for the last plan read; only the other
+    steps look up their applications.
     """
     global _TAGS
     rules = trace.final.csys.rules
     if _TAGS[0] is not rules:
-        _TAGS = rules, {cr: None if tag is None else (tag[:2], tag[:4])
-                        for cr in rules for tag in (rule_tag(cr.id),)}
-    tags = _TAGS[1]
+        tags, kickoffs = {}, set()
+        for cr in rules:
+            tag = rule_tag(cr.id)
+            if tag is not None:
+                fam = tag[:2]
+                tags[cr] = tag[:4], fam if fam in _MARKERS else None
+                if fam == (1, 2):
+                    kickoffs.add(cr)
+        _TAGS = rules, tags, kickoffs
+    _, tags, kickoffs = _TAGS
+    tagged = tags.keys()
     out: List[LoopTiming] = []
     first: Dict[Tuple[int, int], int] = {}
     last: Dict[Tuple[int, int], int] = {}
     for t, rec in enumerate(trace.records, start=1):
-        step = None
-        for cr, cnt in rec:
-            tagged = tags[cr]
-            if tagged is not None:
-                if step is None:
-                    step = []
-                step.append((*tagged, cnt))
-        if step is None:
+        if tagged.isdisjoint(rec.rules):
             continue
-        if any(fam == (1, 2) for fam, _, _ in step):
+        if not kickoffs.isdisjoint(rec.rules):
             if out:
                 _close_loop(out[-1], t - 1, first, last)
             out.append(LoopTiming(len(out) + 1, t, t, [], []))
@@ -1219,10 +1227,14 @@ def stage_boundaries(trace: Trace) -> List[LoopTiming]:
         if not out:
             continue
         apps = out[-1].apps
-        for fam, key, cnt in step:
-            first.setdefault(fam, t)
-            last[fam] = t
-            apps[key] = apps.get(key, 0) + cnt
+        for cr, cnt in rec:
+            tag = tags.get(cr)
+            if tag is not None:
+                key, fam = tag
+                apps[key] = apps.get(key, 0) + cnt
+                if fam is not None:
+                    first.setdefault(fam, t)
+                    last[fam] = t
     if out:
         _close_loop(out[-1], len(trace.records), first, last)
     return out

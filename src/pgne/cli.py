@@ -144,7 +144,7 @@ def cmd_experiment(args) -> int:
         res = gne_residual(traj.final(), spec)
         lines.append(f"reference residual: {res:.6f}")
     if args.engine == "both":
-        rep = compare_engines(spec, result=result)
+        rep = compare_engines(spec, traj=traj, result=result)
         lines.append(rep.text().rstrip())
         if not rep.agree:
             status = 1

@@ -71,7 +71,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import attrgetter, ne
+from operator import attrgetter, is_not, ne
 from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -380,16 +380,19 @@ class _Plan:
     over them.  `gives` holds the products of the system the plan was
     built from.  A plan holds no system and no container a caller can
     reach: it keeps the system's rules, which are immutable, by reference,
-    and the labels in lists of its own.
+    and the labels, the rule list and the priority list in lists of its own.
     """
 
     def __init__(self, sys: PSystem, nodes: list) -> None:
         specs = sys.rules
-        # What compile_system compares to find the plan, and the products
-        # its gives were compiled from.
-        self.key = (nodes, list(map(_CONDITIONS, specs)),
-                    frozenset(sys.priority))
+        # What `unshared` compares, and the products the plan's gives were
+        # compiled from.
+        self.nodes = nodes
+        self.specs = list(specs)
+        self.conditions = list(map(_CONDITIONS, specs))
         self.products = list(map(_PRODUCTS, specs))
+        self.priority = list(sys.priority)
+        self.pairs = frozenset(self.priority)
 
         self.region_labels: List[str] = [ENV_LABEL]
         self.parents: List[int] = [-1]
@@ -508,6 +511,26 @@ class _Plan:
         self.live_gives = [live for live, _ in split]
         self.inert_gives = [inert for _, inert in split]
 
+    def unshared(self, nodes: list, specs: List[RuleSpec],
+                 priority: List[Tuple[str, str]]) -> Optional[List[bool]]:
+        """Per rule of specs, whether it is not the plan's own object, if
+        the system of nodes, specs and priority has this plan; else None.
+
+        A rule that is the plan's own object at its place matches whole;
+        the others' conditions are compared, and the priority list as a set
+        only where it differs as a list.
+        """
+        if len(specs) != len(self.specs) or nodes != self.nodes:
+            return None
+        other = list(map(is_not, specs, self.specs))
+        if (list(map(_CONDITIONS, compress(specs, other)))
+                != list(compress(self.conditions, other))):
+            return None
+        # Pair order and repeats change neither the order nor the closure.
+        if priority != self.priority and frozenset(priority) != self.pairs:
+            return None
+        return other
+
 
 class CompiledSystem:
     """A PSystem lowered to index arrays plus the derived total order.
@@ -616,14 +639,17 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     target, charges, consumed multisets and child pattern, and the set of
     priority pairs.  Multisets compare as dicts, in any key order, because
     a plan lists needs and gives in canonical order.  Rules are immutable
-    and the plan keeps the labels in lists of its own, so a later change to
-    sys (its rule list, its priority list or its tree) cannot change it.
-    Otherwise a new plan is built, and replaces the cached one; a malformed
-    system raises StructureError and leaves the cache alone.  Every
-    compile then binds sys to its plan: it keeps sys as `source`, copies
-    the initial contents into the two stores and the charges, and takes
-    the plan's product lists, copied and patched where a rule's products
-    are not the plan's.
+    and the plan keeps the labels, the rules and the priority pairs in
+    lists of its own, so a later change to sys (its rule list, its
+    priority list or its tree) cannot change it.  A rule that is the
+    plan's own object at its place matches it whole, so only the other
+    rules' conditions and products are compared (see `_Plan.unshared`).
+    Otherwise a new plan is built, and replaces the cached one; a
+    malformed system raises StructureError and leaves the cache alone.
+    Every compile then binds sys to its plan: it keeps sys as `source`,
+    copies the initial contents into the two stores and the charges, and
+    takes the plan's product lists, copied and patched where a rule's
+    products are not the plan's.
     """
     global _PLAN
     nodes: list = []  # each membrane's label and its parent's, in walk order
@@ -634,17 +660,19 @@ def compile_system(sys: PSystem) -> CompiledSystem:
         contents.append(node.contents)
         charges.append(node.charge)
     specs = sys.rules
-    # Pair order and repeats change neither the order nor the closure.
-    key = (nodes, list(map(_CONDITIONS, specs)), frozenset(sys.priority))
     plan = _PLAN
-    if plan is None or plan.key != key:
+    other = None if plan is None else plan.unshared(nodes, specs, sys.priority)
+    if other is None:
         plan = _PLAN = _Plan(sys, nodes)
+        other = []  # its products are the plan's
     live: Dict[int, int] = {}
     inert: List[Dict[Sym, int]] = [{} for _ in plan.parents]
     for r, ms in enumerate(contents, start=1):
         _place(plan.region_slots[r], plan.region_labels[r], ms, live, inert[r])
     gives, live_gives, inert_gives = plan.gives, plan.live_gives, plan.inert_gives
-    for i in compress(count(), map(ne, map(_PRODUCTS, specs), plan.products)):
+    for i in compress(compress(count(), other),
+                      map(ne, map(_PRODUCTS, compress(specs, other)),
+                          compress(plan.products, other))):
         if gives is plan.gives:
             gives, live_gives, inert_gives = (
                 list(gives), list(live_gives), list(inert_gives))

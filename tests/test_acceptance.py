@@ -109,8 +109,8 @@ def test_criterion_2_step_counts():
 
 @pytest.mark.xfail(strict=True, reason=(
     "exact powers of two take one full extra doubling round, finishing "
-    "exactly 6 steps past the 1+6*ceil(log2(m)) bound; detailed in the "
-    "decision ledger"))
+    "exactly 6 steps past the 1+6*ceil(log2(m)) bound; see the power-of-"
+    "two paragraph under Testing in README.md"))
 def test_criterion_2_literal_bound_including_powers_of_two():
     for m in (2, 4, 8, 16, 32, 64):
         assert run_mult(m, 1).steps <= 1 + 6 * math.ceil(math.log2(m))

@@ -878,6 +878,55 @@ def test_a_built_game_and_a_parsed_one_share_a_plan(plans):
     assert compiled_view(csys, budget) == want
 
 
+def _swap(rid, **fields):
+    """An edit that replaces rule rid, in place, by a copy with fields."""
+    def edit(sysd):
+        at = [r.id for r in sysd.rules].index(rid)
+        sysd.rules[at] = sysd.rules[at]._replace(**fields)
+    return edit
+
+
+def _copy_rule(sysd):
+    sysd.rules[100] = RuleSpec(*sysd.rules[100])
+
+
+def _new_pair(sysd):
+    sysd.priority[0] = ("S1R05", "S1R06")
+
+
+# Edits of a built default game, one thing at a time, and whether each
+# builds a new plan once a game of its shape has compiled.
+_ONE_EDIT = {
+    "equal copy of a rule": (_copy_rule, 0),
+    "consumed count": (_swap("S5R39_k01_i03_n000",
+                             consume_in={sym("iter", 0): 2}), 1),
+    "products only": (_swap("S5R39_k01_i03_n000",
+                            produce_in={sym("stamp", 1): 7}), 0),
+    "priority reordered": (lambda sysd: sysd.priority.reverse(), 0),
+    "priority pair replaced": (_new_pair, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_EDIT))
+def test_a_plan_check_compares_what_is_not_the_plans_own(plans, name):
+    # Rules that are the plan's own objects match it by identity; an equal
+    # copy, a changed rule and the priority list are compared by value.
+    edit, builds = _ONE_EDIT[name]
+    make, budget = game(sample_experiment(1, "default"))
+    sysd = make()
+    edit(sysd)
+    want = cold_view(sysd, budget)
+    engine._PLAN = None
+    warm = compile_system(build_gne_system(sample_experiment(2, "default")))
+    del plans[:]
+    csys = compile_system(sysd)
+    assert len(plans) == builds
+    assert compiled_view(csys, budget) == want
+    if name == "products only":
+        at = {cr.id: cr.order for cr in csys.rules}["S5R39_k01_i03_n000"]
+        assert csys.gives[at] != warm.gives[at]
+
+
 def _setitem(ms):
     ms[A] = 1
 

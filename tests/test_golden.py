@@ -134,6 +134,23 @@ _TIMING_SHA = {
     "default/27@1190": "74a00e4fa2da5921b2468bd8978f73c90fbbb0b4a02b28248f5b99b3776a59cd",
 }
 
+# Per-loop application sums read back by `stage_boundaries`, `apps` sorted
+# by key, for the same traces as `_TIMING_SHA`.  Taken from the pass that
+# looked up every application before it skipped steps without a tagged rule.
+_APPS_SHA = {
+    "small/2": "68d54ae77095cdf812b1970b60e6ebbd19d8f34ac665bcd627fcb8714cbdb65a",
+    "small/9": "b49e272c145091da0e0b48c59eb45b2f486bc7a5184376376e4feb6bf45dd624",
+    "small/15": "b29579b68dd9f928e5517994ca7c8b83f35c929b95433343d3966af0e300c7f9",
+    "small/16": "226e25ada1492598886012dffdbca739d30f009fcf32924ef56cfedf607c2b6d",
+    "small/17": "174f7bcb1ec674ce61d9617561113cf725fe943fc91db2380e7ac8dae708bf54",
+    "default/27": "9069cf7bf37fa9a855d005efb5dbf866c28549e76bd38d123bbb6826a7c72585",
+    "default/31": "dd9f62c61d34aafd7ded0b3f2e4ae2942b67d4260d3e3ffef7ac9ef7ee9ed242",
+    "default/32": "7ad72692362589aaacba7bc7dbfbc41e835387fe1bd73abf0e3ee4e40dc802a7",
+    "default/1": "ac4abcfe750d40008248e9fbe54b27b60296a2aa5bac27c6a5435a592500b3d1",
+    "default/27@1120": "40f012fe83ab7e65011f86d0758238560b8537d0b4ccf9511e80213110add5fe",
+    "default/27@1190": "35894381cadb4e12dd8ceae9869cd0cf8996a72652328da4dc6bf571a083c615",
+}
+
 # Cross-seed comparisons: the engine run of one seed against the reference
 # of another, so every stage of every loop diverges somewhere and the
 # attribution of each stage is pinned.  (engine seed, reference seed):
@@ -217,6 +234,11 @@ def _timing_digest(trace) -> str:
     return _sha("\n".join(rows))
 
 
+def _apps_digest(trace) -> str:
+    return _sha("\n".join(f"{lt.loop} {sorted(lt.apps.items())}"
+                          for lt in stage_boundaries(trace)))
+
+
 def _cross_digest(preset: str, engine_seed: int, ref_seed: int):
     spec = sample_experiment(engine_seed, preset)
     rep = compare_engines(spec, result=run_gne(spec),
@@ -226,17 +248,21 @@ def _cross_digest(preset: str, engine_seed: int, ref_seed: int):
     return len(rows), _sha("\n".join(rows))
 
 
-def _timing_digests():
-    got = {f"{p}/{s}": _timing_digest(run_gne(sample_experiment(s, p)).trace)
+def _timing_digests(digest=_timing_digest):
+    got = {f"{p}/{s}": digest(run_gne(sample_experiment(s, p)).trace)
            for p, s in _INSTANCES}
     sysd = build_gne_system(sample_experiment(27, "default"))
     for cut in _CUTS:
-        got[f"default/27@{cut}"] = _timing_digest(run(sysd, max_steps=cut))
+        got[f"default/27@{cut}"] = digest(run(sysd, max_steps=cut))
     return got
 
 
 def test_stage_boundaries_unchanged():
     assert _timing_digests() == _TIMING_SHA
+
+
+def test_stage_application_sums_unchanged():
+    assert _timing_digests(_apps_digest) == _APPS_SHA
 
 
 def test_cross_seed_attribution_unchanged():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import pgne.builder as builder
+import pgne.cli as cli
 import pgne.engine as engine
 import pgne.harness as harness
 import pgne.oracle as oracle_mod
@@ -373,6 +374,21 @@ def test_cli_experiment_and_compare(tmp_path, capsys):
     assert load_game(game) == sample_experiment(6, "small", loops=2)
     assert main(["compare", "--spec", game]) == 0
     capsys.readouterr()
+
+
+def test_cli_experiment_on_both_engines_simulates_once(tmp_path, monkeypatch,
+                                                       capsys):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return simulate(spec)
+    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(harness, "simulate", counted)
+    assert main(["experiment", "--seed", "6", "--preset", "small", "--loops",
+                 "2", "--engine", "both", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_cli_experiment_rerun_is_byte_identical(tmp_path, capsys):
