@@ -22,8 +22,8 @@ from typing import List, Optional
 
 from .builder import (GameError, build_gne_system, build_mult_system,
                       load_game, save_game, validate_game)
-from .engine import (StructureError, compile_system, export_trace_text,
-                     read_region, run)
+from .engine import (ENV_LABEL, StructureError, compile_system,
+                     export_trace_text, read_region, run)
 from .harness import (PRESETS, compare_engines, run_gne, run_mult,
                       sample_experiment)
 from .oracle import gne_residual, simulate, trajectory_csv
@@ -64,12 +64,12 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     sysd = load_system(args.spec)
     csys = compile_system(sysd)
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = run(csys, max_steps=args.steps, strict=args.strict)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print(f"steps: {trace.steps}  halted: {trace.halted} "
           f"({trace.halt_reason})  wall: {dt:.3f}s")
-    for label in ("@env", sysd.tree.label):
+    for label in (ENV_LABEL, sysd.tree.label):
         ms = read_region(trace.final, label)
         if ms.counts:
             inside = " ".join(f"{s.text}^{c}" if c > 1 else s.text
@@ -123,9 +123,9 @@ def cmd_experiment(args) -> int:
     status = 0
     result = None
     if args.engine in ("membrane", "both"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run_gne(spec, strict=args.strict)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         _write(os.path.join(out_dir, "counts_membrane.csv"), result.csv())
         print(f"membrane route: {result.trace.steps} steps in {dt:.2f}s")
         lines.append(f"membrane steps: {result.trace.steps}")

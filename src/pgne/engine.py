@@ -10,7 +10,7 @@ the tree's labels and the rules' conditions, not on initial contents or
 rule products.  `compile_system` does that part once per such plan, keeps
 the last plan, and shares it whole among the systems that have it, such
 as sampled games of one shape, which differ only in the products of a few
-rules.  Products therefore live apart from the compiled rules, in
+rules.  Products therefore live apart from the compiled rules, in two
 per-system lists.
 
 Step semantics, fixed here and relied on by every test in the suite:
@@ -22,8 +22,9 @@ Step semantics, fixed here and relied on by every test in the suite:
     priority order, tie-broken by declaration order.  This makes runs
     deterministic and replayable without changing which behaviors are
     reachable for confluent systems.
-  * Priorities are strong: a rule is skipped while some transitively
-    higher-priority rule could still fire against the remaining resources.
+  * Priorities are weak: a rule is skipped while some transitively
+    higher-priority rule could still fire against the remaining resources,
+    so a lower rule takes what the higher rules of the step left.
   * Applicability is gated by the charges membranes had at the start of
     the step; charge changes are staged and committed after all object
     rewriting, and each membrane's charge may be changed by at most one
@@ -71,7 +72,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import attrgetter, is_not, ne
+from operator import attrgetter, ne
 from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -243,7 +244,8 @@ class PSystem:
 class CRule:
     """A rule resolved against the region table, ready for the hot loop.
 
-    Its products are in `CompiledSystem.gives`, so systems share it."""
+    It holds no products, so every system of its plan shares it: each
+    compiled system keeps them in `live_gives` and `inert_gives`."""
 
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
@@ -338,21 +340,16 @@ def _count(rid: str, s: Sym, n: object) -> int:
     return k
 
 
-def _gives(spec: RuleSpec, cr: CRule, parents: List[int]) -> tuple:
-    """The products of spec, compiled as cr, as canonical triples."""
+def _gives(spec: RuleSpec, cr: CRule, plan: "_Plan") -> Tuple[tuple, tuple]:
+    """The products of spec, compiled as cr, in canonical order: (slot,
+    count) pairs for the keys some rule consumes, and (region, symbol,
+    count) triples for the rest."""
     c = spec.child
-    return _triples(spec.id, (parents[cr.target], spec.produce_out),
-                    (cr.target, spec.produce_in),
-                    (cr.child, c.produce if c else {}))
-
-
-def _split(gives: tuple, region_slots: List[Dict[Sym, int]]
-           ) -> Tuple[tuple, tuple]:
-    """gives as (slot, count) pairs for the keys some rule consumes, and
-    as (region, symbol, count) triples for the rest."""
     live, inert = [], []
-    for g in gives:
-        slot = region_slots[g[0]].get(g[1])
+    for g in _triples(spec.id, (plan.parents[cr.target], spec.produce_out),
+                      (cr.target, spec.produce_in),
+                      (cr.child, c.produce if c else {})):
+        slot = plan.region_slots[g[0]].get(g[1])
         if slot is None:
             inert.append(g)
         else:
@@ -365,10 +362,10 @@ def _split(gives: tuple, region_slots: List[Dict[Sym, int]]
 _PLAN: Optional["_Plan"] = None
 
 # A rule's fields that its plan depends on, its child pattern with its
-# products included, and the products a binding may change.
+# products included.  Two rules equal in these differ at most in
+# `produce_out` and `produce_in`, which a binding patches.
 _CONDITIONS = attrgetter("id", "target", "pre", "post", "consume_out",
                          "consume_in", "child")
-_PRODUCTS = attrgetter("produce_out", "produce_in")
 
 
 class _Plan:
@@ -377,20 +374,18 @@ class _Plan:
     That is the region table, from the tree's labels and parents, and the
     rules resolved from each rule's id, target, charges, consumed
     multisets and child pattern, with the priority order and the indexes
-    over them.  `gives` holds the products of the system the plan was
-    built from.  A plan holds no system and no container a caller can
-    reach: it keeps the system's rules, which are immutable, by reference,
-    and the labels, the rule list and the priority list in lists of its own.
+    over them.  `live_gives` and `inert_gives` hold the products of the
+    rules in `specs`, the system the plan was built from.  A plan holds no
+    system and no container a caller can reach: it keeps the system's
+    rules, which are immutable, by reference, and the labels, the rule
+    list and the priority list in lists of its own.
     """
 
     def __init__(self, sys: PSystem, nodes: list) -> None:
         specs = sys.rules
-        # What `unshared` compares, and the products the plan's gives were
-        # compiled from.
+        # What `patches` compares.
         self.nodes = nodes
         self.specs = list(specs)
-        self.conditions = list(map(_CONDITIONS, specs))
-        self.products = list(map(_PRODUCTS, specs))
         self.priority = list(sys.priority)
         self.pairs = frozenset(self.priority)
 
@@ -464,8 +459,6 @@ class _Plan:
             cr = self.rules[i]
             cr.order = pos
             self.ordered.append(cr)
-        self.gives = [_gives(specs[i], self.rules[i], self.parents)
-                      for i in order]
 
         # Transitive closure of "strictly higher priority than", for the
         # rules some edge reaches (the rest keep higher == ()): in topological
@@ -507,35 +500,38 @@ class _Plan:
         self.watch: List[List[CRule]] = [[] for _ in self.slot_key]
         for cr in self.rules:
             self.watch[cr.takes[0][0]].append(cr)
-        split = [_split(g, self.region_slots) for g in self.gives]
-        self.live_gives = [live for live, _ in split]
-        self.inert_gives = [inert for _, inert in split]
+        gives = [_gives(specs[i], self.rules[i], self) for i in order]
+        self.live_gives = [live for live, _ in gives]
+        self.inert_gives = [inert for _, inert in gives]
 
-    def unshared(self, nodes: list, specs: List[RuleSpec],
-                 priority: List[Tuple[str, str]]) -> Optional[List[bool]]:
-        """Per rule of specs, whether it is not the plan's own object, if
+    def patches(self, nodes: list, specs: List[RuleSpec],
+                priority: List[Tuple[str, str]]) -> Optional[List[int]]:
+        """The places of the rules of specs that differ from the plan's, if
         the system of nodes, specs and priority has this plan; else None.
 
-        A rule that is the plan's own object at its place matches whole;
-        the others' conditions are compared, and the priority list as a set
-        only where it differs as a list.
+        A rule equal in value to the plan's rule at its place matches
+        whole, be it the plan's own object, an equal copy or a parsed twin.
+        Only the differing rules have their conditions compared; if those
+        match, such a rule differs in its products alone.  The priority
+        list is compared as a set only where it differs as a list.
         """
-        if len(specs) != len(self.specs) or nodes != self.nodes:
+        mine = self.specs
+        if len(specs) != len(mine) or nodes != self.nodes:
             return None
-        other = list(map(is_not, specs, self.specs))
-        if (list(map(_CONDITIONS, compress(specs, other)))
-                != list(compress(self.conditions, other))):
-            return None
+        diff = list(compress(count(), map(ne, specs, mine)))
+        for i in diff:
+            if _CONDITIONS(specs[i]) != _CONDITIONS(mine[i]):
+                return None
         # Pair order and repeats change neither the order nor the closure.
         if priority != self.priority and frozenset(priority) != self.pairs:
             return None
-        return other
+        return diff
 
 
 class CompiledSystem:
     """A PSystem lowered to index arrays plus the derived total order.
 
-    All but `source`, the initial contents and charges and the three
+    All but `source`, the initial contents and charges and the two
     product lists is its plan's own: the region table, the compiled rules,
     their total order, the slots and the selection index.  A plan depends
     only on the tree's labels and parents, on each rule's id, target,
@@ -546,18 +542,17 @@ class CompiledSystem:
     int: `region_slots[r]` maps each such symbol of region r to its slot,
     and `slot_key` maps a slot back to its (region, symbol).  `watch[slot]`
     holds the rules whose first need is that slot; a rule's `takes` are
-    its needs as (slot, count) pairs.  `gives[cr.order]` holds rule cr's
-    products as (region, symbol, count) triples, and `live_gives` and
-    `inert_gives` split them into (slot, count) pairs and the triples of
-    keys no rule consumes.  The three are the plan's lists unless some
-    rule's `produce_out` or `produce_in` differs from the plan's.
-    Compiled systems are read-only.  The last plan compiled stays cached.
+    its needs as (slot, count) pairs.  Rule cr's products are
+    `live_gives[cr.order]`, (slot, count) pairs, and
+    `inert_gives[cr.order]`, (region, symbol, count) triples of the keys no
+    rule consumes.  The two are the plan's lists unless some rule's
+    `produce_out` or `produce_in` differs from the plan's.  Compiled
+    systems are read-only.  The last plan compiled stays cached.
     """
 
     def __init__(self, plan: _Plan, sys: PSystem, live: Dict[int, int],
                  inert: List[Dict[Sym, int]], charges: List[int],
-                 gives: List[tuple], live_gives: List[tuple],
-                 inert_gives: List[tuple]) -> None:
+                 live_gives: List[tuple], inert_gives: List[tuple]) -> None:
         self.source = sys
         self.region_labels = plan.region_labels
         self.parents = plan.parents
@@ -569,7 +564,6 @@ class CompiledSystem:
         self.slot_key = plan.slot_key
         self.region_slots = plan.region_slots
         self.watch = plan.watch
-        self.gives = gives
         self.live_gives = live_gives
         self.inert_gives = inert_gives
         self._live = live
@@ -641,15 +635,15 @@ def compile_system(sys: PSystem) -> CompiledSystem:
     a plan lists needs and gives in canonical order.  Rules are immutable
     and the plan keeps the labels, the rules and the priority pairs in
     lists of its own, so a later change to sys (its rule list, its
-    priority list or its tree) cannot change it.  A rule that is the
-    plan's own object at its place matches it whole, so only the other
-    rules' conditions and products are compared (see `_Plan.unshared`).
-    Otherwise a new plan is built, and replaces the cached one; a
-    malformed system raises StructureError and leaves the cache alone.
-    Every compile then binds sys to its plan: it keeps sys as `source`,
-    copies the initial contents into the two stores and the charges, and
-    takes the plan's product lists, copied and patched where a rule's
-    products are not the plan's.
+    priority list or its tree) cannot change it.  One value compare of
+    the rule lists, in C, finds the rules that differ from the plan's at
+    their place, and only their conditions are compared (see
+    `_Plan.patches`).  If the plan does not match, a new one is built and
+    replaces the cached one; a malformed system raises StructureError and
+    leaves the cache alone.  Every compile then binds sys to its plan: it
+    keeps sys as `source`, copies the initial contents into the two stores
+    and the charges, and takes the plan's two product lists, copied and
+    patched at the differing rules if there are any.
     """
     global _PLAN
     nodes: list = []  # each membrane's label and its parent's, in walk order
@@ -661,25 +655,22 @@ def compile_system(sys: PSystem) -> CompiledSystem:
         charges.append(node.charge)
     specs = sys.rules
     plan = _PLAN
-    other = None if plan is None else plan.unshared(nodes, specs, sys.priority)
-    if other is None:
+    diff = None if plan is None else plan.patches(nodes, specs, sys.priority)
+    if diff is None:
         plan = _PLAN = _Plan(sys, nodes)
-        other = []  # its products are the plan's
+        diff = []  # its products are the plan's
     live: Dict[int, int] = {}
     inert: List[Dict[Sym, int]] = [{} for _ in plan.parents]
     for r, ms in enumerate(contents, start=1):
         _place(plan.region_slots[r], plan.region_labels[r], ms, live, inert[r])
-    gives, live_gives, inert_gives = plan.gives, plan.live_gives, plan.inert_gives
-    for i in compress(compress(count(), other),
-                      map(ne, map(_PRODUCTS, compress(specs, other)),
-                          compress(plan.products, other))):
-        if gives is plan.gives:
-            gives, live_gives, inert_gives = (
-                list(gives), list(live_gives), list(inert_gives))
-        cr = plan.rules[i]
-        g = gives[cr.order] = _gives(specs[i], cr, plan.parents)
-        live_gives[cr.order], inert_gives[cr.order] = _split(g, plan.region_slots)
-    return CompiledSystem(plan, sys, live, inert, charges, gives, live_gives,
+    live_gives, inert_gives = plan.live_gives, plan.inert_gives
+    if diff:
+        live_gives, inert_gives = list(live_gives), list(inert_gives)
+        for i in diff:
+            cr = plan.rules[i]
+            live_gives[cr.order], inert_gives[cr.order] = _gives(
+                specs[i], cr, plan)
+    return CompiledSystem(plan, sys, live, inert, charges, live_gives,
                           inert_gives)
 
 

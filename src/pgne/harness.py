@@ -147,7 +147,7 @@ def mult_sweep(max_m: int = 100, max_n: int = 100
     csys = compile_system(build_mult_system(0, 0))
     mc, cyc, mp = sym("mcand"), sym("cyc1"), sym("mplier")
     failures: List[MultReport] = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for m in range(max_m + 1):
         budget = mult_steps(m) + 10
         for n in range(max_n + 1):
@@ -156,7 +156,7 @@ def mult_sweep(max_m: int = 100, max_n: int = 100
             rep = _mult_report(m, n, trace)
             if not rep.ok:
                 failures.append(rep)
-    return failures, time.time() - t0
+    return failures, time.perf_counter() - t0
 
 
 # ============================================================

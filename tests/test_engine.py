@@ -723,8 +723,9 @@ def test_counts_equal_to_ints_compile_as_those_ints():
     # A plan compares counts by value, so 1.0 and True match a plan built
     # with 1; a cold compile reads them as 1 too.
     def view(csys):
-        counts = [n for cr in csys.rules
-                  for _, _, n in (*cr.needs, *csys.gives[cr.order])]
+        counts = [t[-1] for cr in csys.rules
+                  for t in (*cr.needs, *csys.live_gives[cr.order],
+                            *csys.inert_gives[cr.order])]
         return compiled_view(csys, 3), list(map(type, counts))
     want = view(compile_system(counted()))
     assert want[1] == [int] * 4
@@ -759,9 +760,8 @@ def compiled_view(csys, budget):
     own = set(map(id, csys.rules))
     return (export_trace_text(run(csys, max_steps=budget)),
             [cr.id for cr in csys.ordered],
-            [(cr.id, cr.needs, csys.gives[cr.order], [h.id for h in cr.higher],
-              cr.takes, cr.rest, csys.live_gives[cr.order],
-              csys.inert_gives[cr.order])
+            [(cr.id, cr.needs, [h.id for h in cr.higher], cr.takes, cr.rest,
+              csys.live_gives[cr.order], csys.inert_gives[cr.order])
              for cr in csys.rules],
             list(csys.buckets), csys.slot_key,
             [[cr.id for cr in w] for w in csys.watch],
@@ -858,7 +858,8 @@ def test_games_of_one_shape_share_all_but_their_coefficient_rules():
     # The kickoff and the pricing rules carry the coefficients; a pricing
     # row the two games happen to share keeps the plan's products.
     own = [cr.id for cr in one.rules
-           if one.gives[cr.order] != other.gives[cr.order]]
+           if (one.live_gives[cr.order], one.inert_gives[cr.order])
+           != (other.live_gives[cr.order], other.inert_gives[cr.order])]
     assert own[0] == "S1R02" and len(own) > 1
     assert all(rid.startswith("S1R07_") for rid in own[1:])
     assert len(own) <= 9
@@ -894,8 +895,8 @@ def _new_pair(sysd):
     sysd.priority[0] = ("S1R05", "S1R06")
 
 
-# Edits of a built default game, one thing at a time, and whether each
-# builds a new plan once a game of its shape has compiled.
+# Edits of a default game, one thing at a time, and whether each builds a
+# new plan once a game of its shape has compiled.
 _ONE_EDIT = {
     "equal copy of a rule": (_copy_rule, 0),
     "consumed count": (_swap("S5R39_k01_i03_n000",
@@ -907,12 +908,17 @@ _ONE_EDIT = {
 }
 
 
-@pytest.mark.parametrize("name", list(_ONE_EDIT))
-def test_a_plan_check_compares_what_is_not_the_plans_own(plans, name):
-    # Rules that are the plan's own objects match it by identity; an equal
-    # copy, a changed rule and the priority list are compared by value.
+@pytest.mark.parametrize("name, kind", [
+    *(pytest.param(name, game, id=name) for name in _ONE_EDIT),
+    *(pytest.param(name, parsed, id=f"parsed, {name}") for name in _ONE_EDIT)])
+def test_a_plan_check_compares_what_is_not_the_plans_own(plans, name, kind):
+    # A rule equal in value to the plan's at its place matches it whole,
+    # be it the plan's own object, an equal copy or a parsed twin; only a
+    # rule that differs has its conditions compared.  The priority list is
+    # compared as a set.  A built game compiles first, so a parsed system
+    # shares no rule object with the plan.
     edit, builds = _ONE_EDIT[name]
-    make, budget = game(sample_experiment(1, "default"))
+    make, budget = kind(sample_experiment(1, "default"))
     sysd = make()
     edit(sysd)
     want = cold_view(sysd, budget)
@@ -924,7 +930,8 @@ def test_a_plan_check_compares_what_is_not_the_plans_own(plans, name):
     assert compiled_view(csys, budget) == want
     if name == "products only":
         at = {cr.id: cr.order for cr in csys.rules}["S5R39_k01_i03_n000"]
-        assert csys.gives[at] != warm.gives[at]
+        assert ((csys.live_gives[at], csys.inert_gives[at])
+                != (warm.live_gives[at], warm.inert_gives[at]))
 
 
 def _setitem(ms):

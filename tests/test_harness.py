@@ -122,6 +122,15 @@ def test_mult_sweep_small_block():
     assert elapsed < 30
 
 
+def test_mult_sweep_times_on_a_monotonic_clock(monkeypatch):
+    # A wall clock can step back (NTP, a manual set); a duration must not.
+    wall = iter(range(10**6, 0, -1))
+    monkeypatch.setattr(harness.time, "time", lambda: float(next(wall)))
+    failures, elapsed = mult_sweep(1, 1)
+    assert failures == []
+    assert elapsed >= 0
+
+
 # ============================================================
 # Membrane-run driver
 # ============================================================

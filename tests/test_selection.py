@@ -3,8 +3,9 @@
 `maximal_step` examines only rules whose consumed slots are all present
 in the live store at the start of the step.  The reference below keeps a
 dict per region instead and walks every rule of the total order, with
-the same per-rule checks, and the property test requires identical
-records, ambiguities and final states on small random systems.
+the same per-rule checks, and reads each rule's products off its source
+`RuleSpec` rather than the compiled lists.  The property test requires
+identical records, ambiguities and final states on small random systems.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ class RefState:
         self.contents = [{}] + [dict(node.contents.counts) for node in nodes]
         self.charges = [NEUTRAL] + [node.charge for node in nodes]
         self.step = 0
+        self.specs = {spec.id: spec for spec in csys.source.rules}
+
+
+def products(spec: RuleSpec, cr: CRule, parents: List[int]
+             ) -> List[Tuple[int, Sym, int]]:
+    """(region, symbol, count) of each product, read off the source rule:
+    `produce_out` goes to the target's parent, `produce_in` to the target
+    and the child pattern's `produce` to the child."""
+    parts = [(parents[cr.target], spec.produce_out),
+             (cr.target, spec.produce_in)]
+    if spec.child is not None:
+        parts.append((cr.child, spec.child.produce))
+    return [(r, s, n) for r, ms in parts for s, n in ms.items()]
 
 
 def fireable(cr: CRule, avail: List[Dict[Sym, int]], charges: List[int],
@@ -88,7 +102,7 @@ def reference_step(cfg: RefState, strict: bool,
             if not avail[r][s]:
                 del avail[r][s]
             consumers.setdefault((r, s), []).append(cr)
-        for r, s, n in csys.gives[cr.order]:
+        for r, s, n in products(cfg.specs[cr.id], cr, csys.parents):
             deltas[(r, s)] = deltas.get((r, s), 0) + n * k
         for r in cr.locks:
             locked[r] = True
