@@ -134,6 +134,9 @@ def cmd_experiment(args) -> int:
         for lt in result.timings:
             lines.append(f"  loop {lt.loop}: steps {lt.total} "
                          f"payoff at +{lt.payoff_step - lt.start + 1}")
+        if result.trace.ambiguities:
+            steps = {a.step for a in result.trace.ambiguities}
+            lines.append(f"ambiguous steps: {len(steps)}")
         for w in result.warnings:
             lines.append(f"warning: {w}")
             status = 1
@@ -197,7 +200,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--engine", default="both",
                    choices=["membrane", "oracle", "both"])
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--strict", action="store_true",
+                   help="flag starved concurrent rule applications")
     p.set_defaults(fn=cmd_experiment)
 
     args = top.parse_args(argv)

@@ -22,9 +22,20 @@ Step semantics, fixed here and relied on by every test in the suite:
     priority order, tie-broken by declaration order.  This makes runs
     deterministic and replayable without changing which behaviors are
     reachable for confluent systems.
-  * Priorities are weak: a rule is skipped while some transitively
+  * Priorities are weak: a rule never applies while some transitively
     higher-priority rule could still fire against the remaining resources,
-    so a lower rule takes what the higher rules of the step left.
+    so a lower rule takes what the higher rules of the step left.  The
+    greedy walk gives this by construction, with no check of its own.
+    Every higher rule comes earlier in the total order, and once the walk
+    has passed a rule, that rule cannot fire for the rest of the step.  If
+    it was no candidate, a charge mismatched (charges do not change during
+    selection) or a needed slot was absent (the live store only shrinks).
+    If a lock stopped it, locks stay set.  If it counted 0, the residual
+    only shrinks.  If it applied without a lock, it applied as often as
+    its scarcest need allowed, so that slot now holds too little; with a
+    lock, it applied once and locked its membranes.  So when the walk
+    reaches a rule, none of its higher rules can fire.  `CRule.higher`
+    serves strict mode only, to tell ordered rules from incomparable ones.
   * Applicability is gated by the charges membranes had at the start of
     the step; charge changes are staged and committed after all object
     rewriting, and each membrane's charge may be changed by at most one
@@ -75,7 +86,7 @@ from itertools import compress, count
 from operator import attrgetter, ne
 from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+                    Optional, Tuple)
 
 from .symbols import Multiset, Sym
 
@@ -281,27 +292,6 @@ class CRule:
         self.locks = tuple([r for r, _ in flips])
         self.higher: Tuple["CRule", ...] = ()
 
-    def fireable(self, live: Dict[int, int], charges: Sequence[int],
-                 locked: List[bool]) -> bool:
-        """True if one application could fire right now.
-
-        Resource test runs against `live` (residual start-of-step
-        resources by slot); charge test against start-of-step charges; a
-        rule whose charge change hits an already locked membrane cannot
-        fire.
-        """
-        if charges[self.target] != self.pre:
-            return False
-        if self.child >= 0 and charges[self.child] != self.child_pre:
-            return False
-        for slot, n in self.takes:
-            if live.get(slot, 0) < n:
-                return False
-        for r in self.locks:
-            if locked[r]:
-                return False
-        return True
-
     def max_count(self, live: Dict[int, int]) -> int:
         k = None
         for slot, n in self.takes:
@@ -463,6 +453,7 @@ class _Plan:
         # Transitive closure of "strictly higher priority than", for the
         # rules some edge reaches (the rest keep higher == ()): in topological
         # order every rule's set is complete before its edges pass it on.
+        # Only strict mode reads it, through `comparable`.
         above: Dict[int, set] = {}
         for a in order:
             ups = above.get(a, ())
@@ -845,13 +836,6 @@ def maximal_step(cfg: Configuration,
                                 ambiguities.append(Ambiguity(
                                     cfg.step, csys.region_labels[r], s,
                                     culprit.id, cr.id))
-            continue
-        blocked = False
-        for h in cr.higher:
-            if h.fireable(live, charges, locked):
-                blocked = True
-                break
-        if blocked:
             continue
         if cr.locks:
             k = 1

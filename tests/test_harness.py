@@ -362,6 +362,21 @@ def test_cli_run_strict_counts_steps_not_races(tmp_path, capsys):
     assert "steps: 1 " in out and "ambiguous steps: 1\n" in out
 
 
+def test_cli_experiment_strict_reports_ambiguous_steps(tmp_path, capsys):
+    # default/27 collects 8 ambiguities over 4 steps; the exit status
+    # stays that of the run without --strict.
+    out = str(tmp_path / "exp")
+    args = ["experiment", "--seed", "27", "--engine", "membrane",
+            "--out", out]
+    assert main(args) == 0
+    assert "ambiguous" not in capsys.readouterr().out
+    assert main(args + ["--strict"]) == 0
+    printed = capsys.readouterr().out
+    assert "ambiguous steps: 4\n" in printed
+    with open(os.path.join(out, "report.txt")) as fh:
+        assert fh.read() == printed.split("\n", 1)[1]
+
+
 def test_cli_build_needs_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["build"])

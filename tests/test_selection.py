@@ -6,6 +6,14 @@ dict per region instead and walks every rule of the total order, with
 the same per-rule checks, and reads each rule's products off its source
 `RuleSpec` rather than the compiled lists.  The property test requires
 identical records, ambiguities and final states on small random systems.
+
+The reference also skips a rule while some rule of its `higher` set
+could still fire against the residual, as weak priority says.  The
+engine makes no such check: every higher rule comes earlier in the total
+order, and a rule the walk has passed cannot fire for the rest of the
+step (it was no candidate, was locked out, counted 0, or applied as often
+as it could), so the check could never skip anything.  The reference
+counts its skips, and the property test requires that count to be 0.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ class RefState:
         self.contents = [{}] + [dict(node.contents.counts) for node in nodes]
         self.charges = [NEUTRAL] + [node.charge for node in nodes]
         self.step = 0
+        # Rules skipped because a higher rule could still fire: always 0.
+        self.priority_skips = 0
         self.specs = {spec.id: spec for spec in csys.source.rules}
 
 
@@ -94,6 +104,7 @@ def reference_step(cfg: RefState, strict: bool,
         if k == 0:
             continue
         if any(fireable(h, avail, charges, locked) for h in cr.higher):
+            cfg.priority_skips += 1
             continue
         if cr.locks:
             k = 1
@@ -176,3 +187,4 @@ def test_indexed_selection_matches_full_scan(sysd: PSystem, strict: bool):
     assert tr.ambiguities == ambiguities
     assert tr.final.contents == cfg.contents
     assert tr.final.charges == cfg.charges
+    assert cfg.priority_skips == 0

@@ -11,13 +11,17 @@ those it checks the definition of a step with weak priorities:
   * every applied rule's target and child charges match at step start;
   * each membrane takes at most one charge-changing application, with
     count 1;
-  * no applied rule has a higher-priority rule (transitively) that is
-    still applicable to the residual;
+  * no applied rule has a higher-priority rule (transitively) that would
+    still be applicable to the residual if every rule below that higher
+    rule gave back what it took, so a lower rule only takes what the
+    rules it does not outrank left;
   * and the multiset is maximal: adding any single application breaks
     one of the above.
 
 It does not enumerate the maximal multisets, so it does not say which one
-the engine should pick.
+the engine should pick.  A second test checks every step of two systems
+the builder makes, whose priority families the random systems lack, on
+all but maximality, which would try each of a thousand rules per step.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from hypothesis import given, settings
 
+from pgne.builder import build_gne_system, build_mult_system
 from pgne.engine import (ENV_LABEL, PSystem, RuleSpec, compile_system,
                          maximal_step)
+from pgne.harness import sample_experiment
 from pgne.symbols import Sym
 from test_selection import systems
 
@@ -114,14 +120,18 @@ def valid(rules: Dict[str, Rule], above: Dict[str, Set[str]],
             if k != 1 or rule.flips & changed:
                 return False
             changed |= rule.flips
-    for rid in apps:
-        for hid in above[rid]:
-            h = rules[hid]
-            if (all(charges[r] == c for r, c in h.guard)
-                    and all(left.get(key, 0) >= n
-                            for key, n in h.needs.items())
-                    and not h.flips & changed):
-                return False
+    # A higher rule h may not be left able to fire even if every rule
+    # below it gave back what it took: a lower rule takes only what the
+    # rules it does not outrank left.
+    for hid in set().union(*(above[rid] for rid in apps)):
+        h = rules[hid]
+        kept = {g: k for g, k in apps.items() if hid not in above[g]}
+        left = residual(rules, kept, start)
+        locked = set().union(*(rules[g].flips for g in kept))
+        if (all(charges[r] == c for r, c in h.guard)
+                and all(left.get(key, 0) >= n for key, n in h.needs.items())
+                and not h.flips & locked):
+            return False
     return True
 
 
@@ -148,3 +158,25 @@ def test_each_step_is_a_maximal_valid_multiset(sysd: PSystem):
             assert not valid(rules, above, more, start, charges), rid
         if not record:
             break
+
+
+def test_builder_runs_take_valid_steps():
+    for sysd in (build_gne_system(sample_experiment(2, "small")),
+                 build_mult_system(13, 9)):
+        labels, parents = regions(sysd)
+        rules = {spec.id: resolve(spec, labels, parents)
+                 for spec in sysd.rules}
+        above = higher_than(sysd)
+        assert any(above.values())
+        cfg = compile_system(sysd).initial_configuration()
+        for step in range(5000):
+            start = {(r, s): n for r, ms in enumerate(cfg.contents)
+                     for s, n in ms.items()}
+            charges = list(cfg.charges)
+            record = maximal_step(cfg)
+            if not record:
+                break
+            apps = {cr.id: k for cr, k in record}
+            assert len(apps) == len(record)
+            assert valid(rules, above, apps, start, charges), step
+        assert step > 0 and not record
