@@ -209,7 +209,8 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     `loop_steps_bound(r_disc) * (loops + 1)`: one loop more than the run
     performs.  Each loop whose stages miss `stage_steps` at its start
     state, and each region that holds waste at halt, adds one warning, as
-    do fewer loop windows than loops (a kickoff that never fired).
+    do fewer loop windows than loops (a kickoff that never fired) and a
+    skin whose err count is not the err the loops formed.
     """
     co = payoff_coefficients(spec)
     warnings: List[str] = []
@@ -220,10 +221,16 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
         warnings.append(f"budget exhausted after {trace.steps} steps")
     timings = stage_boundaries(trace)
 
-    # Exported counts, keyed by the loop stamp.
-    skin = read_region(trace.final, "0", base="result")
+    # Exported counts, keyed by the loop stamp, and the err tokens that
+    # each player's S5R50 moved out to the skin.
+    skin = read_region(trace.final, "0")
     by_loop: Dict[int, Dict[KI, int]] = {}
+    err_skin = 0
     for s, cnt in skin.items():
+        if s.base != "result":
+            if s.base == "err":
+                err_skin += cnt
+            continue
         k, i, l, nn = s.params
         if co.l_of.get((k, i)) != l:
             warnings.append(f"export index mismatch for {s.text}")
@@ -242,6 +249,9 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
             for k in err_run:
                 err_run[k] += _applied(timings[nn - 1], _ERR, k)
         states.append(StateZ(counts, dict(err_run)))
+    if err_skin != sum(states[-1].err.values()):
+        warnings.append(f"skin holds {err_skin} err, the loops formed "
+                        f"{sum(states[-1].err.values())}")
     if len(states) - 1 != spec.loops:
         warnings.append(
             f"completed {len(states) - 1} of {spec.loops} iterations")

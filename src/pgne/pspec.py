@@ -30,19 +30,32 @@ count equal to a positive int, such as 2.0, is written as that int.
 Parse errors give the line and column of the offending token where there
 is one.
 
-The lexer is one `findall` pass that returns the token texts as plain
-strings.  Each match tries a token, with the whitespace after it, before
-a whitespace run or a comment; a character that starts none of these is
-a one-character 'bad' token.  A memo local to the parse reads each
-distinct text, so each distinct symbol, once, into a plain tuple shared
-by all its occurrences.  Token offsets are not kept; an error finds them
-with one more scan.
+The lexer works line by line.  A scan matches a token, with the
+whitespace after it, before a whitespace run or a comment; a character
+that starts none of these is a one-character 'bad' token.  A line is read
+by its space-separated pieces, each distinct piece scanned and read once
+into a tuple of plain token tuples shared by all its occurrences; a line
+with a comment, or with a piece that fails alone (a parameter list with a
+space in it), is scanned whole.  Only a text in which some line fails to
+lex alone (an error, or a parameter list that runs past a newline) is
+scanned at once, and every lexing error comes from that scan.  Token
+offsets are not kept; an error finds them with one more scan.
+
+Consecutive systems of one shape share most rules, and most rule lines.
+A table kept for the last text parsed or system serialized lets the next
+parse take a line it saw before, and its tokens, and a rule statement
+that is such a line, unless the next line goes on with a clause; and
+lets the next serialize take the line of a rule object it wrote or read
+before.  A serialized system so parses back to its own rule objects.
+The table holds one system's rules and one text's lines, and changes
+no outcome: each reused value is the one a fresh read gives.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
@@ -158,21 +171,136 @@ def _read(tok: str) -> Tok:
             int(count) if count else 1)
 
 
-def _lex(text: str) -> List[Tok]:
-    """The tokens of text, ending in eof."""
+_EOF: Tok = ("eof", "", None, 1)
+
+
+class _Reader(dict):
+    """Text to the tuple of its tokens, scanned and read on its first
+    lookup, or taken from the reader of the previous text."""
+
+    __slots__ = ("prev",)
+
+    def __init__(self, prev: Dict[str, Tuple[Tok, ...]]) -> None:
+        super().__init__()
+        self.prev = prev
+
+    def __missing__(self, text: str) -> Tuple[Tok, ...]:
+        toks = self.prev.get(text)
+        if toks is None:
+            toks = tuple(map(_read, filter(None, _SCAN.findall(text))))
+        self[text] = toks
+        return toks
+
+
+def _lex_whole(text: str, reader: _Reader) -> List[Tok]:
+    """The tokens of text, without eof, from one scan of the whole text.
+
+    Texts are read in order of occurrence, so the first bad text raises,
+    at its first occurrence: the first text the reader lacks after that.
+    """
     texts = list(filter(None, _SCAN.findall(text)))
-    # Each distinct text is read once, in order of first occurrence, so
-    # the first bad text raises, at its first occurrence.
-    seen: Dict[str, Tok] = {}
-    for tok in dict.fromkeys(texts):
-        try:
-            seen[tok] = _read(tok)
-        except PSpecError as e:
-            pos = _starts(text)[texts.index(tok)]
-            raise _error(text, str(e), pos) from None
-    toks = list(map(seen.__getitem__, texts))
-    toks.append(("eof", "", None, 1))
-    return toks
+    try:
+        return list(chain.from_iterable(map(reader.__getitem__, texts)))
+    except PSpecError as e:
+        bad = next(i for i, tok in enumerate(texts) if tok not in reader)
+        raise _error(text, str(e), _starts(text)[bad]) from None
+
+
+def _lex(text: str, lines_toks: Dict[str, Tuple[Tok, ...]],
+         prev: Dict[str, Tuple[Tok, ...]]):
+    """The tokens of text, ending in eof; the line and its end token index
+    at each token index that starts a line; each line's tokens; the reader.
+
+    A line in lines_toks reuses its tokens.  Any other line is read by its
+    space-separated pieces, each of which the reader scans once, or if it
+    has a comment or a piece fails, scanned whole.  If some line does not
+    lex alone (an error, or a parameter list that runs past a newline),
+    the whole text is scanned at once and no line is known.
+    """
+    lines = text.split("\n")
+    reader = _Reader(prev)
+    read = reader.__getitem__
+
+    def line_tokens(line: str) -> Tuple[Tok, ...]:
+        # No token holds a space but a parameter list, whose piece then
+        # fails as unterminated; a comment may hold anything.
+        if "#" not in line:
+            try:
+                return tuple(chain.from_iterable(map(read, line.split(" "))))
+            except PSpecError:
+                pass
+        return tuple(chain.from_iterable(
+            map(read, filter(None, _SCAN.findall(line)))))
+
+    known = lines_toks.get
+    try:
+        per_line = [known(line) or line_tokens(line) for line in lines]
+    except PSpecError:
+        toks = _lex_whole(text, reader)
+        toks.append(_EOF)
+        return toks, {}, {}, reader
+    starts = list(accumulate(map(len, per_line), initial=0))
+    toks = list(chain.from_iterable(per_line))
+    toks.append(_EOF)
+    # A blank line starts where the next line does; the later line wins.
+    heads = dict(zip(starts, zip(lines, starts[1:])))
+    return toks, heads, dict(zip(lines, per_line)), reader
+
+
+# ============================================================
+# Reuse table
+# ============================================================
+
+
+# What the last text parsed or system serialized leaves for the next one.
+# An entry is a list [line, rule, exact, written, bases]: a rule line
+# without its newline; the rule; whether a parse of the line gives that
+# very value; whether the line is the one serialize writes for the rule;
+# and the symbol bases of the rule.  Each of the last three is None until
+# asked.  A parse makes an entry for each rule that is a whole line, a
+# serialize one for each rule.  The table holds the entries of the last
+# of them, and the tokens of each line and of each piece read of the last
+# text parsed.  Rules are immutable, so an entry stays true while it is
+# held; the table holds one system's entries, and one text's tokens.
+_Table = Tuple[List[list], Dict[str, Tuple[Tok, ...]],
+               Dict[str, Tuple[Tok, ...]]]
+_COLD: _Table = ([], {}, {})
+_LINES: _Table = _COLD
+_LINE = itemgetter(0)
+_RULE = itemgetter(1)
+
+
+def _exact(e: list) -> bool:
+    """Whether a parse of e's line gives e's rule itself: no subclass, str
+    names, int charges and counts, and interned symbols, as a parse makes
+    them."""
+    if e[2] is None:
+        r = e[1]
+        c = r.child
+        names, ints = [r.id, r.target], [r.pre, r.post]
+        msets = [r.consume_out, r.produce_out, r.consume_in, r.produce_in]
+        if c is not None:
+            names.append(c.label)
+            ints += c.pre, c.post
+            msets += c.consume, c.produce
+        ints += chain.from_iterable(ms.values() for ms in msets)
+        e[2] = (type(r) is RuleSpec and (c is None or type(c) is ChildPattern)
+                and all(type(x) is str for x in names)
+                and all(type(x) is int for x in ints)
+                and all(sym(s.base, *s.params) is s
+                        for s in chain.from_iterable(msets)))
+    return e[2]
+
+
+def _bases(e: list) -> frozenset:
+    """The symbol bases of e's rule."""
+    if e[4] is None:
+        r = e[1]
+        msets = [r.consume_out, r.produce_out, r.consume_in, r.produce_in]
+        if r.child is not None:
+            msets += r.child.consume, r.child.produce
+        e[4] = frozenset(s.base for ms in msets for s in ms)
+    return e[4]
 
 
 # ============================================================
@@ -181,12 +309,18 @@ def _lex(text: str) -> List[Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, table: _Table) -> None:
         self.text = text
-        self.tokens = _lex(text)
+        self.known = dict(zip(map(_LINE, table[0]), table[0]))
+        self.tokens, self.heads, self.lines, self.reader = _lex(
+            text, table[1], table[2])
         self.pos = 0
         # Index of the first token of each symbol base, in text order.
         self.bases: Dict[str, int] = {}
+        # The entry of each rule that is a whole line; those of them the
+        # table gave, whose bases are not in self.bases.
+        self.entries: List[list] = []
+        self.reused: List[list] = []
 
     def peek(self) -> Tok:
         return self.tokens[self.pos]
@@ -287,9 +421,21 @@ class _Parser:
         return pre, self.take("charge", what="charge")[2]
 
     def rule(self) -> RuleSpec:
+        toks, i = self.tokens, self.pos
+        # A rule that is a whole line known to the table is the table's
+        # rule, unless the next line goes on with a clause.
+        head = self.heads.get(i)
+        if head is not None:
+            e = self.known.get(head[0])
+            if e is not None:
+                t = toks[head[1]]
+                if (t[0] != "word" or t[1] not in _CLAUSES) and _exact(e):
+                    self.pos = head[1]
+                    self.entries.append(e)
+                    self.reused.append(e)
+                    return e[1]
         # The header, rule 'id at 'target ^pre -> ^post, in one check; the
         # eof token fails it before the check runs past the last token.
-        toks, i = self.tokens, self.pos
         if not (toks[i + 1][0] == "label" and toks[i + 2][:2] == ("word", "at")
                 and toks[i + 3][0] == "label" and toks[i + 4][0] == "charge"
                 and toks[i + 5][1] == "->" and toks[i + 6][0] == "charge"):
@@ -318,10 +464,12 @@ class _Parser:
             else:
                 clauses[word] = self.multiset("->"), self.multiset(")")
             t = toks[self.pos]
-        return RuleSpec(toks[i + 1][1], toks[i + 3][1], toks[i + 4][2],
-                        toks[i + 6][2], *(clauses.get("out") or ({}, {})),
-                        *(clauses.get("in") or ({}, {})),
-                        clauses.get("child"))
+        r = RuleSpec(toks[i + 1][1], toks[i + 3][1], toks[i + 4][2],
+                     toks[i + 6][2], *(clauses.get("out") or ({}, {})),
+                     *(clauses.get("in") or ({}, {})), clauses.get("child"))
+        if head is not None and self.pos == head[1]:
+            self.entries.append([head[0], r, True, None, None])
+        return r
 
     # ---- whole file ----
 
@@ -370,8 +518,20 @@ class _Parser:
         if tree is None:
             raise self.fail("missing membranes section")
         sysd = PSystem(tree, rules, priority, name)
+        if alphabet is not None and self.reused:
+            if set().union(*map(_bases, self.reused)).difference(alphabet):
+                # Where a reused rule's symbols sit is not kept; a parse
+                # without the table raises the error a cold parse does.
+                _Parser(self.text, _COLD).system()
+        # Any base missing now is in no reused rule, so self.bases holds
+        # its first place.
         _check_refs(sysd, rule_ids, named, alphabet, self.bases, self.fail)
         return sysd
+
+    def table(self) -> _Table:
+        """The table this parse leaves: its whole-line rules, its lines."""
+        self.reader.prev = {}
+        return self.entries, self.lines, self.reader
 
 
 def _check_refs(sysd: PSystem, rule_ids: Dict[str, int],
@@ -401,7 +561,11 @@ def _check_refs(sysd: PSystem, rule_ids: Dict[str, int],
 
 def parse_system(text: str) -> PSystem:
     """Parse system text; raises PSpecError with position on bad input."""
-    return _Parser(text).system()
+    global _LINES
+    parser = _Parser(text, _LINES)
+    sysd = parser.system()
+    _LINES = parser.table()
+    return sysd
 
 
 # ============================================================
@@ -494,31 +658,48 @@ def _rule_text(r: RuleSpec) -> str:
 
 def serialize_system(sysd: PSystem) -> str:
     """Canonical text for a system; stable under parse/serialize."""
+    global _LINES
     lines: List[str] = []
     if sysd.name:
         lines.append(f"system '{_check_ident('system name', sysd.name)}")
         lines.append("")
     # Each distinct symbol once, in first-seen order, so a refusal names
-    # the same symbol on every run.
+    # the same symbol on every run.  A rule whose line in the table was
+    # written before passed; only the other rules' symbols are read.
     syms: Dict[Sym, object] = {}
     for node, _ in sysd.walk():
         syms.update(node.contents.counts)
-    for r in sysd.rules:
-        # Most are the shared empty multiset; update on a dict subclass
-        # first looks up its keys method, so skip those.
-        for ms in (r.consume_out, r.produce_out, r.consume_in, r.produce_in):
-            if ms:
-                syms.update(ms)
-        if r.child:
-            syms.update(r.child.consume)
-            syms.update(r.child.produce)
+    ids = dict(zip(map(id, map(_RULE, _LINES[0])), _LINES[0]))
+    rules = sysd.rules
+    entries: List[Optional[list]] = []
+    known: List[list] = []  # the entries of rules whose line is written
+    fresh: List[int] = []  # the place of each other rule
+    for i, r in enumerate(rules):
+        e = ids.get(id(r))
+        if e is not None and e[1] is not r:
+            e = None
+        if e is not None and e[3]:
+            known.append(e)
+        else:
+            fresh.append(i)
+            # Most are the shared empty multiset; update on a dict subclass
+            # first looks up its keys method, so skip those.
+            for ms in (r.consume_out, r.produce_out, r.consume_in,
+                       r.produce_in):
+                if ms:
+                    syms.update(ms)
+            if r.child:
+                syms.update(r.child.consume)
+                syms.update(r.child.produce)
+        entries.append(e)
     for s in syms:
         if (s.base == "none" or not _IDENT.fullmatch(s.base)
                 or not all(map(_param_ok, s.params))):
             raise PSpecError(f"symbol {s.text!r} is not serializable")
-    if syms:
+    bases = {s.base for s in syms}.union(*map(_bases, known))
+    if bases:
         lines.append("alphabet:")
-        row = sorted({s.base for s in syms})
+        row = sorted(bases)
         for i in range(0, len(row), 8):
             lines.append("  " + " ".join(row[i:i + 8]))
         lines.append("")
@@ -526,13 +707,21 @@ def serialize_system(sysd: PSystem) -> str:
     _membrane_lines(sysd, lines)
     lines.append("")
     lines.append("rules:")
-    lines += map(_rule_text, sysd.rules)
+    for i in fresh:
+        r, e = rules[i], entries[i]
+        line = _rule_text(r)
+        if e is not None and e[0] == line:
+            e[3] = True  # a line read as serialize writes it
+        else:
+            entries[i] = [line, r, None, True, None]
+    lines += map(_LINE, entries)
     if sysd.priority:
         lines.append("")
         lines.append("priority:")
         for a, b in sorted(sysd.priority):
             lines.append(f"  '{_check_ident('rule id', a)} > "
                          f"'{_check_ident('rule id', b)}")
+    _LINES = entries, _LINES[1], _LINES[2]
     return "\n".join(lines) + "\n"
 
 

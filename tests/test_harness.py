@@ -24,6 +24,7 @@ from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
 from pgne.oracle import simulate
 from pgne.pspec import load_system, parse_system, serialize_system
 from test_engine import plans  # a fixture
+from test_gne import _DATA
 
 
 # ============================================================
@@ -301,6 +302,17 @@ def test_waste_left_at_halt_is_flagged(monkeypatch):
     assert "0 holds 100 waste at halt" in res.warnings
     assert len(res.warnings) == 36
     assert all(w.endswith(" waste at halt") for w in res.warnings)
+
+
+def test_err_left_in_players_is_flagged(monkeypatch):
+    # surplus_err forms one err token; without S5R50 it stays in player 1
+    # instead of reaching the skin, where the count is read.
+    game = load_game(str(_DATA / "surplus_err.json"))
+    assert run_gne(game).warnings == []
+    _drop_rules(monkeypatch, "S5R50")
+    res = run_gne(game)
+    assert sum(res.states[-1].err.values()) == 1
+    assert res.warnings == ["skin holds 0 err, the loops formed 1"]
 
 
 def test_stage_steps_miss_is_flagged(monkeypatch):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import operator
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgne.pspec as pspec
 from pgne.builder import build_gne_system, build_mult_system
 from pgne.engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
                         PSystem, RuleSpec, compile_system, read_region,
@@ -243,9 +247,21 @@ def test_crlf_and_tab_line_starts(text, col):
 # Errors near the end of a full-size system: both positions come from
 # token offsets that are worked out only when an error is raised.
 @pytest.fixture(scope="module")
-def default_lines():
-    sysd = build_gne_system(sample_experiment(27, "default"))
-    return serialize_system(sysd).split("\n")
+def default_text():
+    return serialize_system(build_gne_system(sample_experiment(27, "default")))
+
+
+@pytest.fixture(scope="module")
+def default_lines(default_text):
+    return default_text.split("\n")
+
+
+@pytest.fixture
+def warm_table(default_text):
+    """The reuse table a parse of the unedited default text leaves."""
+    pspec._LINES = pspec._COLD
+    parse_system(default_text)
+    return pspec._LINES
 
 
 def test_error_position_on_last_rule_line(default_lines):
@@ -280,7 +296,7 @@ def test_duplicate_clause():
 # One rule line broken at a single point: each header token, each clause
 # token, an empty multiset, a duplicate clause, and text that ends inside
 # the header or a clause.  Message, line and column are pinned.
-@pytest.mark.parametrize("rule,message,line,col", [
+_GRAMMAR_ERRORS = pytest.mark.parametrize("rule,message,line,col", [
     ("rule r at 'm ^0 -> ^+", "expected rule label, found 'r'", 4, 8),
     ("rule 'r on 'm ^0 -> ^+", "expected 'at', found 'on'", 4, 11),
     ("rule 'r 'at 'm ^0 -> ^+", "expected 'at', found 'at'", 4, 11),
@@ -324,14 +340,28 @@ def test_duplicate_clause():
     ("rule 'r at 'm ^0 -> ^+ in( a -> b", "expected ')', found ''", 4, 36),
     ("rule 'r at 'm ^0 -> ^+ child( 'c ^0 -> ^- :",
      "expected a multiset or 'none'", 4, 46)])
-def test_rule_grammar_errors(rule, message, line, col):
+
+
+def check_grammar_error(table, rule, message, line, col):
     head = "membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  "
     parse_system(head + "rule 'r at 'm ^0 -> ^+ in( a -> b ) "
                  "child( 'c ^0 -> ^- : x -> y )")
+    pspec._LINES = table
     with pytest.raises(PSpecError) as info:
         parse_system(head + rule)
     assert str(info.value) == f"{message} (line {line}, col {col})"
     assert (info.value.line, info.value.col) == (line, col)
+
+
+@_GRAMMAR_ERRORS
+def test_rule_grammar_errors(rule, message, line, col):
+    check_grammar_error(pspec._COLD, rule, message, line, col)
+
+
+# The same errors with the reuse table warmed by the unedited default text.
+@_GRAMMAR_ERRORS
+def test_rule_grammar_errors_warm(warm_table, rule, message, line, col):
+    check_grammar_error(warm_table, rule, message, line, col)
 
 
 def test_unserializable_label():
@@ -563,7 +593,16 @@ EDIT_OUTCOMES_SHA256 = (
     "fafb4796c748cc8c8a1a0bf907eed60785c0ae0a2d760556521299783ed4fc55")
 
 
-def test_edit_outcomes_pinned():
+def edit_outcome(text, table):
+    """The re-serialized parse of text, or its error, from the table."""
+    pspec._LINES = table
+    try:
+        return "ok:" + serialize_system(parse_system(text))
+    except PSpecError as e:
+        return f"err:{e}|{e.line}|{e.col}"
+
+
+def edit_outcomes_digest(table):
     rng = random.Random(0)
     h = hashlib.sha256()
     for make, n in _PIN_TEXTS:
@@ -572,9 +611,151 @@ def test_edit_outcomes_pinned():
             i = rng.randrange(len(text) + 1)
             cut = rng.randrange(4)
             edited = text[:i] + rng.choice(_PIN_EDITS) + text[i + cut:]
-            try:
-                outcome = "ok:" + serialize_system(parse_system(edited))
-            except PSpecError as e:
-                outcome = f"err:{e}|{e.line}|{e.col}"
-            h.update(outcome.encode() + b"\0")
-    assert h.hexdigest() == EDIT_OUTCOMES_SHA256
+            h.update(edit_outcome(edited, table).encode() + b"\0")
+    return h.hexdigest()
+
+
+def test_edit_outcomes_pinned():
+    assert edit_outcomes_digest(pspec._COLD) == EDIT_OUTCOMES_SHA256
+
+
+def test_edit_outcomes_pinned_warm(warm_table):
+    assert edit_outcomes_digest(warm_table) == EDIT_OUTCOMES_SHA256
+
+
+# ============================================================
+# The reuse table changes no outcome
+# ============================================================
+
+
+def test_default_text_edits_warm_match_cold(default_text, warm_table):
+    # Edits to a full-size system, where the table knows every line but
+    # the edited one: the outcome from the warmed table is the cold one.
+    rng = random.Random(1)
+    for _ in range(40):
+        i = rng.randrange(len(default_text) + 1)
+        cut = rng.randrange(4)
+        edited = (default_text[:i] + rng.choice(_PIN_EDITS)
+                  + default_text[i + cut:])
+        assert (edit_outcome(edited, warm_table)
+                == edit_outcome(edited, pspec._COLD))
+
+
+def test_base_dropped_from_alphabet_warm(default_lines, warm_table):
+    # The reused rule lines hold symbols whose places the table does not
+    # keep; the error still names the first token with a missing base.
+    start = default_lines.index("alphabet:") + 1
+    end = default_lines.index("", start)
+    bases = " ".join(default_lines[start:end]).split()
+    last = default_lines.index("priority:") - 2
+    for base in bases[::7]:
+        lines = [" ".join(b for b in row.split(" ") if b != base)
+                 if start <= n < end else row
+                 for n, row in enumerate(default_lines)]
+        edited = "\n".join(lines)
+        cold = edit_outcome(edited, pspec._COLD)
+        assert cold.startswith(f"err:symbols missing from alphabet: {base} ")
+        assert edit_outcome(edited, warm_table) == cold
+        # The last rule line, read afresh, brings one more missing base.
+        lines[last] = lines[last].replace("in( ", "in( zz ", 1)
+        edited = "\n".join(lines)
+        cold = edit_outcome(edited, pspec._COLD)
+        assert cold.startswith(
+            f"err:symbols missing from alphabet: {base}, zz ")
+        assert edit_outcome(edited, warm_table) == cold
+
+
+def test_serialized_system_parses_back_to_its_rules():
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    text = serialize_system(sysd)
+    back = parse_system(text)
+    assert all(map(operator.is_, back.rules, sysd.rules))
+    assert systems_equal(back, sysd)
+    assert serialize_system(back) == text
+    # A game of the same shape shares all but its coefficient rules, whose
+    # lines alone are read afresh.
+    other = build_gne_system(sample_experiment(4, "default"))
+    shared = sum(map(operator.is_, other.rules, sysd.rules))
+    assert shared == len(other.rules) - 9
+    text = serialize_system(other)
+    back = parse_system(text)
+    assert all(map(operator.is_, back.rules, other.rules))
+    pspec._LINES = pspec._COLD
+    cold = parse_system(text)
+    assert not any(map(operator.is_, cold.rules, other.rules))
+    assert systems_equal(cold, back)
+
+
+_CACHED = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
+           "  rule 'r at 'm ^0 -> ^0 in( a -> b )\n")
+
+
+@pytest.mark.parametrize("warm", [
+    lambda: parse_system(_CACHED),
+    lambda: serialize_system(parse_system(_CACHED)),
+    lambda: serialize_system(PSystem(MembraneNode("m"), [RuleSpec(
+        "r", "m", consume_in={sym("a"): 1}, produce_in={sym("b"): 1})]))],
+    ids=["parsed", "reserialized", "written"])
+def test_cached_rule_line_followed_by_a_clause(warm):
+    warm()
+    s = parse_system(_CACHED + "  out( c -> d )\n")
+    assert s.rules == [RuleSpec("r", "m", consume_in={sym("a"): 1},
+                                produce_in={sym("b"): 1},
+                                consume_out={sym("c"): 1},
+                                produce_out={sym("d"): 1})]
+    warm()
+    e = check_error(_CACHED + "  in( c -> d )\n", "duplicate clause 'in'")
+    assert (e.line, e.col) == (5, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "membranes:\n  [ 'm ^0 { a{1,\n2} } ]\n",
+    "membranes:\n  [ 'm ^0 { a{1,#\n2} } ]\n",
+    "membranes:\n  [ 'm ^0 { a{1, 2} b } ] # a{3\n",
+    "membranes:\n  [ 'm ^0 { a{1,\n2} } ^* ]\n"])
+def test_multiline_and_commented_parameters_warm(text):
+    # Lines that do not lex alone, or not by their space-separated pieces.
+    outcomes = {edit_outcome(text, pspec._COLD)}
+    for warm in (text, text.replace("a{1,", "b{1,")):
+        pspec._LINES = pspec._COLD
+        try:
+            parse_system(warm)
+        except PSpecError:
+            pass
+        outcomes.add(edit_outcome(text, pspec._LINES))
+    assert len(outcomes) == 1
+
+
+def test_float_count_is_written_as_int_and_read_back_as_int():
+    r = RuleSpec("r", "m", consume_in={sym("a"): 2.0},
+                 produce_in={sym("b"): 1})
+    sysd = PSystem(MembraneNode("m"), [r])
+    text = serialize_system(sysd)
+    assert "in( a^2 -> b )" in text
+    back = parse_system(text)
+    assert back.rules[0] is not r and back.rules[0] == r
+    assert type(back.rules[0].consume_in[sym("a")]) is int
+    assert serialize_system(back) == text
+
+
+def test_table_keeps_only_the_last_system():
+    default = serialize_system(build_gne_system(
+        sample_experiment(5, "default")))
+    mult = serialize_system(build_mult_system(6, 7))
+    pspec._LINES = pspec._COLD
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        serialize_system(parse_system(default))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        assert len(pspec._LINES[0]) == 1981
+        serialize_system(parse_system(mult))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+        assert len(pspec._LINES[0]) == 44
+    finally:
+        tracemalloc.stop()
+    assert held > 1_000_000
+    assert left < held / 10

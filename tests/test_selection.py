@@ -142,10 +142,10 @@ _CHARGE = st.sampled_from(CHARGES + (NEUTRAL, NEUTRAL))
 @st.composite
 def systems(draw) -> PSystem:
     depth = draw(st.integers(1, 3))
-    node = None
+    nodes: List[MembraneNode] = []
     for label in reversed(_LABELS[:depth]):
-        node = MembraneNode(label, [node] if node else [],
-                            Multiset(draw(_CONTENT)), draw(_CHARGE))
+        nodes.insert(0, MembraneNode(label, nodes[:1],
+                                     Multiset(draw(_CONTENT)), draw(_CHARGE)))
     rules: List[RuleSpec] = []
     for n in range(draw(st.integers(1, 10))):
         at = draw(st.integers(0, depth - 1))
@@ -165,7 +165,21 @@ def systems(draw) -> PSystem:
                           max_size=6))
     priority = sorted({(rules[a].id, rules[b].id) for a, b in pairs
                        if rank[a] < rank[b]})
-    return PSystem(node, rules, priority)
+    if draw(st.integers(0, 3)) == 0:
+        # A contested pair, declared first: both consume one symbol in one
+        # region, which holds enough of it for either, and both match the
+        # region's charge, so both can fire at the first step.  The rule
+        # declared second has priority, so an engine that took rules in
+        # declaration order would let the lower one take the symbol.
+        node = nodes[draw(st.integers(0, depth - 1))]
+        s = draw(st.sampled_from(_SYMS))
+        need = [draw(st.integers(1, 2)) for _ in range(2)]
+        node.contents.counts[s] = max(need + [node.contents.get(s)])
+        rules[:0] = [RuleSpec(rid, node.label, node.charge, draw(_CHARGE),
+                              consume_in={s: k}, produce_in=draw(_TWO))
+                     for rid, k in zip(("lo", "hi"), need)]
+        priority.append(("hi", "lo"))
+    return PSystem(nodes[0], rules, priority)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
