@@ -70,7 +70,7 @@ def test_serialize_is_canonical_fixed_point():
 def test_round_trip_mult_system():
     s = build_mult_system(9, 7)
     text = serialize_system(s)
-    pspec._LINES = pspec._COLD  # read every line afresh
+    pspec._SNAP = None  # read every line afresh
     t = parse_system(text)
     assert systems_equal(t, s)
     # The reparsed system must behave identically, not just look alike.
@@ -87,7 +87,7 @@ def test_round_trip_gne_system(seed):
     spec = sample_experiment(seed, "small", loops=2)
     s = build_gne_system(spec)
     text = serialize_system(s)
-    pspec._LINES = pspec._COLD  # read every line afresh
+    pspec._SNAP = None  # read every line afresh
     assert systems_equal(parse_system(text), s)
 
 
@@ -261,11 +261,19 @@ def default_lines(default_text):
 
 
 @pytest.fixture
-def warm_table(default_text):
-    """The reuse table a parse of the unedited default text leaves."""
-    pspec._LINES = pspec._COLD
+def parsed_snapshot(default_text):
+    """The snapshot a cold parse of the unedited default text leaves."""
+    pspec._SNAP = None
     parse_system(default_text)
-    return pspec._LINES
+    return pspec._SNAP
+
+
+@pytest.fixture
+def written_snapshot():
+    """The snapshot a cold serialize of the default system leaves."""
+    pspec._SNAP = None
+    serialize_system(build_gne_system(sample_experiment(27, "default")))
+    return pspec._SNAP
 
 
 def test_error_position_on_last_rule_line(default_lines):
@@ -346,11 +354,11 @@ _GRAMMAR_ERRORS = pytest.mark.parametrize("rule,message,line,col", [
      "expected a multiset or 'none'", 4, 46)])
 
 
-def check_grammar_error(table, rule, message, line, col):
+def check_grammar_error(snap, rule, message, line, col):
     head = "membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  "
     parse_system(head + "rule 'r at 'm ^0 -> ^+ in( a -> b ) "
                  "child( 'c ^0 -> ^- : x -> y )")
-    pspec._LINES = table
+    pspec._SNAP = snap
     with pytest.raises(PSpecError) as info:
         parse_system(head + rule)
     assert str(info.value) == f"{message} (line {line}, col {col})"
@@ -359,13 +367,13 @@ def check_grammar_error(table, rule, message, line, col):
 
 @_GRAMMAR_ERRORS
 def test_rule_grammar_errors(rule, message, line, col):
-    check_grammar_error(pspec._COLD, rule, message, line, col)
+    check_grammar_error(None, rule, message, line, col)
 
 
-# The same errors with the reuse table warmed by the unedited default text.
+# The same errors with the snapshot of the unedited default text.
 @_GRAMMAR_ERRORS
-def test_rule_grammar_errors_warm(warm_table, rule, message, line, col):
-    check_grammar_error(warm_table, rule, message, line, col)
+def test_rule_grammar_errors_warm(parsed_snapshot, rule, message, line, col):
+    check_grammar_error(parsed_snapshot, rule, message, line, col)
 
 
 def test_unserializable_label():
@@ -539,11 +547,11 @@ def random_systems(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(random_systems())
 def test_fuzz_round_trip(sysd):
-    # A parse right after the serialize takes the rules from the table;
-    # one without the table reads every rule line.
+    # A parse right after the serialize takes the rules from the snapshot;
+    # one without it reads every rule line.
     text = serialize_system(sysd)
-    for table in (pspec._LINES, pspec._COLD):
-        pspec._LINES = table
+    for snap in (pspec._SNAP, None):
+        pspec._SNAP = snap
         back = parse_system(text)
         assert systems_equal(back, sysd)
         assert serialize_system(back) == text
@@ -601,16 +609,17 @@ EDIT_OUTCOMES_SHA256 = (
     "fafb4796c748cc8c8a1a0bf907eed60785c0ae0a2d760556521299783ed4fc55")
 
 
-def edit_outcome(text, table):
-    """The re-serialized parse of text, or its error, from the table."""
-    pspec._LINES = table
+def edit_outcome(text, snap):
+    """The re-serialized parse of text, or its error, from snapshot snap
+    (None: cold)."""
+    pspec._SNAP = snap
     try:
         return "ok:" + serialize_system(parse_system(text))
     except PSpecError as e:
         return f"err:{e}|{e.line}|{e.col}"
 
 
-def edit_outcomes_digest(table):
+def edit_outcomes_digest(snap):
     rng = random.Random(0)
     h = hashlib.sha256()
     for make, n in _PIN_TEXTS:
@@ -619,38 +628,38 @@ def edit_outcomes_digest(table):
             i = rng.randrange(len(text) + 1)
             cut = rng.randrange(4)
             edited = text[:i] + rng.choice(_PIN_EDITS) + text[i + cut:]
-            h.update(edit_outcome(edited, table).encode() + b"\0")
+            h.update(edit_outcome(edited, snap).encode() + b"\0")
     return h.hexdigest()
 
 
 def test_edit_outcomes_pinned():
-    assert edit_outcomes_digest(pspec._COLD) == EDIT_OUTCOMES_SHA256
+    assert edit_outcomes_digest(None) == EDIT_OUTCOMES_SHA256
 
 
-def test_edit_outcomes_pinned_warm(warm_table):
-    assert edit_outcomes_digest(warm_table) == EDIT_OUTCOMES_SHA256
+def test_edit_outcomes_pinned_warm(parsed_snapshot):
+    assert edit_outcomes_digest(parsed_snapshot) == EDIT_OUTCOMES_SHA256
 
 
 # ============================================================
-# The reuse table changes no outcome
+# The snapshot changes no outcome
 # ============================================================
 
 
-def test_default_text_edits_warm_match_cold(default_text, warm_table):
-    # Edits to a full-size system, where the table knows every line but
-    # the edited one: the outcome from the warmed table is the cold one.
+def test_default_text_edits_warm_match_cold(default_text, parsed_snapshot):
+    # Edits to a full-size system, where the snapshot holds every line but
+    # the edited one: the outcome from the snapshot is the cold one.
     rng = random.Random(1)
     for _ in range(40):
         i = rng.randrange(len(default_text) + 1)
         cut = rng.randrange(4)
         edited = (default_text[:i] + rng.choice(_PIN_EDITS)
                   + default_text[i + cut:])
-        assert (edit_outcome(edited, warm_table)
-                == edit_outcome(edited, pspec._COLD))
+        assert (edit_outcome(edited, parsed_snapshot)
+                == edit_outcome(edited, None))
 
 
-def test_base_dropped_from_alphabet_warm(default_lines, warm_table):
-    # The reused rule lines hold symbols whose places the table does not
+def test_base_dropped_from_alphabet_warm(default_lines, parsed_snapshot):
+    # The reused rule lines hold symbols whose places the snapshot does not
     # keep; the error still names the first token with a missing base.
     start = default_lines.index("alphabet:") + 1
     end = default_lines.index("", start)
@@ -661,16 +670,242 @@ def test_base_dropped_from_alphabet_warm(default_lines, warm_table):
                  if start <= n < end else row
                  for n, row in enumerate(default_lines)]
         edited = "\n".join(lines)
-        cold = edit_outcome(edited, pspec._COLD)
+        cold = edit_outcome(edited, None)
         assert cold.startswith(f"err:symbols missing from alphabet: {base} ")
-        assert edit_outcome(edited, warm_table) == cold
+        assert edit_outcome(edited, parsed_snapshot) == cold
         # The last rule line, read afresh, brings one more missing base.
         lines[last] = lines[last].replace("in( ", "in( zz ", 1)
         edited = "\n".join(lines)
-        cold = edit_outcome(edited, pspec._COLD)
+        cold = edit_outcome(edited, None)
         assert cold.startswith(
             f"err:symbols missing from alphabet: {base}, zz ")
-        assert edit_outcome(edited, warm_table) == cold
+        assert edit_outcome(edited, parsed_snapshot) == cold
+
+
+def _rule_at(lines, rid):
+    """The index of the line of rule rid."""
+    return next(n for n, line in enumerate(lines)
+                if line.startswith(f"  rule '{rid} "))
+
+
+def _default_edits(lines):
+    """Edits of whole rule lines of the default text, by name: each maps a
+    line index to its new text, or to None to delete it; a list of several
+    lines inserts them."""
+    s102, s107 = _rule_at(lines, "S1R02"), _rule_at(lines, "S1R07_k01_i03")
+    s106 = _rule_at(lines, "S1R06")
+    named = lines[lines.index("priority:") + 1].split("'")[1].split()[0]
+    last = lines.index("priority:") - 1  # the blank line after the rules
+    bump = re.sub(r"\^(\d+)", lambda m: f"^{int(m.group(1)) + 1}",
+                  lines[s102], count=1)
+    more = lines[s107].replace(" )", " pl{1} )", 1)
+    return {
+        "coefficient": {s102: bump},
+        "coefficients": {s102: bump, s107: more},
+        "unchanged": {},
+        "spacing": {s102: lines[s102].replace(" -> ", "  ->  ")},
+        "comment": {s107: more + "  # edited"},
+        "two rules on one line": {s107: more + lines[s102][1:]},
+        "duplicate id": {s107: lines[s107].replace(
+            "'S1R07_k01_i03 ", "'S1R02 ", 1)},
+        "priority names a renamed rule": {
+            _rule_at(lines, named): lines[_rule_at(lines, named)].replace(
+                f"'{named} ", f"'{named}x ", 1)},
+        "fresh id": {s107: lines[s107].replace(
+            "'S1R07_k01_i03 ", "'S1R07_fresh ", 1)},
+        "unknown target": {s107: lines[s107].replace(" at 'P ", " at 'Q9 ")},
+        "unknown child": {s106: lines[s106].replace("child( 'P ",
+                                                    "child( 'Q9 ")},
+        "not a child": {s106: lines[s106].replace("child( 'P ",
+                                                  "child( '0 ")},
+        "base missing from alphabet": {
+            s107: lines[s107].replace(" )", " zz{1} )", 1)},
+        "base new to the rule": {s107: lines[s107].replace(" )", " tick )")},
+        "rule split over two lines": {
+            s102: [lines[s102].split(" in( ")[0],
+                   "    in( " + lines[s102].split(" in( ")[1]],
+            lines.index("rules:") - 1: None},
+        "rule line becomes a clause line": {s102 + 1: "  out( none -> tick )"},
+        "rule then an out clause line": {last: "  out( none -> tick )"},
+        "rule then an in clause line": {last: "  in( none -> tick )"},
+        "inserted rule line": {s102: [lines[s102], lines[s102].replace(
+            "'S1R02 ", "'S1R02b ", 1)]},
+        "deleted rule line": {s107: None},
+        "deleted and inserted": {s107: None, last: [
+            lines[s102].replace("'S1R02 ", "'S1R02b ", 1), ""]},
+    }
+
+
+def _edited(lines, edit):
+    out = []
+    for n, line in enumerate(lines):
+        new = edit.get(n, line)
+        out += new if isinstance(new, list) else [] if new is None else [new]
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("kind", ["parsed", "written"])
+def test_whole_rule_line_edits_warm_match_cold(default_lines, kind, request):
+    # Each edit from a snapshot of the unedited text, whether a parse or a
+    # serialize left it, gives the cold outcome: the error with its place,
+    # or the same system written back.
+    snap = request.getfixturevalue(
+        "parsed_snapshot" if kind == "parsed" else "written_snapshot")
+    outcomes = {}
+    for name, edit in _default_edits(default_lines).items():
+        text = _edited(default_lines, edit)
+        cold = edit_outcome(text, None)
+        assert edit_outcome(text, snap) == cold, name
+        outcomes[name] = cold
+    assert outcomes["unchanged"].startswith("ok:")
+    assert outcomes["coefficient"] != outcomes["unchanged"]
+    assert "duplicate rule id 'S1R02" in outcomes["duplicate id"]
+    assert "priority names unknown rule" in outcomes[
+        "priority names a renamed rule"]
+    assert "targets unknown membrane 'Q9" in outcomes["unknown target"]
+    assert "'Q9 is not a child of '0" in outcomes["unknown child"]
+    assert "'0 is not a child of '0" in outcomes["not a child"]
+    assert "missing from alphabet: zz" in outcomes[
+        "base missing from alphabet"]
+    assert "duplicate clause 'in'" in outcomes["rule then an in clause line"]
+
+
+def test_warm_calls_read_and_write_only_what_changed(monkeypatch):
+    games = [build_gne_system(sample_experiment(s, "default")) for s in (3, 4)]
+    texts = [serialize_system(g) for g in games]
+    old, new = (t.split("\n") for t in texts)
+    differ = [b for a, b in zip(old, new) if a != b]
+    assert len(differ) == 9
+    pspec._SNAP = None
+    parse_system(texts[0])
+    lex, text_of = pspec._lex, pspec._rule_text
+    read, written = [], []
+    monkeypatch.setattr(pspec, "_lex", lambda text, lines: (
+        read.append(lines), lex(text, lines))[1])
+    monkeypatch.setattr(pspec, "_rule_text", lambda r: (
+        written.append(r), text_of(r))[1])
+    back = parse_system(texts[1])
+    assert read == [differ]
+    # A serialize after a serialize renders the rules it does not share.
+    pspec._SNAP = None
+    serialize_system(games[0])
+    written.clear()
+    assert serialize_system(games[1]) == texts[1]
+    assert written == [r for r, q in zip(games[1].rules, games[0].rules)
+                       if r is not q]
+    monkeypatch.undo()
+    pspec._SNAP = None
+    assert systems_equal(back, parse_system(texts[1]))
+
+
+def _cold(call, arg):
+    """call(arg) with no snapshot, keeping the one there is."""
+    snap, pspec._SNAP = pspec._SNAP, None
+    try:
+        return call(arg)
+    finally:
+        pspec._SNAP = snap
+
+
+def _typed(ms):
+    return sorted((s.text, n, type(n)) for s, n in ms.items())
+
+
+def _view(sysd):
+    """Everything in sysd, as values that tell 2 from 2.0 and 1 from True."""
+    return ([(node.label, parent and parent.label, node.charge,
+              type(node.charge), _typed(node.contents.counts))
+             for node, parent in sysd.walk()],
+            [(type(r), r, list(map(_typed, pspec._msets(r))))
+             for r in sysd.rules], sysd.priority, sysd.name)
+
+
+def _swap(sysd, rid, swap):
+    i = [r.id for r in sysd.rules].index(rid)
+    sysd.rules[i] = swap(sysd.rules[i])
+
+
+def _more(r, s, n=1):
+    """r with n more of symbol s among its target's products."""
+    return r._replace(produce_in={**r.produce_in, s: n})
+
+
+_MUTATIONS = {
+    "contents": lambda s: s.tree.contents.counts.update({sym("tick"): 5}),
+    "charge": lambda s: setattr(s.tree.children[0], "charge", PLUS),
+    "rule": lambda s: _swap(s, "S1R02", lambda r: _more(r, sym("zz"))),
+    "priority": lambda s: s.priority.append(("S1R02", "S1R06")),
+}
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@pytest.mark.parametrize("first", ["serialize", "reserialize", "parse"])
+def test_snapshot_holds_nothing_the_caller_can_change(first, mutation):
+    # The snapshot keeps its own tree and lists: changing the system a call
+    # took or gave, cold or warm, changes neither the next parse nor the
+    # next serialize.
+    mutate = _MUTATIONS[mutation]
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    pspec._SNAP = None
+    text = serialize_system(sysd)
+    if first == "reserialize":
+        assert serialize_system(sysd) == text
+    if first == "parse":
+        sysd = parse_system(text)
+    mutate(sysd)
+    back = parse_system(text)
+    assert _view(back) == _view(_cold(parse_system, text))
+    assert not systems_equal(back, sysd)
+    again = serialize_system(sysd)
+    assert again == _cold(serialize_system, sysd) != text
+    mutate(back)
+    assert serialize_system(back) == again
+    assert _view(parse_system(again)) == _view(_cold(parse_system, again))
+
+
+def _outcome(call, arg):
+    try:
+        return call(arg)
+    except PSpecError as e:
+        return f"err:{e}"
+
+
+# A serialize after a serialize and a parse of the same system with a rule
+# swapped: the text, or the error, is the cold one, and so is the parse of
+# the text.
+@pytest.mark.parametrize("rid,swap", [
+    ("S1R02", lambda r: _more(r, sym("pl", 1), 3)),
+    ("S1R02", lambda r: _more(r, sym("zz"))),
+    ("S1R02", lambda r: _more(r, sym("pl", "x y"))),
+    ("S1R02", lambda r: _more(r, sym("pl", 1), 2.0)),
+    ("S1R02", lambda r: _more(r, sym("pl", 1), 2.5)),
+    ("S1R02", lambda r: r._replace(id="S1R02x")),
+    ("S1R02", lambda r: r._replace(id="S1R06")),
+    ("S2R10_k01", lambda r: r._replace(id="S2R10_k01x")),
+    ("S1R02", lambda r: r._replace(id="has space")),
+    ("S1R02", lambda r: r._replace(target="Q9")),
+    ("S1R02", lambda r: r._replace(pre=7))],
+    ids=["count", "new base", "bad param", "float count", "bad count",
+         "renamed", "duplicate id", "renamed in priority", "bad id",
+         "unknown target", "bad charge"])
+def test_rule_swaps_serialize_as_cold(rid, swap):
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    pspec._SNAP = None
+    parse_system(serialize_system(sysd))
+    _swap(sysd, rid, swap)
+    try:
+        text = _cold(serialize_system, sysd)
+    except KeyError:  # a charge with no text is not a PSpecError
+        with pytest.raises(KeyError):
+            serialize_system(sysd)
+        return
+    except PSpecError as e:
+        text = f"err:{e}"
+    assert _outcome(serialize_system, sysd) == text
+    if not text.startswith("err:"):
+        assert (_outcome(lambda t: _view(parse_system(t)), text)
+                == _cold(lambda t: _outcome(
+                    lambda u: _view(parse_system(u)), t), text))
 
 
 def test_serialized_system_parses_back_to_its_rules():
@@ -688,7 +923,7 @@ def test_serialized_system_parses_back_to_its_rules():
     text = serialize_system(other)
     back = parse_system(text)
     assert all(map(operator.is_, back.rules, other.rules))
-    pspec._LINES = pspec._COLD
+    pspec._SNAP = None
     cold = parse_system(text)
     assert not any(map(operator.is_, cold.rules, other.rules))
     assert systems_equal(cold, back)
@@ -723,15 +958,24 @@ def test_cached_rule_line_followed_by_a_clause(warm):
     "membranes:\n  [ 'm ^0 { a{1,\n2} } ^* ]\n"])
 def test_multiline_and_commented_parameters_warm(text):
     # Lines that do not lex alone, or not by their space-separated pieces.
-    outcomes = {edit_outcome(text, pspec._COLD)}
+    outcomes = {edit_outcome(text, None)}
     for warm in (text, text.replace("a{1,", "b{1,")):
-        pspec._LINES = pspec._COLD
+        pspec._SNAP = None
         try:
             parse_system(warm)
         except PSpecError:
             pass
-        outcomes.add(edit_outcome(text, pspec._LINES))
+        outcomes.add(edit_outcome(text, pspec._SNAP))
     assert len(outcomes) == 1
+
+
+def test_written_tree_is_read_back_as_a_cold_parse_reads_it():
+    tree = MembraneNode("m", [MembraneNode("c", charge=True)],
+                        Multiset({sym("a"): 2.0, sym("b"): True}))
+    pspec._SNAP = None
+    text = serialize_system(PSystem(tree, []))
+    assert "[ 'm ^0 { a^2 b }" in text and "[ 'c ^+ ]" in text
+    assert _view(parse_system(text)) == _view(_cold(parse_system, text))
 
 
 def test_float_count_is_written_as_int_and_read_back_as_int():
@@ -750,7 +994,7 @@ def test_table_keeps_only_the_last_system():
     default = serialize_system(build_gne_system(
         sample_experiment(5, "default")))
     mult = serialize_system(build_mult_system(6, 7))
-    pspec._LINES = pspec._COLD
+    pspec._SNAP = None
     gc.collect()
     tracemalloc.start()
     try:
@@ -758,11 +1002,11 @@ def test_table_keeps_only_the_last_system():
         serialize_system(parse_system(default))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
-        assert len(pspec._LINES[0]) == 1981
+        assert len(pspec._SNAP.rules) == 1981
         serialize_system(parse_system(mult))
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
-        assert len(pspec._LINES[0]) == 44
+        assert len(pspec._SNAP.rules) == 44
     finally:
         tracemalloc.stop()
     assert held > 1_000_000
