@@ -218,10 +218,10 @@ def _exact(r: RuleSpec) -> bool:
     """Whether a parse of r's line gives r itself: no subclass, str names,
     int charges and counts, and interned symbols, as a parse makes them."""
     c, msets = r.child, _msets(r)
-    head = r[:4] + (c[:3] if c else ())  # the names and charges
+    # The types of id, target, pre, post and the child's label, pre, post.
+    kinds = (str, str, int, int) + ((str, int, int) if c else ())
     return (type(r) is RuleSpec and (c is None or type(c) is ChildPattern)
-            and tuple(map(type, head)) == (str, str, int, int, str, int, int)[
-                :len(head)]
+            and tuple(map(type, r[:4] + (c[:3] if c else ()))) == kinds
             and all(type(n) is int for ms in msets for n in ms.values())
             and all(sym(s.base, *s.params) is s for ms in msets for s in ms))
 
@@ -504,7 +504,7 @@ class _Parser:
             if not self.at_section():
                 raise self.fail("expected a section header")
             head = toks[self.pos][1]
-            self.pos += 2  # the ':' at_section saw
+            self.pos += 2  # the header and the ':' at_section saw
             if head in seen_sections:
                 raise self.fail(f"duplicate section {head!r}")
             seen_sections.append(head)
