@@ -30,22 +30,26 @@ count equal to a positive int, such as 2.0, is written as that int.
 Parse errors give the line and column of the offending token where there
 is one.
 
-Consecutive systems of one shape differ in a few rule lines.  A snapshot
-(_Snap) of the last text parsed or system serialized lets the next parse
-re-read only the lines that differ, if each is a rule's whole line, and
-the next serialize render only the rules that are not its own objects;
-any other call reads or writes the whole text, raises every error, and
-leaves the next snapshot.  On a default game a warm parse takes ~0.55 ms
-and a warm serialize ~0.3 ms, against ~23 and ~7 ms cold (2 vCPU, Python
-3.11); the snapshot holds ~1.9 MB after a cold parse.
+A text is often parsed right after it was written, and consecutive
+systems of one shape differ in a few rule lines.  A snapshot (_Snap) of
+the last text parsed or system serialized holds its lines, its rules, a
+private copy of its tree, its priority list and its name.  A parse of the
+very lines of the snapshot returns its system in a fresh tree and fresh
+lists without reading them; a serialize of a system with the snapshot's
+name, tree, priority relation and number of rules renders only the rules
+that are not the snapshot's own objects.  Any other call reads or writes
+the whole text, raises every error, and leaves the next snapshot.
+On a default game a warm parse takes ~0.46 ms and a warm serialize ~0.26
+ms, against ~23 and ~7 ms cold (2 vCPU, Python 3.11); the snapshot holds
+~1.7 MB after a cold parse.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import accumulate, chain, compress, count
-from operator import attrgetter, is_not, itemgetter, ne, not_
+from itertools import chain, compress, count
+from operator import attrgetter, is_not, itemgetter, not_
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .engine import (MINUS, NEUTRAL, PLUS, ChildPattern, MembraneNode,
@@ -69,7 +73,8 @@ class PSpecError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
         where = f" (line {line}, col {col})" if line else ""
         super().__init__(message + where)
-        self.line, self.col = line, col
+        self.line = line
+        self.col = col
 
 
 # ============================================================
@@ -165,14 +170,13 @@ def _read(tok: str) -> Tok:
 _EOF: Tok = ("eof", "", None, 1)
 
 
-def _lex(text: str, lines: List[str]) -> Tuple[List[Tok], Optional[List[int]]]:
-    """The tokens of text, ending in eof, and the index of the first token
-    of each line (text.split("\\n")) and then of eof, or None if some line
-    does not lex alone (an error, or a parameter list that runs past a
-    newline): the text is then scanned whole and read in order, so the first
-    bad text raises at its first occurrence.  A line is read by its
-    space-separated pieces, each scanned and read once, or if it has a
-    comment or a piece fails, scanned whole."""
+def _lex(text: str, lines: List[str]) -> List[Tok]:
+    """The tokens of text, ending in eof, read line by line (lines is
+    text.split("\\n")).  A line is read by its space-separated pieces, each
+    scanned and read once, or if it has a comment or a piece fails, scanned
+    whole.  If some line does not lex alone (an error, or a parameter list
+    that runs past a newline), the text is scanned whole and read in order,
+    so the first bad text raises at its first occurrence."""
     read = cache(lambda piece: tuple(map(_read, filter(None,
                                                        _SCAN.findall(piece)))))
 
@@ -189,10 +193,8 @@ def _lex(text: str, lines: List[str]) -> Tuple[List[Tok], Optional[List[int]]]:
 
     try:
         per_line = list(map(line_tokens, lines))
-        starts: Optional[List[int]] = list(
-            accumulate(map(len, per_line), initial=0))
     except PSpecError:
-        per_line, starts = [], None
+        per_line = []
         for n, piece in enumerate(filter(None, _SCAN.findall(text))):
             try:
                 per_line.append(read(piece))
@@ -200,7 +202,7 @@ def _lex(text: str, lines: List[str]) -> Tuple[List[Tok], Optional[List[int]]]:
                 raise _error(text, str(e), _starts(text)[n]) from None
     toks = list(chain.from_iterable(per_line))
     toks.append(_EOF)
-    return toks, starts
+    return toks
 
 
 # ============================================================
@@ -256,63 +258,38 @@ def _copy_tree(tree: MembraneNode, fix: bool = False) -> MembraneNode:
 
 class _Snap(NamedTuple):
     """The last text parsed or system serialized: its lines and rules, the
-    rule at each line that is one rule's whole line, in line order, and per
-    rule whether a parse of its line gives that very rule; a private tree
-    and each label's parent; the priority list, name and alphabet (None if
-    absent) a parse gives; whether the lines are what serialize writes for
-    the system, and whether they parse, to it.  None: not yet asked."""
+    index of the first rule's line if serialize wrote them, and per rule
+    whether a parse of its line gives that very rule; a private tree and
+    each label's parent; the priority list and name a parse gives; whether
+    the lines are what serialize writes for the system, and whether they
+    parse, to it.  None: not yet asked."""
 
     lines: List[str]
     rules: List[RuleSpec]
-    place: Dict[int, int]
+    first: int
     exact: List[Optional[bool]]
     tree: MembraneNode
     parents: Dict[str, Optional[str]]
     priority: List[Tuple[str, str]]
     name: str
-    allowed: Optional[frozenset]
     canon: bool
-    valid: bool
+    valid: Optional[bool]
 
-    def reparse(self, lines: List[str]) -> Optional["_Snap"]:
-        """The snapshot of the text of lines, as many as this one's, if
-        each line that differs is the whole line of a rule and reads alone
-        as a rule of the same id that a parse of the text accepts."""
-        redo = list(compress(count(), map(ne, lines, self.lines)))
-        rules, exact, parents = self.rules, self.exact, self.parents
-        if self.valid is False or not all(map(self.place.__contains__, redo)):
-            return None
+    def reread(self) -> Optional["_Snap"]:
+        """This snapshot, if a parse of its lines gives its system: rule ids
+        that are distinct, placed and cover the priority pairs, and rules
+        that are what a parse of their lines makes."""
+        rules, exact = self.rules, self.exact
         if self.valid is None:
             ids = set(map(_RULE_ID, rules))
             return self._replace(valid=len(ids) == len(rules) and all(
-                _placed(r, parents) for r in rules) and ids.issuperset(
-                chain.from_iterable(self.priority))).reparse(lines)
+                _placed(r, self.parents) for r in rules) and ids.issuperset(
+                chain.from_iterable(self.priority))).reread()
+        if not self.valid:
+            return None
         for j in compress(count(), map(not_, exact)):
             exact[j] = _exact(rules[j])
-        if not all(exact):
-            return None
-        if not redo:
-            return self
-        part = [lines[k] for k in redo]
-        rules, canon = rules.copy(), self.canon
-        try:
-            p = _Parser("\n".join(part), part)
-            for m, j in enumerate(map(self.place.__getitem__, redo)):
-                if p.starts is None or not p.at("word", "rule"):
-                    return None
-                r = p.rule()
-                if (p.pos != p.starts[m + 1] or r.id != rules[j].id
-                        or not _placed(r, parents)):
-                    return None
-                canon = canon and (part[m] == _rule_text(r)
-                                   and _bases(r) == _bases(rules[j]))
-                rules[j] = r
-        except PSpecError:
-            return None
-        if self.allowed is not None and not self.allowed.issuperset(p.bases):
-            return None
-        return self._replace(lines=lines, rules=rules,
-                             exact=[True] * len(rules), canon=canon)
+        return self if all(exact) else None
 
     def rewrite(self, sysd: PSystem) -> Optional["_Snap"]:
         """The snapshot of sysd's text, if these lines are what serialize
@@ -326,8 +303,7 @@ class _Snap(NamedTuple):
                      or sorted(sysd.priority) == self.priority)
                 and _same_tree(sysd.tree, self.tree)):
             return None
-        first = next(iter(self.place), 0)  # serialize writes rules in a row
-        lines, exact = self.lines.copy(), self.exact.copy()
+        first, lines, exact = self.first, self.lines.copy(), self.exact.copy()
         try:
             for j in compress(count(), map(is_not, rules, mine)):
                 r = rules[j]
@@ -354,7 +330,7 @@ _SNAP: Optional[_Snap] = None  # the last text parsed or system serialized
 class _Parser:
     def __init__(self, text: str, lines: List[str]) -> None:
         self.text, self.lines = text, lines
-        self.tokens, self.starts = _lex(text, lines)
+        self.tokens = _lex(text, lines)
         self.pos = 0
         # Index of the first token of each symbol base, in text order.
         self.bases: Dict[str, int] = {}
@@ -497,7 +473,6 @@ class _Parser:
         tree: Optional[MembraneNode] = None
         rules: List[RuleSpec] = []
         rule_ids: Dict[str, int] = {}  # token index of each rule
-        ends: List[int] = []  # token index after each rule
         priority: List[Tuple[str, str]] = []
         first = 0  # token index of the first priority pair
         while toks[self.pos][0] != "eof":
@@ -523,7 +498,6 @@ class _Parser:
                         raise self.fail(f"duplicate rule id '{r.id}", i)
                     rule_ids[r.id] = i
                     rules.append(r)
-                    ends.append(self.pos)
             else:
                 # Pairs, 'a > 'b, each in one check, as the rule header.
                 first = i = self.pos
@@ -560,23 +534,15 @@ class _Parser:
                 raise self.fail(f"symbols missing from alphabet: "
                                 f"{', '.join(sorted(missing))}",
                                 self.bases[missing[0]])
-        # A rule is a whole line when its tokens are those of the last line
-        # that starts at its first token.
-        line = dict(zip(self.starts or (), count()))
-        place = {k: j for j, (i, end) in enumerate(zip(rule_ids.values(), ends))
-                 if (k := line.get(i)) is not None
-                 and self.starts[k + 1] == end}
-        return _Snap(self.lines, rules, place, [True] * len(rules), tree,
-                     parents, priority, name,
-                     None if alphabet is None else frozenset(alphabet), False,
-                     True)
+        return _Snap(self.lines, rules, 0, [True] * len(rules), tree,
+                     parents, priority, name, False, True)
 
 
 def parse_system(text: str) -> PSystem:
     """Parse system text; raises PSpecError with position on bad input."""
     global _SNAP
     lines = text.split("\n")
-    snap = _SNAP and len(lines) == len(_SNAP.lines) and _SNAP.reparse(lines)
+    snap = _SNAP and lines == _SNAP.lines and _SNAP.reread()
     s = _SNAP = snap or _Parser(text, lines).snapshot()
     return PSystem(_copy_tree(s.tree), s.rules.copy(), s.priority.copy(),
                    s.name)
@@ -630,24 +596,29 @@ def _indent(depth: int) -> str:
     return "  " * min(depth, _INDENT_LEVELS)
 
 
-def _membrane_lines(sysd: PSystem, out: List[str]) -> None:
-    # Membranes due in preorder with their depth; None where a "]" is due.
-    due: List[Tuple[Optional[MembraneNode], int]] = [(sysd.tree, 1)]
-    while due:
-        node, depth = due.pop()
-        if node is None:
-            out.append(_indent(depth) + "]")
-            continue
-        head = (f"{_indent(depth)}[ '{_check_ident('label', node.label)} "
+def _membrane_lines(walk: List[Tuple[MembraneNode, Optional[MembraneNode]]],
+                    out: List[str]) -> None:
+    # Membranes with children whose "]" line is still due, innermost last.
+    opened: List[MembraneNode] = []
+
+    def close_until(parent: Optional[MembraneNode]) -> None:
+        while opened and opened[-1] is not parent:
+            opened.pop()
+            out.append(_indent(len(opened) + 1) + "]")
+
+    for node, parent in walk:
+        close_until(parent)
+        head = (f"{_indent(len(opened) + 1)}[ "
+                f"'{_check_ident('label', node.label)} "
                 f"{_CHARGE_TEXT[node.charge]}")
         if node.contents.counts:
             head += " { " + _mset_text(node.contents.counts) + " }"
         if node.children:
             out.append(head)
-            due.append((None, depth))
-            due += [(child, depth + 1) for child in reversed(node.children)]
+            opened.append(node)
         else:
             out.append(head + " ]")
+    close_until(None)
 
 
 def _rule_text(r: RuleSpec) -> str:
@@ -670,7 +641,8 @@ def _write(sysd: PSystem) -> _Snap:
     """The snapshot of sysd's canonical text, written whole."""
     lines: List[str] = []
     if sysd.name:
-        lines += [f"system '{_check_ident('system name', sysd.name)}", ""]
+        lines.append(f"system '{_check_ident('system name', sysd.name)}")
+        lines.append("")
     # Each distinct symbol once, in first-seen order, so a refusal names
     # the same symbol on every run.
     walk = list(sysd.walk())
@@ -699,21 +671,24 @@ def _write(sysd: PSystem) -> _Snap:
             lines.append("  " + " ".join(row[i:i + 8]))
         lines.append("")
     lines.append("membranes:")
-    _membrane_lines(sysd, lines)
-    lines += ["", "rules:"]
-    place = dict(zip(range(len(lines), len(lines) + len(rules)), count()))
+    _membrane_lines(walk, lines)
+    lines.append("")
+    lines.append("rules:")
+    first = len(lines)
     lines += map(_rule_text, rules)
     pairs = sorted(map(tuple, sysd.priority))
     if pairs:
         # Each rule id once, in order of first use.
         for rid in dict.fromkeys(chain.from_iterable(pairs)):
             _check_ident("rule id", rid)
-        lines += ["", "priority:"] + [f"  '{a} > '{b}" for a, b in pairs]
+        lines.append("")
+        lines.append("priority:")
+        lines += [f"  '{a} > '{b}" for a, b in pairs]
     lines.append("")
     parents = {node.label: parent and parent.label for node, parent in walk}
-    return _Snap(lines, rules, place, [None] * len(rules),
+    return _Snap(lines, rules, first, [None] * len(rules),
                  _copy_tree(sysd.tree, fix=True), parents, pairs,
-                 sysd.name or "", frozenset(bases) or None, True,
+                 sysd.name or "", True,
                  None if len(parents) == len(walk) else False)
 
 

@@ -354,11 +354,14 @@ _GRAMMAR_ERRORS = pytest.mark.parametrize("rule,message,line,col", [
      "expected a multiset or 'none'", 4, 46)])
 
 
-def check_grammar_error(snap, rule, message, line, col):
+def check_grammar_error(warm, rule, message, line, col):
+    """Parse the text with the rule line; warm, from the snapshot that the
+    same text with a good rule line leaves, else cold."""
     head = "membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  "
     parse_system(head + "rule 'r at 'm ^0 -> ^+ in( a -> b ) "
                  "child( 'c ^0 -> ^- : x -> y )")
-    pspec._SNAP = snap
+    if not warm:
+        pspec._SNAP = None
     with pytest.raises(PSpecError) as info:
         parse_system(head + rule)
     assert str(info.value) == f"{message} (line {line}, col {col})"
@@ -367,13 +370,13 @@ def check_grammar_error(snap, rule, message, line, col):
 
 @_GRAMMAR_ERRORS
 def test_rule_grammar_errors(rule, message, line, col):
-    check_grammar_error(None, rule, message, line, col)
+    check_grammar_error(False, rule, message, line, col)
 
 
-# The same errors with the snapshot of the unedited default text.
+# The same errors from the snapshot of the same four lines with a good rule.
 @_GRAMMAR_ERRORS
-def test_rule_grammar_errors_warm(parsed_snapshot, rule, message, line, col):
-    check_grammar_error(parsed_snapshot, rule, message, line, col)
+def test_rule_grammar_errors_warm(rule, message, line, col):
+    check_grammar_error(True, rule, message, line, col)
 
 
 def test_unserializable_label():
@@ -620,7 +623,7 @@ def edit_outcome(text, snap):
 
 
 def edit_outcomes_digest(snap):
-    """The digest of the pinned edits' outcomes, each from snapshot snap, or
+    """The digest of the pinned edits' outcomes, each cold (snap None) or,
     with snap "parsed" or "written", from the snapshot that a parse of the
     unedited text, or the serialize that made it, leaves."""
     rng = random.Random(0)
@@ -630,7 +633,7 @@ def edit_outcomes_digest(snap):
         text = make()
         if snap == "parsed":
             parse_system(text)
-        own = pspec._SNAP if snap in ("parsed", "written") else snap
+        own = pspec._SNAP if snap else None
         for _ in range(n):
             i = rng.randrange(len(text) + 1)
             cut = rng.randrange(4)
@@ -643,16 +646,15 @@ def test_edit_outcomes_pinned():
     assert edit_outcomes_digest(None) == EDIT_OUTCOMES_SHA256
 
 
-def test_edit_outcomes_pinned_warm(parsed_snapshot):
-    assert edit_outcomes_digest(parsed_snapshot) == EDIT_OUTCOMES_SHA256
+# From the unedited text's own snapshot, which a parse or the serialize
+# that made the text leaves, every edit but the 3 that give the text back
+# is read whole: the digest is the cold one.
+def test_edit_outcomes_pinned_warm():
+    assert edit_outcomes_digest("parsed") == EDIT_OUTCOMES_SHA256
 
 
-# From the unedited text's own snapshot, an edit that keeps the line count
-# and leaves a rule line a rule of the same id is read warm (16 of the
-# edits from a parse, 8 from a write); the digest is the cold one.
-@pytest.mark.parametrize("kind", ["parsed", "written"])
-def test_edit_outcomes_pinned_from_each_texts_own_snapshot(kind):
-    assert edit_outcomes_digest(kind) == EDIT_OUTCOMES_SHA256
+def test_edit_outcomes_pinned_from_the_written_snapshot():
+    assert edit_outcomes_digest("written") == EDIT_OUTCOMES_SHA256
 
 
 # ============================================================
@@ -674,8 +676,8 @@ def test_default_text_edits_warm_match_cold(default_text, parsed_snapshot):
 
 
 def test_base_dropped_from_alphabet_warm(default_lines, parsed_snapshot):
-    # The reused rule lines hold symbols whose places the snapshot does not
-    # keep; the error still names the first token with a missing base.
+    # From the snapshot of the unedited text, the edited text is read
+    # whole; the error names the first token with a missing base.
     start = default_lines.index("alphabet:") + 1
     end = default_lines.index("", start)
     bases = " ".join(default_lines[start:end]).split()
@@ -786,28 +788,31 @@ def test_whole_rule_line_edits_warm_match_cold(default_lines, kind, request):
 
 
 def test_warm_calls_read_and_write_only_what_changed(monkeypatch):
+    # The calls of a spec-roundtrip op: each game is written and its text
+    # parsed back, game 4 after game 3.
     games = [build_gne_system(sample_experiment(s, "default")) for s in (3, 4)]
     texts = [serialize_system(g) for g in games]
     old, new = (t.split("\n") for t in texts)
-    differ = [b for a, b in zip(old, new) if a != b]
-    assert len(differ) == 9
+    assert sum(map(operator.ne, old, new)) == 9
     pspec._SNAP = None
-    parse_system(texts[0])
+    serialize_system(games[0])
     lex, text_of = pspec._lex, pspec._rule_text
     read, written = [], []
     monkeypatch.setattr(pspec, "_lex", lambda text, lines: (
         read.append(lines), lex(text, lines))[1])
     monkeypatch.setattr(pspec, "_rule_text", lambda r: (
         written.append(r), text_of(r))[1])
-    back = parse_system(texts[1])
-    assert read == [differ]
-    # A serialize after a serialize renders the rules it does not share.
-    pspec._SNAP = None
-    serialize_system(games[0])
-    written.clear()
+    # A parse of the text just written reads no line; the next serialize
+    # renders only the rules it does not share.
+    parse_system(texts[0])
     assert serialize_system(games[1]) == texts[1]
+    back = parse_system(texts[1])
+    assert read == []
     assert written == [r for r, q in zip(games[1].rules, games[0].rules)
                        if r is not q]
+    # Any other text, here game 3's after game 4's, is read whole.
+    parse_system(texts[0])
+    assert read == [old]
     monkeypatch.undo()
     pspec._SNAP = None
     assert systems_equal(back, parse_system(texts[1]))
@@ -931,7 +936,7 @@ def test_serialized_system_parses_back_to_its_rules():
     assert systems_equal(back, sysd)
     assert serialize_system(back) == text
     # A game of the same shape shares all but its coefficient rules, whose
-    # lines alone are read afresh.
+    # lines alone are written afresh.
     other = build_gne_system(sample_experiment(4, "default"))
     shared = sum(map(operator.is_, other.rules, sysd.rules))
     assert shared == len(other.rules) - 9
@@ -991,6 +996,14 @@ def test_written_tree_is_read_back_as_a_cold_parse_reads_it():
     text = serialize_system(PSystem(tree, []))
     assert "[ 'm ^0 { a^2 b }" in text and "[ 'c ^+ ]" in text
     assert _view(parse_system(text)) == _view(_cold(parse_system, text))
+
+
+def test_written_repeated_label_is_refused_as_a_cold_parse_refuses_it():
+    tree = MembraneNode("m", [MembraneNode("c"), MembraneNode("c")])
+    pspec._SNAP = None
+    text = serialize_system(PSystem(tree, []))
+    warm = check_error(text, "duplicate membrane label 'c", line=4, col=7)
+    assert str(_cold(lambda t: check_error(t, "duplicate"), text)) == str(warm)
 
 
 def test_float_count_is_written_as_int_and_read_back_as_int():
