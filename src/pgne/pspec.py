@@ -30,6 +30,17 @@ count equal to a positive int, such as 2.0, is written as that int.
 Parse errors give the line and column of the offending token where there
 is one.
 
+The lexer works line by line.  A scan matches a token, with the
+whitespace after it, before a whitespace run or a comment; a character
+that starts none of these is a one-character 'bad' token.  A line is read
+by its space-separated pieces, each distinct piece scanned and read once
+into a tuple of plain token tuples shared by all its occurrences; a line
+with a comment, or with a piece that fails alone (a parameter list with a
+space in it), is scanned whole.  Only a text in which some line fails to
+lex alone (an error, or a parameter list that runs past a newline) is
+scanned at once, and every lexing error comes from that scan.  Token
+offsets are not kept; an error finds them with one more scan.
+
 A text is often parsed right after it was written, and consecutive
 systems of one shape differ in a few rule lines.  A snapshot (_Snap) of
 the last text parsed or system serialized holds its lines, its rules, a
