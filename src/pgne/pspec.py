@@ -30,29 +30,24 @@ count equal to a positive int, such as 2.0, is written as that int.
 Parse errors give the line and column of the offending token where there
 is one.
 
-The lexer works line by line.  A scan matches a token, with the
+The lexer scans the whole text once.  A scan matches a token, with the
 whitespace after it, before a whitespace run or a comment; a character
-that starts none of these is a one-character 'bad' token.  A line is read
-by its space-separated pieces, each distinct piece scanned and read once
-into a tuple of plain token tuples shared by all its occurrences; a line
-with a comment, or with a piece that fails alone (a parameter list with a
-space in it), is scanned whole.  Only a text in which some line fails to
-lex alone (an error, or a parameter list that runs past a newline) is
-scanned at once, and every lexing error comes from that scan.  Token
-offsets are not kept; an error finds them with one more scan.
+that starts none of these is a one-character 'bad' token.  Each distinct
+token text is read once into a plain token tuple shared by all its
+occurrences.  Token offsets are not kept; an error finds them with one
+more scan.
 
 A text is often parsed right after it was written, and consecutive
 systems of one shape differ in a few rule lines.  A snapshot (_Snap) of
-the last text parsed or system serialized holds its lines, its rules, a
-private copy of its tree, its priority list and its name.  A parse of the
-very lines of the snapshot returns its system in a fresh tree and fresh
-lists without reading them; a serialize of a system with the snapshot's
-name, tree, priority relation and number of rules renders only the rules
-that are not the snapshot's own objects.  Any other call reads or writes
-the whole text, raises every error, and leaves the next snapshot.
-On a default game a warm parse takes ~0.46 ms and a warm serialize ~0.26
-ms, against ~23 and ~7 ms cold (2 vCPU, Python 3.11); the snapshot holds
-~1.7 MB after a cold parse.
+the last system serialized holds its text and lines, its rules, a private
+copy of its tree, its priority list and its name.  A serialize of a
+system with the snapshot's name, tree, priority relation and number of
+rules renders only the rules that are not the snapshot's own objects; any
+other serialize writes the whole text and leaves the next snapshot.  A
+parse of the snapshot's very text returns its system in a fresh tree and
+fresh lists without reading it.  Any other parse reads the whole text,
+raises every error and drops the snapshot, so a serialize right after it
+writes the whole text.
 """
 
 from __future__ import annotations
@@ -181,37 +176,21 @@ def _read(tok: str) -> Tok:
 _EOF: Tok = ("eof", "", None, 1)
 
 
-def _lex(text: str, lines: List[str]) -> List[Tok]:
-    """The tokens of text, ending in eof, read line by line (lines is
-    text.split("\\n")).  A line is read by its space-separated pieces, each
-    scanned and read once, or if it has a comment or a piece fails, scanned
-    whole.  If some line does not lex alone (an error, or a parameter list
-    that runs past a newline), the text is scanned whole and read in order,
-    so the first bad text raises at its first occurrence."""
-    read = cache(lambda piece: tuple(map(_read, filter(None,
-                                                       _SCAN.findall(piece)))))
-
-    def line_tokens(line: str) -> Tuple[Tok, ...]:
-        # No token holds a space but a parameter list, whose piece then
-        # fails as unterminated; a comment may hold anything.
-        if "#" not in line:
-            try:
-                return tuple(chain.from_iterable(map(read, line.split(" "))))
-            except PSpecError:
-                pass
-        return tuple(chain.from_iterable(
-            map(read, filter(None, _SCAN.findall(line)))))
-
+def _lex(text: str) -> List[Tok]:
+    """The tokens of text, ending in eof, from one scan of the whole text.
+    Each distinct token text is read once.  On an error the texts are read
+    again in order, so the first bad text raises at its first occurrence."""
+    pieces = list(filter(None, _SCAN.findall(text)))
+    read = cache(_read)
     try:
-        per_line = list(map(line_tokens, lines))
+        toks = list(map(read, pieces))
     except PSpecError:
-        per_line = []
-        for n, piece in enumerate(filter(None, _SCAN.findall(text))):
+        for n, piece in enumerate(pieces):
             try:
-                per_line.append(read(piece))
+                read(piece)
             except PSpecError as e:
                 raise _error(text, str(e), _starts(text)[n]) from None
-    toks = list(chain.from_iterable(per_line))
+        raise
     toks.append(_EOF)
     return toks
 
@@ -268,14 +247,14 @@ def _copy_tree(tree: MembraneNode, fix: bool = False) -> MembraneNode:
 
 
 class _Snap(NamedTuple):
-    """The last text parsed or system serialized: its lines and rules, the
-    index of the first rule's line if serialize wrote them, and per rule
-    whether a parse of its line gives that very rule; a private tree and
-    each label's parent; the priority list and name a parse gives; whether
-    the lines are what serialize writes for the system, and whether they
-    parse, to it.  None: not yet asked."""
+    """The last system serialized: its text and lines, its rules, the index
+    of the first rule's line, and per rule whether a parse of its line gives
+    that very rule; a private tree and each label's parent; the priority list
+    and name a parse gives; and whether the text parses to the system.
+    None: not yet asked."""
 
     lines: List[str]
+    text: str
     rules: List[RuleSpec]
     first: int
     exact: List[Optional[bool]]
@@ -283,11 +262,10 @@ class _Snap(NamedTuple):
     parents: Dict[str, Optional[str]]
     priority: List[Tuple[str, str]]
     name: str
-    canon: bool
     valid: Optional[bool]
 
     def reread(self) -> Optional["_Snap"]:
-        """This snapshot, if a parse of its lines gives its system: rule ids
+        """This snapshot, if a parse of its text gives its system: rule ids
         that are distinct, placed and cover the priority pairs, and rules
         that are what a parse of their lines makes."""
         rules, exact = self.rules, self.exact
@@ -308,8 +286,7 @@ class _Snap(NamedTuple):
         number of rules, and each rule of sysd that is not this one's
         object keeps its id, bases and place, and is serializable."""
         rules, mine = sysd.rules, self.rules
-        if not (self.canon and sysd.name == self.name
-                and len(rules) == len(mine)
+        if not (sysd.name == self.name and len(rules) == len(mine)
                 and (sysd.priority == self.priority
                      or sorted(sysd.priority) == self.priority)
                 and _same_tree(sysd.tree, self.tree)):
@@ -327,10 +304,11 @@ class _Snap(NamedTuple):
                 lines[first + j], exact[j] = _rule_text(r), None
         except (PSpecError, KeyError):  # the cold path raises it in turn
             return None
-        return self._replace(lines=lines, rules=list(rules), exact=exact)
+        return self._replace(lines=lines, text="\n".join(lines),
+                             rules=list(rules), exact=exact)
 
 
-_SNAP: Optional[_Snap] = None  # the last text parsed or system serialized
+_SNAP: Optional[_Snap] = None  # the last system serialized
 
 
 # ============================================================
@@ -339,9 +317,9 @@ _SNAP: Optional[_Snap] = None  # the last text parsed or system serialized
 
 
 class _Parser:
-    def __init__(self, text: str, lines: List[str]) -> None:
-        self.text, self.lines = text, lines
-        self.tokens = _lex(text, lines)
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _lex(text)
         self.pos = 0
         # Index of the first token of each symbol base, in text order.
         self.bases: Dict[str, int] = {}
@@ -473,8 +451,8 @@ class _Parser:
 
     # ---- whole file ----
 
-    def snapshot(self) -> _Snap:
-        """Read the whole text: the snapshot of its system."""
+    def system(self) -> PSystem:
+        """Read the whole text: its system."""
         toks, name = self.tokens, ""
         if self.at("word", "system"):
             self.pos += 1
@@ -523,8 +501,9 @@ class _Parser:
                                     map(_TOK_TEXT, toks[first + 2:i:3])))
         if tree is None:
             raise self.fail("missing membranes section")
+        sysd = PSystem(tree, rules, priority, name)
         parents = {node.label: parent and parent.label
-                   for node, parent in PSystem(tree, rules).walk()}
+                   for node, parent in sysd.walk()}
         for r in rules:
             i = rule_ids[r.id]
             if r.target not in parents:
@@ -545,16 +524,15 @@ class _Parser:
                 raise self.fail(f"symbols missing from alphabet: "
                                 f"{', '.join(sorted(missing))}",
                                 self.bases[missing[0]])
-        return _Snap(self.lines, rules, 0, [True] * len(rules), tree,
-                     parents, priority, name, False, True)
+        return sysd
 
 
 def parse_system(text: str) -> PSystem:
     """Parse system text; raises PSpecError with position on bad input."""
     global _SNAP
-    lines = text.split("\n")
-    snap = _SNAP and lines == _SNAP.lines and _SNAP.reread()
-    s = _SNAP = snap or _Parser(text, lines).snapshot()
+    s = _SNAP = _SNAP.reread() if _SNAP and text == _SNAP.text else None
+    if s is None:
+        return _Parser(text).system()
     return PSystem(_copy_tree(s.tree), s.rules.copy(), s.priority.copy(),
                    s.name)
 
@@ -697,9 +675,9 @@ def _write(sysd: PSystem) -> _Snap:
         lines += [f"  '{a} > '{b}" for a, b in pairs]
     lines.append("")
     parents = {node.label: parent and parent.label for node, parent in walk}
-    return _Snap(lines, rules, first, [None] * len(rules),
+    return _Snap(lines, "\n".join(lines), rules, first, [None] * len(rules),
                  _copy_tree(sysd.tree, fix=True), parents, pairs,
-                 sysd.name or "", True,
+                 sysd.name or "",
                  None if len(parents) == len(walk) else False)
 
 
@@ -708,7 +686,7 @@ def serialize_system(sysd: PSystem) -> str:
     global _SNAP
     snap = _SNAP and _SNAP.rewrite(sysd)
     _SNAP = snap or _write(sysd)
-    return "\n".join(_SNAP.lines)
+    return _SNAP.text
 
 
 # ============================================================

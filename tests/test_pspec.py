@@ -261,14 +261,6 @@ def default_lines(default_text):
 
 
 @pytest.fixture
-def parsed_snapshot(default_text):
-    """The snapshot a cold parse of the unedited default text leaves."""
-    pspec._SNAP = None
-    parse_system(default_text)
-    return pspec._SNAP
-
-
-@pytest.fixture
 def written_snapshot():
     """The snapshot a cold serialize of the default system leaves."""
     pspec._SNAP = None
@@ -354,29 +346,12 @@ _GRAMMAR_ERRORS = pytest.mark.parametrize("rule,message,line,col", [
      "expected a multiset or 'none'", 4, 46)])
 
 
-def check_grammar_error(warm, rule, message, line, col):
-    """Parse the text with the rule line; warm, from the snapshot that the
-    same text with a good rule line leaves, else cold."""
-    head = "membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  "
-    parse_system(head + "rule 'r at 'm ^0 -> ^+ in( a -> b ) "
-                 "child( 'c ^0 -> ^- : x -> y )")
-    if not warm:
-        pspec._SNAP = None
-    with pytest.raises(PSpecError) as info:
-        parse_system(head + rule)
-    assert str(info.value) == f"{message} (line {line}, col {col})"
-    assert (info.value.line, info.value.col) == (line, col)
-
-
 @_GRAMMAR_ERRORS
 def test_rule_grammar_errors(rule, message, line, col):
-    check_grammar_error(False, rule, message, line, col)
-
-
-# The same errors from the snapshot of the same four lines with a good rule.
-@_GRAMMAR_ERRORS
-def test_rule_grammar_errors_warm(rule, message, line, col):
-    check_grammar_error(True, rule, message, line, col)
+    with pytest.raises(PSpecError) as info:
+        parse_system("membranes:\n  [ 'm ^0 [ 'c ^0 ] ]\nrules:\n  " + rule)
+    assert str(info.value) == f"{message} (line {line}, col {col})"
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_unserializable_label():
@@ -622,18 +597,15 @@ def edit_outcome(text, snap):
         return f"err:{e}|{e.line}|{e.col}"
 
 
-def edit_outcomes_digest(snap):
-    """The digest of the pinned edits' outcomes, each cold (snap None) or,
-    with snap "parsed" or "written", from the snapshot that a parse of the
-    unedited text, or the serialize that made it, leaves."""
+def edit_outcomes_digest(written):
+    """The digest of the pinned edits' outcomes, each cold or, if written,
+    from the snapshot left by the serialize that made the unedited text."""
     rng = random.Random(0)
     h = hashlib.sha256()
     for make, n in _PIN_TEXTS:
         pspec._SNAP = None
         text = make()
-        if snap == "parsed":
-            parse_system(text)
-        own = pspec._SNAP if snap else None
+        own = pspec._SNAP if written else None
         for _ in range(n):
             i = rng.randrange(len(text) + 1)
             cut = rng.randrange(4)
@@ -643,18 +615,13 @@ def edit_outcomes_digest(snap):
 
 
 def test_edit_outcomes_pinned():
-    assert edit_outcomes_digest(None) == EDIT_OUTCOMES_SHA256
+    assert edit_outcomes_digest(False) == EDIT_OUTCOMES_SHA256
 
 
-# From the unedited text's own snapshot, which a parse or the serialize
-# that made the text leaves, every edit but the 3 that give the text back
-# is read whole: the digest is the cold one.
-def test_edit_outcomes_pinned_warm():
-    assert edit_outcomes_digest("parsed") == EDIT_OUTCOMES_SHA256
-
-
+# From the snapshot the serialize that made the text leaves, every edit but
+# the 3 that give the text back is read whole: the digest is the cold one.
 def test_edit_outcomes_pinned_from_the_written_snapshot():
-    assert edit_outcomes_digest("written") == EDIT_OUTCOMES_SHA256
+    assert edit_outcomes_digest(True) == EDIT_OUTCOMES_SHA256
 
 
 # ============================================================
@@ -662,22 +629,8 @@ def test_edit_outcomes_pinned_from_the_written_snapshot():
 # ============================================================
 
 
-def test_default_text_edits_warm_match_cold(default_text, parsed_snapshot):
-    # Edits to a full-size system, where the snapshot holds every line but
-    # the edited one: the outcome from the snapshot is the cold one.
-    rng = random.Random(1)
-    for _ in range(40):
-        i = rng.randrange(len(default_text) + 1)
-        cut = rng.randrange(4)
-        edited = (default_text[:i] + rng.choice(_PIN_EDITS)
-                  + default_text[i + cut:])
-        assert (edit_outcome(edited, parsed_snapshot)
-                == edit_outcome(edited, None))
-
-
-def test_base_dropped_from_alphabet_warm(default_lines, parsed_snapshot):
-    # From the snapshot of the unedited text, the edited text is read
-    # whole; the error names the first token with a missing base.
+def test_base_dropped_from_alphabet(default_lines):
+    # The error names the first token with a missing base.
     start = default_lines.index("alphabet:") + 1
     end = default_lines.index("", start)
     bases = " ".join(default_lines[start:end]).split()
@@ -687,16 +640,13 @@ def test_base_dropped_from_alphabet_warm(default_lines, parsed_snapshot):
                  if start <= n < end else row
                  for n, row in enumerate(default_lines)]
         edited = "\n".join(lines)
-        cold = edit_outcome(edited, None)
-        assert cold.startswith(f"err:symbols missing from alphabet: {base} ")
-        assert edit_outcome(edited, parsed_snapshot) == cold
-        # The last rule line, read afresh, brings one more missing base.
+        assert edit_outcome(edited, None).startswith(
+            f"err:symbols missing from alphabet: {base} ")
+        # The last rule line brings one more missing base.
         lines[last] = lines[last].replace("in( ", "in( zz ", 1)
         edited = "\n".join(lines)
-        cold = edit_outcome(edited, None)
-        assert cold.startswith(
+        assert edit_outcome(edited, None).startswith(
             f"err:symbols missing from alphabet: {base}, zz ")
-        assert edit_outcome(edited, parsed_snapshot) == cold
 
 
 def _rule_at(lines, rid):
@@ -761,18 +711,16 @@ def _edited(lines, edit):
     return "\n".join(out)
 
 
-@pytest.mark.parametrize("kind", ["parsed", "written"])
-def test_whole_rule_line_edits_warm_match_cold(default_lines, kind, request):
-    # Each edit from a snapshot of the unedited text, whether a parse or a
-    # serialize left it, gives the cold outcome: the error with its place,
-    # or the same system written back.
-    snap = request.getfixturevalue(
-        "parsed_snapshot" if kind == "parsed" else "written_snapshot")
+def test_whole_rule_line_edits_warm_match_cold(default_lines,
+                                               written_snapshot):
+    # Each edit from the snapshot the serialize of the unedited text left
+    # gives the cold outcome: the error with its place, or the same system
+    # written back.
     outcomes = {}
     for name, edit in _default_edits(default_lines).items():
         text = _edited(default_lines, edit)
         cold = edit_outcome(text, None)
-        assert edit_outcome(text, snap) == cold, name
+        assert edit_outcome(text, written_snapshot) == cold, name
         outcomes[name] = cold
     assert outcomes["unchanged"].startswith("ok:")
     assert outcomes["coefficient"] != outcomes["unchanged"]
@@ -798,8 +746,8 @@ def test_warm_calls_read_and_write_only_what_changed(monkeypatch):
     serialize_system(games[0])
     lex, text_of = pspec._lex, pspec._rule_text
     read, written = [], []
-    monkeypatch.setattr(pspec, "_lex", lambda text, lines: (
-        read.append(lines), lex(text, lines))[1])
+    monkeypatch.setattr(pspec, "_lex", lambda text: (
+        read.append(text), lex(text))[1])
     monkeypatch.setattr(pspec, "_rule_text", lambda r: (
         written.append(r), text_of(r))[1])
     # A parse of the text just written reads no line; the next serialize
@@ -812,10 +760,51 @@ def test_warm_calls_read_and_write_only_what_changed(monkeypatch):
                        if r is not q]
     # Any other text, here game 3's after game 4's, is read whole.
     parse_system(texts[0])
-    assert read == [old]
+    assert read == [texts[0]]
     monkeypatch.undo()
     pspec._SNAP = None
     assert systems_equal(back, parse_system(texts[1]))
+
+
+@pytest.fixture
+def lexed(monkeypatch):
+    """The texts that _lex reads from here on."""
+    texts, lex = [], pspec._lex
+    monkeypatch.setattr(pspec, "_lex", lambda text: (
+        texts.append(text), lex(text))[1])
+    return texts
+
+
+def test_the_written_text_read_from_a_file_parses_warm(tmp_path, lexed):
+    # Another object of the same value as the text serialize returned.
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    text = serialize_system(sysd)
+    path = tmp_path / "game.pspec"
+    path.write_bytes(text.encode())
+    read = path.read_bytes().decode()
+    assert read == text and read is not text
+    back = parse_system(read)
+    assert lexed == []
+    assert all(map(operator.is_, back.rules, sysd.rules))
+    assert systems_equal(back, sysd)
+
+
+def test_a_text_one_newline_longer_parses_cold(lexed):
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    text = serialize_system(sysd) + "\n"
+    from_snapshot = edit_outcome(text, pspec._SNAP)
+    assert lexed == [text]
+    assert from_snapshot == edit_outcome(text, None) == "ok:" + text[:-1]
+
+
+def test_a_cold_parse_drops_the_snapshot():
+    sysd = build_gne_system(sample_experiment(3, "default"))
+    text = serialize_system(sysd)
+    serialize_system(build_mult_system(3, 5))
+    back = parse_system(text)
+    assert pspec._SNAP is None
+    assert not any(map(operator.is_, back.rules, sysd.rules))
+    assert serialize_system(back) == text
 
 
 def _cold(call, arg):
@@ -949,44 +938,33 @@ def test_serialized_system_parses_back_to_its_rules():
     assert systems_equal(cold, back)
 
 
-_CACHED = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
-           "  rule 'r at 'm ^0 -> ^0 in( a -> b )\n")
-
-
-@pytest.mark.parametrize("warm", [
-    lambda: parse_system(_CACHED),
-    lambda: serialize_system(parse_system(_CACHED)),
-    lambda: serialize_system(PSystem(MembraneNode("m"), [RuleSpec(
-        "r", "m", consume_in={sym("a"): 1}, produce_in={sym("b"): 1})]))],
-    ids=["parsed", "reserialized", "written"])
-def test_cached_rule_line_followed_by_a_clause(warm):
-    warm()
-    s = parse_system(_CACHED + "  out( c -> d )\n")
+def test_rule_line_followed_by_a_clause_line():
+    text = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
+            "  rule 'r at 'm ^0 -> ^0 in( a -> b )\n")
+    s = parse_system(text + "  out( c -> d )\n")
     assert s.rules == [RuleSpec("r", "m", consume_in={sym("a"): 1},
                                 produce_in={sym("b"): 1},
                                 consume_out={sym("c"): 1},
                                 produce_out={sym("d"): 1})]
-    warm()
-    e = check_error(_CACHED + "  in( c -> d )\n", "duplicate clause 'in'")
+    e = check_error(text + "  in( c -> d )\n", "duplicate clause 'in'")
     assert (e.line, e.col) == (5, 3)
 
 
-@pytest.mark.parametrize("text", [
-    "membranes:\n  [ 'm ^0 { a{1,\n2} } ]\n",
-    "membranes:\n  [ 'm ^0 { a{1,#\n2} } ]\n",
-    "membranes:\n  [ 'm ^0 { a{1, 2} b } ] # a{3\n",
-    "membranes:\n  [ 'm ^0 { a{1,\n2} } ^* ]\n"])
-def test_multiline_and_commented_parameters_warm(text):
-    # Lines that do not lex alone, or not by their space-separated pieces.
-    outcomes = {edit_outcome(text, None)}
-    for warm in (text, text.replace("a{1,", "b{1,")):
-        pspec._SNAP = None
-        try:
-            parse_system(warm)
-        except PSpecError:
-            pass
-        outcomes.add(edit_outcome(text, pspec._SNAP))
-    assert len(outcomes) == 1
+# Parameter lists that run past a newline, hold a '#' or a space, and a
+# comment that opens one.
+@pytest.mark.parametrize("text,outcome", [
+    ("membranes:\n  [ 'm ^0 { a{1,\n2} } ]\n",
+     "ok:alphabet:\n  a\n\nmembranes:\n  [ 'm ^0 { a{1,2} } ]\n\nrules:\n"),
+    ("membranes:\n  [ 'm ^0 { a{1,#\n2} } ]\n",
+     "err:bad parameter '#\\n2' (line 2, col 13)|2|13"),
+    ("membranes:\n  [ 'm ^0 { a{1, 2} b } ] # a{3\n",
+     "ok:alphabet:\n  a b\n\nmembranes:\n  [ 'm ^0 { a{1,2} b } ]\n\n"
+     "rules:\n"),
+    ("membranes:\n  [ 'm ^0 { a{1,\n2} } ^* ]\n",
+     "err:bad charge; expected ^0, ^+ or ^- (line 3, col 6)|3|6")],
+    ids=["newline", "hash", "space and comment", "newline then bad charge"])
+def test_multiline_and_commented_parameters(text, outcome):
+    assert edit_outcome(text, None) == outcome
 
 
 def test_written_tree_is_read_back_as_a_cold_parse_reads_it():
