@@ -938,15 +938,27 @@ def test_serialized_system_parses_back_to_its_rules():
     assert systems_equal(cold, back)
 
 
-def test_rule_line_followed_by_a_clause_line():
-    text = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
-            "  rule 'r at 'm ^0 -> ^0 in( a -> b )\n")
-    s = parse_system(text + "  out( c -> d )\n")
+_CACHED = ("membranes:\n  [ 'm ^0 ]\nrules:\n"
+           "  rule 'r at 'm ^0 -> ^0 in( a -> b )\n")
+
+
+# A rule line followed by a clause line parses alike after a parse, a
+# reserialize or a write of the rule line alone.
+@pytest.mark.parametrize("warm", [
+    lambda: parse_system(_CACHED),
+    lambda: serialize_system(parse_system(_CACHED)),
+    lambda: serialize_system(PSystem(MembraneNode("m"), [RuleSpec(
+        "r", "m", consume_in={sym("a"): 1}, produce_in={sym("b"): 1})]))],
+    ids=["parsed", "reserialized", "written"])
+def test_cached_rule_line_followed_by_a_clause(warm):
+    warm()
+    s = parse_system(_CACHED + "  out( c -> d )\n")
     assert s.rules == [RuleSpec("r", "m", consume_in={sym("a"): 1},
                                 produce_in={sym("b"): 1},
                                 consume_out={sym("c"): 1},
                                 produce_out={sym("d"): 1})]
-    e = check_error(text + "  in( c -> d )\n", "duplicate clause 'in'")
+    warm()
+    e = check_error(_CACHED + "  in( c -> d )\n", "duplicate clause 'in'")
     assert (e.line, e.col) == (5, 3)
 
 
