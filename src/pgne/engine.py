@@ -51,14 +51,18 @@ Exports pile up loop by loop in `inert`, so the live store, which every
 step walks, stays the same size over a long run.
 
 Selection is index driven.  Compilation files each rule under one slot,
-that of its first need.  A step walks the live store once and visits the
-rules filed under each present slot; a visited rule is a candidate if its
+that of its first need, as a tuple of what the scan reads: target and
+charge, child and child charge, the other needed slots and the rule's
+order number.  A step walks the live store once and visits the entries
+filed under each present slot; a visited rule is a candidate if its
 charges match and its other needed slots are present (zero counts are
 never stored).  Any other rule lacks a need or a charge for the whole
-step, so it could neither apply nor be starved.  Candidates go through
-every check in the total order, and the count against the residual
-resources is the final judge: a threshold need can be present but short.
-Most rules have one need, and count it inline.
+step, so it could neither apply nor be starved.  Candidates are order
+numbers, so a plain sort puts them in the total order, and every one goes
+through every check in that order: the count against the residual
+resources is the final judge, since a threshold need can be present but
+short.  The table of membranes locked by a charge change is made at the
+step's first charge-changing candidate, so most steps make none.
 
 A step's record is a `StepRecord`: the applied rules and their counts in
 two parallel lists, read as a sequence of (rule, count) pairs.  A trace
@@ -67,11 +71,17 @@ more object per application for CPython's cyclic collector to track and
 walk on every collection; two lists keep that at three objects a step.
 
 A step works in place: applied rules consume straight from the live
-store, and after selection the step commits products by walking its own
-record, each product into the store compilation chose for it.  A step
-that applies nothing leaves the configuration untouched.  Only strict
-mode reads start-of-step counts once consumption begins, so only it
-snapshots the live store.
+store.  Most rules have one need, kept as `CRule.slot` and `CRule.n`
+beside `takes`; such a rule reads its slot once, counts with one floor
+division and stores or deletes that slot, while a rule with more needs
+counts with `max_count` and consumes each of its `takes`.  After
+selection the step commits products from its record's two lists, each
+product into the store compilation chose for it; `apply_record` commits
+through the same function.  A step that applies nothing leaves the
+configuration untouched.  Only strict mode reads start-of-step counts
+once consumption begins, so only it snapshots the live store, and it
+notes each applied rule as a consumer of its slots after that rule has
+consumed.
 
 The region surrounding the skin is modeled as an explicit pseudo-region
 with the reserved label "@env", so output expelled through the skin can be
@@ -261,7 +271,7 @@ class CRule:
     __slots__ = (
         "id", "order", "target", "pre", "post", "child", "child_pre",
         "child_post", "needs", "takes", "flips", "locks", "higher",
-        "target_label", "rest",
+        "target_label", "rest", "slot", "n",
     )
 
     def __init__(self, spec: RuleSpec, target: int, parent: int,
@@ -279,9 +289,11 @@ class CRule:
         self.needs = _triples(spec.id, (parent, spec.consume_out),
                               (target, spec.consume_in),
                               (child, c.consume if c else {}))
-        # The needs as (slot, count) pairs, and the slots of all but the
-        # first, which selection checks for presence; set by the plan.
+        # The needs as (slot, count) pairs, the first of them as slot and
+        # n, and the slots of all but the first, which selection checks
+        # for presence; set by the plan.
         self.takes: Tuple[Tuple[int, int], ...] = ()
+        self.slot = self.n = -1
         self.rest: Tuple[int, ...] = ()
         # (region, new charge) per membrane the rule re-charges; each one
         # is locked for the rest of the step once the rule fires.
@@ -484,13 +496,16 @@ class _Plan:
                     self.slot_key.append((r, s))
                 takes.append((slot, n))
             cr.takes = tuple(takes)
+            cr.slot, cr.n = takes[0]
             cr.rest = tuple([slot for slot, _ in takes[1:]])
 
-        # Selection index: per slot, the rules whose first need it is.  A
-        # step checks their other needs only when it is present.
-        self.watch: List[List[CRule]] = [[] for _ in self.slot_key]
+        # Selection index: per slot, what the scan reads of each rule whose
+        # first need it is.  A step checks the other needs only when the
+        # slot is present.
+        self.watch: List[List[tuple]] = [[] for _ in self.slot_key]
         for cr in self.rules:
-            self.watch[cr.takes[0][0]].append(cr)
+            self.watch[cr.slot].append((cr.target, cr.pre, cr.child,
+                                        cr.child_pre, cr.rest, cr.order))
         gives = [_gives(specs[i], self.rules[i], self) for i in order]
         self.live_gives = [live for live, _ in gives]
         self.inert_gives = [inert for _, inert in gives]
@@ -532,9 +547,10 @@ class CompiledSystem:
     Every (region, symbol) that some rule consumes has a slot, a dense
     int: `region_slots[r]` maps each such symbol of region r to its slot,
     and `slot_key` maps a slot back to its (region, symbol).  `watch[slot]`
-    holds the rules whose first need is that slot; a rule's `takes` are
-    its needs as (slot, count) pairs.  Rule cr's products are
-    `live_gives[cr.order]`, (slot, count) pairs, and
+    holds a scan tuple (target, pre, child, child_pre, rest, order) for
+    each rule whose first need is that slot; a rule's `takes` are its
+    needs as (slot, count) pairs, the first of them also `slot` and `n`.
+    Rule cr's products are `live_gives[cr.order]`, (slot, count) pairs, and
     `inert_gives[cr.order]`, (region, symbol, count) triples of the keys no
     rule consumes.  The two are the plan's lists unless some rule's
     `produce_out` or `produce_in` differs from the plan's.  Compiled
@@ -771,9 +787,6 @@ class StepRecord:
         return f"StepRecord({list(self)!r})"
 
 
-_ORDER = attrgetter("order")
-
-
 def maximal_step(cfg: Configuration,
                  ambiguities: Optional[List[Ambiguity]] = None) -> StepRecord:
     """Advance cfg by one transition in place.
@@ -789,43 +802,69 @@ def maximal_step(cfg: Configuration,
     live = cfg.live
     watch = csys.watch
 
-    # Candidates: rules with every consumed slot present and matching
-    # target and child charges.  Any other rule has k = 0 for the whole step.
-    cand: List[CRule] = []
+    # Candidates, by order number: rules with every consumed slot present
+    # and matching target and child charges.  Any other rule has k = 0 for
+    # the whole step.
+    cand: List[int] = []
     add = cand.append
     for slot in live:
-        for cr in watch[slot]:
-            if charges[cr.target] != cr.pre or (
-                    cr.child >= 0 and charges[cr.child] != cr.child_pre):
+        for target, pre, child, child_pre, rest, order in watch[slot]:
+            if charges[target] != pre or (
+                    child >= 0 and charges[child] != child_pre):
                 continue
-            if cr.rest:
-                for t in cr.rest:
+            if rest:
+                for t in rest:
                     if t not in live:
                         break
                 else:
-                    add(cr)
+                    add(order)
             else:
-                add(cr)
-    cand.sort(key=_ORDER)
+                add(order)
+    cand.sort()
 
     if strict:
         pre = dict(live)
         consumers: Dict[int, List[CRule]] = {}
-    locked = [False] * csys.n_regions
+    ordered = csys.ordered
+    locked: Optional[List[bool]] = None
     charge_next: Optional[List[int]] = None
-    record = StepRecord([], [])
-    applied, counts = record.rules.append, record.counts.append
+    rules: List[CRule] = []
+    counts: List[int] = []
+    applied, counted = rules.append, counts.append
 
-    for cr in cand:
-        # `locks` names at most the target and one child.
-        if cr.locks and (locked[cr.locks[0]] or locked[cr.locks[-1]]):
-            continue
+    for o in cand:
+        cr = ordered[o]
+        locks = cr.locks
+        if locks:
+            # `locks` names at most the target and one child.
+            if locked is None:
+                locked = [False] * csys.n_regions
+            elif locked[locks[0]] or locked[locks[-1]]:
+                continue
         if cr.rest:
             k = cr.max_count(live)
+            if k:
+                if locks:
+                    k = 1
+                for slot, n in cr.takes:
+                    left = live[slot] - n * k
+                    if left:
+                        live[slot] = left
+                    else:
+                        del live[slot]
         else:
-            (slot, n), = cr.takes
-            k = live.get(slot, 0) // n
-        if k == 0:
+            slot, n = cr.slot, cr.n
+            have = live.get(slot, 0)
+            k = have // n
+            if k:
+                if locks:
+                    k = 1
+                left = have - n * k
+                if left:
+                    live[slot] = left
+                else:
+                    del live[slot]
+        if not k:
             if strict and cr.max_count(pre):
                 # Starved by earlier consumption; flag incomparable culprits.
                 for slot, n in cr.takes:
@@ -837,45 +876,43 @@ def maximal_step(cfg: Configuration,
                                     cfg.step, csys.region_labels[r], s,
                                     culprit.id, cr.id))
             continue
-        if cr.locks:
-            k = 1
+        if locks:
             if charge_next is None:
                 charge_next = list(charges)
             for r, c in cr.flips:
                 charge_next[r] = c
                 locked[r] = True
-        for slot, n in cr.takes:
-            left = live[slot] - n * k
-            if left:
-                live[slot] = left
-            else:
-                del live[slot]
-            if strict:
+        if strict:
+            for slot, _ in cr.takes:
                 consumers.setdefault(slot, []).append(cr)
         applied(cr)
-        counts(k)
+        counted(k)
 
-    if not record.rules:
+    record = StepRecord(rules, counts)
+    if not rules:
         return record
-    _commit_products(cfg, zip(record.rules, record.counts))
+    _commit_products(cfg, rules, counts)
     if charge_next is not None:
         cfg.charges = charge_next
     cfg.step += 1
     return record
 
 
-def _commit_products(cfg: Configuration,
-                     record: Iterable[Tuple[CRule, int]]) -> None:
+def _commit_products(cfg: Configuration, rules: List[CRule],
+                     counts: List[int]) -> None:
     """Add each application's products, n * k per give, after all consumption."""
     live, inert = cfg.live, cfg.inert
     live_gives, inert_gives = cfg.csys.live_gives, cfg.csys.inert_gives
     get = live.get
-    for cr, k in record:
-        for slot, n in live_gives[cr.order]:
+    for cr, k in zip(rules, counts):
+        o = cr.order
+        for slot, n in live_gives[o]:
             live[slot] = get(slot, 0) + n * k
-        for r, s, n in inert_gives[cr.order]:
-            into = inert[r]
-            into[s] = into.get(s, 0) + n * k
+        gives = inert_gives[o]
+        if gives:
+            for r, s, n in gives:
+                into = inert[r]
+                into[s] = into.get(s, 0) + n * k
 
 
 # ============================================================
@@ -932,11 +969,17 @@ def run(sys: PSystem | CompiledSystem, max_steps: int,
     return Trace(records, [], cfg, halted, reason, ambiguities)
 
 
-def apply_record(cfg: Configuration, record: StepRecord) -> None:
-    """Replay one recorded step onto cfg without any selection logic."""
+def apply_record(cfg: Configuration,
+                 record: StepRecord | Iterable[Tuple[CRule, int]]) -> None:
+    """Replay one recorded step, or any (rule, count) pairs, onto cfg
+    without any selection logic."""
     live = cfg.live
     charge_next = list(cfg.charges)
+    rules: List[CRule] = []
+    counts: List[int] = []
     for cr, k in record:
+        rules.append(cr)
+        counts.append(k)
         for slot, n in cr.takes:
             left = live.get(slot, 0) - n * k
             if left < 0:
@@ -950,7 +993,7 @@ def apply_record(cfg: Configuration, record: StepRecord) -> None:
                 live.pop(slot, None)
         for r, c in cr.flips:
             charge_next[r] = c
-    _commit_products(cfg, record)
+    _commit_products(cfg, rules, counts)
     cfg.charges = charge_next
     cfg.step += 1
 

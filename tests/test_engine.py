@@ -246,6 +246,22 @@ def test_one_charge_change_per_membrane_per_step():
     assert ids(tr, 1) == ["to_plus"]
     assert charge(tr.final, "m") == PLUS
     assert read_region(tr.final, "m").counts == {B: 1}
+    # The same for a child: two incomparable rules of p flip its child q,
+    # and the second flips p too.  The first in total order locks q, so
+    # the second waits although p is still unlocked.
+    tree = MembraneNode("p", contents=Multiset({A: 1, B: 1}),
+                        children=[MembraneNode("q")])
+    rules = [
+        RuleSpec(id="q_plus", target="p", consume_in={A: 1},
+                 child=ChildPattern("q", NEUTRAL, PLUS)),
+        RuleSpec(id="both_minus", target="p", post=MINUS, consume_in={B: 1},
+                 child=ChildPattern("q", NEUTRAL, MINUS)),
+    ]
+    tr = run(compile_system(PSystem(tree, rules)), max_steps=1)
+    assert ids(tr, 1) == ["q_plus"]
+    assert charge(tr.final, "q") == PLUS
+    assert charge(tr.final, "p") == NEUTRAL
+    assert read_region(tr.final, "p").counts == {B: 1}
 
 
 def test_rewriting_rules_run_alongside_the_charge_change():
@@ -756,15 +772,19 @@ def compiled_view(csys, budget):
     """The trace of a run on csys, and what compiling decided, by rule id.
 
     The last field says each rule's higher rules are csys's own rules.
+    Every rule's first need is also its `slot` and `n`.
     """
     own = set(map(id, csys.rules))
+    assert all((cr.slot, cr.n) == cr.takes[0] for cr in csys.rules)
     return (export_trace_text(run(csys, max_steps=budget)),
             [cr.id for cr in csys.ordered],
-            [(cr.id, cr.needs, [h.id for h in cr.higher], cr.takes, cr.rest,
-              csys.live_gives[cr.order], csys.inert_gives[cr.order])
+            [(cr.id, cr.needs, [h.id for h in cr.higher], cr.takes, cr.slot,
+              cr.n, cr.rest, csys.live_gives[cr.order],
+              csys.inert_gives[cr.order])
              for cr in csys.rules],
             list(csys.buckets), csys.slot_key,
-            [[cr.id for cr in w] for w in csys.watch],
+            [[(csys.ordered[w[-1]].id, *w[:-1]) for w in ws]
+             for ws in csys.watch],
             all(id(h) in own for cr in csys.rules for h in cr.higher))
 
 
