@@ -621,14 +621,22 @@ def _count_round(sh: _Shape, rules: List[RuleSpec], priority: _Pairs,
                  ids: List[str], label: str, charge: int, x: Sym,
                  **product: Dict[Sym, int]) -> None:
     """The rule form of `oracle.count_round`: x^R, then x^thr, each make
-    one product, and a leftover x is dropped, in that priority order."""
+    one product, and a leftover x is dropped, in that priority order.
+
+    At R = 2, thr is R: an x^thr rule would have the x^R rule's
+    conditions and never fire, so it is left out and x^R orders the drop.
+    """
     up, half, drop = ids
     rules.append(RuleSpec(up, label, charge, charge, consume_in={x: sh.R},
                           **product))
-    rules.append(RuleSpec(half, label, charge, charge,
-                          consume_in={x: sh.thr}, **product))
+    last = up
+    if sh.thr < sh.R:
+        rules.append(RuleSpec(half, label, charge, charge,
+                              consume_in={x: sh.thr}, **product))
+        priority.append((last, half))
+        last = half
     rules.append(RuleSpec(drop, label, charge, charge, consume_in={x: 1}))
-    priority.extend([(up, half), (half, drop)])
+    priority.append((last, drop))
 
 
 # The membranes of each stage's multipliers: the outer one, where the
@@ -899,7 +907,14 @@ def _stage4(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
 
 def _stage5_update(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
     """Stage 5 up to S5R35: the Euler step of each count, rounded, then
-    renormalized so each player's counts again sum to R."""
+    renormalized so each player's counts again sum to R.
+
+    Only rules that can fire are emitted.  The quota left after S5R30
+    goes to the player's first strategy, so S5R33 exists for that
+    strategy only, below every S5R30 of its player.  S5R03, like the
+    x^thr rules of `_count_round`, exists only when thr < R: at R = 2 it
+    would repeat S5R02.
+    """
     add, R = rules.append, sh.R
     for k, ks in enumerate(sh.strategies, start=1):
         add(RuleSpec(_rid(5, 20, k), str(k), NEUTRAL, NEUTRAL,
@@ -918,17 +933,23 @@ def _stage5_update(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
         add(RuleSpec(_rid(5, 34, k), str(k), PLUS, NEUTRAL,
                      consume_in={sym("pool1"): 1},
                      produce_out={sym("waste"): 1}))
+        add(RuleSpec(_rid(5, 33, k, ks[0]), str(k), PLUS, PLUS,
+                     consume_in={sym("quota"): 1},
+                     produce_in={sym("znew", ks[0]): 1}))
     for k, i, _ in sh.cells:
         s = _lbl("S", i, k)
         add(RuleSpec(_rid(5, 1, k, i), s, MINUS, MINUS,
                      consume_in={sym("up0"): 1}, produce_in={sym("up1"): 1}))
         add(RuleSpec(_rid(5, 2, k, i), s, MINUS, MINUS,
                      consume_in={sym("dzn"): R, sym("agent"): 1}))
-        add(RuleSpec(_rid(5, 3, k, i), s, MINUS, MINUS,
-                     consume_in={sym("dzn"): sh.thr, sym("agent"): 1}))
-        priority.append((_rid(5, 2, k, i), _rid(5, 3, k, i)))
-        priority.append((_rid(5, 3, k, i), _rid(5, 5, k, i)))
-        priority.append((_rid(5, 3, k, i), _rid(5, 6, k, i)))
+        last = _rid(5, 2, k, i)
+        if sh.thr < R:
+            add(RuleSpec(_rid(5, 3, k, i), s, MINUS, MINUS,
+                         consume_in={sym("dzn"): sh.thr, sym("agent"): 1}))
+            priority.append((last, _rid(5, 3, k, i)))
+            last = _rid(5, 3, k, i)
+        priority.append((last, _rid(5, 5, k, i)))
+        priority.append((last, _rid(5, 6, k, i)))
         _count_round(sh, rules, priority, [_rid(5, n, k, i) for n in (4, 9, 10)],
                      s, MINUS, sym("dzp"), produce_in={sym("cand"): 1})
         add(RuleSpec(_rid(5, 5, k, i), s, MINUS, MINUS,
@@ -979,15 +1000,12 @@ def _stage5_update(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
                      consume_in={sym("nz", i): 1, sym("quota"): 1},
                      produce_in={sym("znew", i): 1}))
         priority.append((_rid(5, 30, k, i), _rid(5, 31, k, i)))
-        priority.extend((_rid(5, 30, k, i), _rid(5, 33, k, j))
-                        for j in sh.strategies[k - 1])
+        priority.append((_rid(5, 30, k, i),
+                         _rid(5, 33, k, sh.strategies[k - 1][0])))
         add(RuleSpec(_rid(5, 31, k, i), str(k), PLUS, PLUS,
                      consume_in={sym("nz", i): 1}))
         add(RuleSpec(_rid(5, 32, k, i), str(k), PLUS, PLUS,
                      consume_in={sym("nzslack", i): 1}))
-        add(RuleSpec(_rid(5, 33, k, i), str(k), PLUS, PLUS,
-                     consume_in={sym("quota"): 1},
-                     produce_in={sym("znew", i): 1}))
         add(RuleSpec(_rid(5, 35, k, i), s, PLUS, PLUS,
                      consume_out={sym("znew", i): 1},
                      produce_in={sym("znew", i): 1}))
@@ -1035,7 +1053,8 @@ def _stage5_export(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
                      produce_in={sym("zout", i): 1}))
         # Loop L's S5R61 consumes iternext{L}, so iter{L}, stamp{L+1} and
         # result{..,L+1} never exist: S5R39 stamps 0..L-1, S5R44 carries
-        # 1..L-1, and the stamp readers take 1..L.
+        # 1..L-1, and the stamp readers take 1..L.  No restart follows
+        # loop L, so its S5R45 leaves no reseed for S5R59.
         for nn in range(0, L):
             add(RuleSpec(_rid(5, 39, k, i, nn), res, PLUS, PLUS,
                          consume_in={sym("iter", nn): 1},
@@ -1055,7 +1074,8 @@ def _stage5_export(sh: _Shape, rules: List[RuleSpec], priority: _Pairs) -> None:
                          consume_in={sym("stamp", nn): 1}))
             add(RuleSpec(_rid(5, 45, k, i, nn), s, NEUTRAL, NEUTRAL,
                          consume_in={result: 1},
-                         produce_in={sym("reseed", k, i, l): 1},
+                         produce_in={sym("reseed", k, i, l): 1} if nn < L
+                         else {},
                          produce_out={result: 1}))
             add(RuleSpec(_rid(5, 47, k, i, nn), str(k), NEUTRAL, NEUTRAL,
                          consume_in={result: 1}, produce_out={result: 1}))

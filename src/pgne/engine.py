@@ -724,9 +724,8 @@ class Configuration:
                              list(self.charges), self.step)
 
 
-def read_region(cfg: Configuration, label: str,
-                base: Optional[str] = None) -> Multiset:
-    """Filtered copy of one region's contents; cfg is left untouched."""
+def read_region(cfg: Configuration, label: str) -> Multiset:
+    """Copy of one region's contents; cfg is left untouched."""
     idx = cfg.csys.label_index.get(label)
     if idx is None:
         raise StructureError(f"unknown label {label!r}")
@@ -734,11 +733,9 @@ def read_region(cfg: Configuration, label: str,
     live = cfg.live
     for s, slot in cfg.csys.region_slots[idx].items():
         n = live.get(slot)
-        if n and (base is None or s.base == base):
+        if n:
             out.counts[s] = n
-    for s, n in cfg.inert[idx].items():
-        if base is None or s.base == base:
-            out.counts[s] = n
+    out.counts.update(cfg.inert[idx])
     return out
 
 

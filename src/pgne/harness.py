@@ -208,9 +208,11 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
     their forming rules fired.  The step budget is
     `loop_steps_bound(r_disc) * (loops + 1)`: one loop more than the run
     performs.  Each loop whose stages miss `stage_steps` at its start
-    state, and each region that holds waste at halt, adds one warning, as
-    do fewer loop windows than loops (a kickoff that never fired) and a
-    skin whose err count is not the err the loops formed.
+    state adds one warning, as does each symbol a region holds when the
+    run halts other than `result` and `err` in the skin and `ovf` in a
+    membrane inside it, fewer loop windows than loops (a kickoff that
+    never fired) and a skin whose err count is not the err the loops
+    formed.
     """
     co = payoff_coefficients(spec)
     warnings: List[str] = []
@@ -273,11 +275,16 @@ def run_gne(spec: GameSpec, strict: bool = False) -> GneResult:
                 warnings.append(f"loop {lt.loop}: stage {stage} took "
                                 f"{took.get(stage, 0)} steps, not {want}")
                 break
-    waste = sym("waste")
-    for label, region in zip(trace.final.csys.region_labels,
-                             trace.final.contents):
-        if region.get(waste):
-            warnings.append(f"{label} holds {region[waste]} waste at halt")
+    # A clean halt leaves the results and err in the skin, nothing in the
+    # environment, and elsewhere only the ovf markers of `StateZ.backlog`.
+    if trace.halted:
+        kept = {ENV_LABEL: (), "0": ("result", "err")}
+        for label, region in zip(trace.final.csys.region_labels,
+                                 trace.final.contents):
+            keep = kept.get(label, ("ovf",))
+            for s, cnt in region.items():
+                if s.base not in keep:
+                    warnings.append(f"{label} holds {cnt} {s.text} at halt")
     return GneResult(spec, co, trace, states, timings, warnings)
 
 

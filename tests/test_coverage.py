@@ -1,5 +1,6 @@
-"""Every rule family the builder emits fires, waste never waits, and
-every loop takes the steps of the builder's step law.
+"""Every rule family the builder emits fires, no rule is shadowed, waste
+never waits, every run halts clean, and every loop takes the steps of the
+builder's step law.
 
 The corpus is the golden acceptance instances and non-preset shapes, the
 rare-path games and 80 derandomized random shapes.  A family is a
@@ -12,9 +13,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from pgne.builder import mult_steps, rule_tag, stage_steps
-from pgne.engine import CRule, apply_record
+from pgne.builder import build_mult_system, mult_steps, rule_tag, stage_steps
+from pgne.engine import CRule, CompiledSystem, apply_record, compile_system
 from pgne.harness import run_gne, sample_experiment
+from pgne.oracle import simulate
 from pgne.symbols import sym
 from test_builder import region_kind
 from test_gne import RARE_GAMES, game_shapes, rare_game
@@ -64,6 +66,27 @@ def test_every_emitted_family_fires(traces):
     assert sorted(emitted - fired, key=str) == []
 
 
+def _shadowed(csys: CompiledSystem):
+    """Ids of the rules an earlier rule of the total order shadows: one
+    with the same target, pre charge, child, child pre charge and needs
+    that flips no charge, so it takes all there is and leaves none."""
+    first, out = set(), []
+    for cr in csys.ordered:
+        key = cr.target, cr.pre, cr.child, cr.child_pre, cr.needs
+        if key in first:
+            out.append(cr.id)
+        elif not cr.flips:
+            first.add(key)
+    return out
+
+
+def test_no_rule_is_shadowed(traces):
+    systems = {name: res.trace.final.csys for name, res in traces.items()}
+    systems["mult_3x5"] = compile_system(build_mult_system(3, 5))
+    shadowed = {name: _shadowed(csys) for name, csys in systems.items()}
+    assert {name: ids for name, ids in shadowed.items() if ids} == {}
+
+
 def test_waste_never_waits(traces):
     # At every step, each region collects all the waste it holds, so no
     # waste lands in a cell without a collector.  The halted state
@@ -81,6 +104,23 @@ def test_waste_never_waits(traces):
                     if r and _WASTE in c}
             assert held == collected, (name, cfg.step)
             apply_record(cfg, rec)
+
+
+def test_halt_is_clean(traces):
+    # The skin keeps the results and err, the environment nothing, and a
+    # strategy membrane only the ovf markers of the reference's backlog.
+    ovf = sym("ovf")
+    for name, res in traces.items():
+        final = res.trace.final
+        held = {}
+        for label, region in zip(final.csys.region_labels, final.contents):
+            if label == "0":
+                assert {s.base for s in region} <= {"result", "err"}, name
+            elif region:
+                held[label] = dict(region)
+        backlog = simulate(res.spec).final().backlog
+        assert held == {f"S_{i}_{k}": {ovf: n}
+                        for (k, i), n in backlog.items() if n}, name
 
 
 def test_corpus_runs_warning_free(traces):

@@ -237,9 +237,9 @@ def test_results_stay_in_skin():
     res = run_gne(tiny_spec())
     env = read_region(res.trace.final, "@env")
     assert env.get(sym("result", 1, 1, 1, 1)) == 0
-    skin = read_region(res.trace.final, "0", base="result")
+    skin = read_region(res.trace.final, "0")
     # 2 loops x 2 pairs x 50 tokens each.
-    assert sum(skin.counts.values()) == 200
+    assert sum(n for s, n in skin.items() if s.base == "result") == 200
 
 
 def test_strict_mode_flags_nothing_on_tiny():

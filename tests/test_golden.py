@@ -11,10 +11,10 @@ collectors in every region and loop-stamped families up to stamp L+1; any
 change to which rules the builder emits must reproduce them exactly.
 
 The built-system digests pin every rule body, priority pair and
-membrane of the serialized system, including rules no trace reaches;
-they were taken from the builder before it was restructured into one
-pass per stage, and any change to how the builder emits a system must
-reproduce them exactly.
+membrane of the serialized system, including rules no trace reaches.
+They were taken from the builder that stopped emitting shadowed rules
+and loop L's `reseed`, with every trace digest here unchanged; any
+change to how the builder emits a system must reproduce them exactly.
 
 The stage-window and cross-seed attribution digests were taken from the
 string-matching trace readers that preceded `builder.rule_tag`; any change
@@ -30,8 +30,8 @@ from __future__ import annotations
 import hashlib
 from typing import List
 
-from pgne.builder import (build_gne_system, build_mult_system, mult_steps,
-                          stage_boundaries)
+from pgne.builder import (GameSpec, build_gne_system, build_mult_system,
+                          mult_steps, stage_boundaries)
 from pgne.engine import compile_system, export_trace_text, run
 from pgne.harness import Preset, compare_engines, run_gne, sample_experiment
 from pgne.oracle import simulate
@@ -92,33 +92,35 @@ _SWEEP_SHA = "d74f282a190b3193cee4dc5af824b3598b5f6b46e062ba393a223ae6e6ed8384"
 # sha256 of `serialize_system` for the acceptance instances, the shapes
 # above, the rare-path games and the stand-alone multiplier.
 _SYSTEM_SHA = {
-    "small/2": "adb774052d8696981a02d3b9229e3c24b60a6be270d7a8fca4b08dc0963c6603",
-    "small/9": "73f83a9a192374595aa9bcb84893df1f50afffefe92bb929b885839aa125cb88",
-    "small/15": "63979d69935cb9c6ebcc5246827a745cedf88d4bd2a9c602cda60e2ebb77b996",
-    "small/16": "88f4e5e1025f23cd8f5560d7a2725600a9d64b1dbec240a3b8f217b9e00388a8",
-    "small/17": "bbe8c7fad41ac72e6a3f2908f1ded5db7baf29dff8f230c18952b3370ae3e607",
-    "default/27": "523a5e4ca168938cec6f4e49c0ee99b8e1b2bdf3890388e874b17972be2d0015",
-    "default/31": "0e124f6270fddae9883279543b20fd164da470277f12b2ba8427563d34cd3f33",
-    "default/32": "7702d0276d8d79240b76c77ac05be75b639cd51935c39c65433526aa623eb94a",
-    "default/1": "c1f2a84af95233f556c699fd24a29bd43f191dced160b35fbca82fddb7fbfabc",
-    "p1-s2-r2-l1": "cac8ebefcd194cde14d40b8412cdd5f59050f3db5762ec5229e090a5bca4b30c",
-    "p4-s5-r3-l2": "5f4c120562b5324502dceb7b490119e8b23b4c57b3cff7a23c24c075c20c1995",
-    "p2-s4-r257-l3": "de0b88da1e44f717b58f89ee161e036b08483f99966cf24b21f29dc0bad9be2d",
-    "p3-s3-r7-l1-zero": "6adaf427b2d1ee1d0b5c25415d597c44672a9e3bf72f5ec8cb455548ae176ed8",
-    "p1-s5-r100-l4-tiny": "dabb2482a9185d4cd090206268bce561b71860dc51019912ded4cb26c605590f",
-    "p2-s2-r257-l1-heavy": "34862284fb2dac66549278d10af7e76498e9cedf9fc1f705bf10c60dedfec06d",
-    "fill": "c0f1f2dbc9d888534bfd04724f3e2a3f8c2b6e7db21cb1a6f81b57234c015059",
-    "surplus_err": "6c785f9152f07a60fd641a91467b5e86b30ceb1579d692dd583cab487e69e657",
-    "deficit_err": "bd85340d8b17e58f1fe4a3e89f013a5e5eaef14c608a3419d04f0015d6300bd5",
+    "small/2": "268e8332b289b08a1b720bb39404a7ab3c68ff09be568c7c776a84395107d92b",
+    "small/9": "b44a689cfe9fb36ecec067ad541970682ba9549ad3607c8bd7c5e6b26233450b",
+    "small/15": "e36ff25401ff0aefa4d17e2dd528786a180f59c5cd312608c11e4cfb55073391",
+    "small/16": "e0970a946aa37d3b4916296aef6294f5ca5c913fc13dc8034557515f9e72daa6",
+    "small/17": "aaf5d0f83839d1abc81d1980e26a1ef2ad6672b76202567d9deaf3530d30a339",
+    "default/27": "630963dbeb48f4c3d48ae33ff9aff8bce8f68b172f7450c22234f2b67faaa94c",
+    "default/31": "3fef8e7bd11cec9ac9b39abc9095511b556e9a53ae17f21e82d6d750c53f1057",
+    "default/32": "731450485f35512dfb56bc7bb3f4c250ec2d88a040e389922bd3df76dc99ba02",
+    "default/1": "b87b15326a685d39593e62e8382d50ede982b4aad26370bc1be2e5eafc4eb082",
+    "p1-s2-r2-l1": "9b228e8111a5f0e76ac7ade753ade77816c1c92edb19614a869609c5e9962fd4",
+    "p4-s5-r3-l2": "23a0e9ea5e5733744038311c4b31da2b102a914a33a2a47a042098924a139195",
+    "p2-s4-r257-l3": "8a4a08600d07a7892330c6abe4fb1721c418d166b442616e75384855c95fc8a9",
+    "p3-s3-r7-l1-zero": "c767c8733f1fcb32962d70ce2692616d7b66607cd742d074e8d005060a33f472",
+    "p1-s5-r100-l4-tiny": "152e2409fd7579332bbd168058dbf4c9ebdae6f81e9700d4c492029e08f280a3",
+    "p2-s2-r257-l1-heavy": "b4bf03e857d199061e5dfb8b6796c6cadc4f0a291577e026d524fe55ce69f580",
+    "fill": "c6bcc193ba286a1f104ca339a024aa2f30a9d29246176a945cb8034b1139762b",
+    "surplus_err": "5f1ec6203fa84ffcd90b083347b4d8f917991dc5ae815f874b18e631b110c30e",
+    "deficit_err": "5fe39f01017da85593e1abbc70ac5c92d7d57674136cf40619af1f0bf2a8064a",
     "mult_3x5": "d815852cfba25386f87ff6916298f663d42dc8175d7794e1747bf97ac38fe23a",
 }
 
-# (preset, seed): (number of ambiguities, sha256 of their text rows).  The
-# small preset never produces one; its empty list is pinned all the same.
+# "preset/seed" or a rare-path game: (number of ambiguities, sha256 of
+# their text rows).  The presets produce none, and their empty lists are
+# pinned all the same; fill keeps one real race, S5R21 over cand.
 _AMBIGUITY_SHA = {
-    ("default", 27): (8, "c8c0e2f46c090b11225638027ad4d10487cfcb6ce063ed29b395b37ed774bfd9"),
-    ("default", 31): (6, "ce2492347bea90465c9836d420e486b89518630be45f75d0e2b0bdf96398cbf3"),
-    ("small", 2): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "default/27": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "default/31": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "small/2": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fill": (1, "75836a1e3cc54eb0a6778e191fa0ae67ac1f688d10871dde50750ad0d30d91a8"),
 }
 
 
@@ -183,8 +185,16 @@ def _sweep_digest() -> str:
     return h.hexdigest()
 
 
-def _ambiguity_digest(preset: str, seed: int):
-    res = run_gne(sample_experiment(seed, preset), strict=True)
+def _game(name: str) -> GameSpec:
+    """A rare-path game by name, or a preset game by "preset/seed"."""
+    if name in RARE_GAMES:
+        return rare_game(name)
+    preset, seed = name.split("/")
+    return sample_experiment(int(seed), preset)
+
+
+def _ambiguity_digest(name: str):
+    res = run_gne(_game(name), strict=True)
     rows: List[str] = [
         f"{a.step} {a.region} {a.symbol.text} {a.winner} {a.loser}"
         for a in res.trace.ambiguities]
@@ -221,7 +231,7 @@ def test_built_systems_byte_identical():
 
 
 def test_strict_ambiguities_unchanged():
-    got = {key: _ambiguity_digest(*key) for key in _AMBIGUITY_SHA}
+    got = {name: _ambiguity_digest(name) for name in _AMBIGUITY_SHA}
     assert got == _AMBIGUITY_SHA
 
 

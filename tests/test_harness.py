@@ -18,11 +18,12 @@ import pgne.oracle as oracle_mod
 from pgne.builder import (GameSpec, build_gne_system, build_mult_system,
                           load_game, loop_steps_bound, save_game)
 from pgne.cli import main
-from pgne.engine import compile_system, run
+from pgne.engine import PLUS, RuleSpec, compile_system, run
 from pgne.harness import (PRESETS, SplitMix64, compare_engines, mult_sweep,
                           run_gne, run_mult, sample_experiment)
 from pgne.oracle import simulate
 from pgne.pspec import load_system, parse_system, serialize_system
+from pgne.symbols import sym
 from test_engine import plans  # a fixture
 from test_gne import _DATA
 
@@ -168,7 +169,7 @@ def test_a_workload_process_needs_one_plan_one_skeleton_one_tag_table(
     assert len(plans) == 1
     assert builder._skeleton.cache_info().misses == 1
     assert builder._TAGS[0] is csys.rules
-    assert len(tagged) == len(csys.rules) == 1981
+    assert len(tagged) == len(csys.rules) == 1976
 
 
 def test_run_gne_clean():
@@ -285,11 +286,13 @@ def test_compare_without_kickoff_does_not_agree(monkeypatch, tmp_path,
 
 
 def test_run_without_kickoff_is_flagged(monkeypatch, tmp_path, capsys):
-    # Every loop still exports counts, but none opens a window.
+    # Every loop still exports counts, but none opens a window, and the
+    # ticks no kickoff consumes are left in P.
     _drop_rules(monkeypatch, "S1R02")
     res = run_gne(sample_experiment(27, "default"))
     assert res.timings == []
-    assert res.warnings == ["0 loop windows for 10 loops"]
+    assert res.warnings == ["0 loop windows for 10 loops",
+                            "P holds 10 tick at halt"]
     out = str(tmp_path / "exp")
     assert main(["experiment", "--seed", "27", "--engine", "membrane",
                  "--out", out]) == 1
@@ -312,7 +315,8 @@ def test_err_left_in_players_is_flagged(monkeypatch):
     _drop_rules(monkeypatch, "S5R50")
     res = run_gne(game)
     assert sum(res.states[-1].err.values()) == 1
-    assert res.warnings == ["skin holds 0 err, the loops formed 1"]
+    assert res.warnings == ["skin holds 0 err, the loops formed 1",
+                            "1 holds 1 err at halt"]
 
 
 def test_stage_steps_miss_is_flagged(monkeypatch):
@@ -374,9 +378,25 @@ def test_cli_run_strict_counts_steps_not_races(tmp_path, capsys):
     assert "steps: 1 " in out and "ambiguous steps: 1\n" in out
 
 
-def test_cli_experiment_strict_reports_ambiguous_steps(tmp_path, capsys):
-    # default/27 collects 8 ambiguities over 4 steps; the exit status
-    # stays that of the run without --strict.
+def test_cli_experiment_strict_reports_ambiguous_steps(monkeypatch, tmp_path,
+                                                       capsys):
+    # The built default/27 has no race.  An S5R33 copy for player 3's
+    # second strategy, below every S5R30 of the player as the first
+    # strategy's S5R33 is, races that rule for quota on 2 steps; the exit
+    # status stays that of the run without --strict.
+    build = harness.build_gne_system
+
+    def with_copy(spec):
+        sysd = build(spec)
+        copy = RuleSpec("S5R33_k03_i02", "3", PLUS, PLUS,
+                        consume_in={sym("quota"): 1},
+                        produce_in={sym("znew", 2): 1})
+        sysd.rules = sorted(sysd.rules + [copy], key=lambda r: r.id)
+        sysd.priority += [(f"S5R30_k03_i{i:02d}", copy.id)
+                          for i in spec.strategies[2]]
+        return sysd
+
+    monkeypatch.setattr(harness, "build_gne_system", with_copy)
     out = str(tmp_path / "exp")
     args = ["experiment", "--seed", "27", "--engine", "membrane",
             "--out", out]
@@ -384,7 +404,7 @@ def test_cli_experiment_strict_reports_ambiguous_steps(tmp_path, capsys):
     assert "ambiguous" not in capsys.readouterr().out
     assert main(args + ["--strict"]) == 0
     printed = capsys.readouterr().out
-    assert "ambiguous steps: 4\n" in printed
+    assert "ambiguous steps: 2\n" in printed
     with open(os.path.join(out, "report.txt")) as fh:
         assert fh.read() == printed.split("\n", 1)[1]
 

@@ -584,7 +584,7 @@ _PIN_TEXTS = [
     (lambda: serialize_system(build_gne_system(
         sample_experiment(0, "small", loops=2))), 30)]
 EDIT_OUTCOMES_SHA256 = (
-    "fafb4796c748cc8c8a1a0bf907eed60785c0ae0a2d760556521299783ed4fc55")
+    "a6260ff8e8042a9a8ce95259bbc25517636cdebd4dd532443fb3dd3d73c10d71")
 
 
 def edit_outcome(text, snap):
@@ -1020,7 +1020,7 @@ def test_table_keeps_only_the_last_system():
         serialize_system(parse_system(default))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
-        assert len(pspec._SNAP.rules) == 1981
+        assert len(pspec._SNAP.rules) == 1976
         serialize_system(parse_system(mult))
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
